@@ -164,7 +164,6 @@ GATE_KINDS = {
     "rotation": lambda v: fock.Rotation(float(v)),
     "squeeze": lambda v: fock.Squeeze(float(v)),
     "kerr": lambda v: fock.Kerr(float(v)),
-    "beamsplitter": lambda v: fock.BeamSplitter(float(v)),
 }
 
 

@@ -1,10 +1,11 @@
-"""Layered CV-QNN circuits whose quadrature expectations serve as features.
+"""Layered single-mode CV-QNN circuits whose <x> expectations serve as features.
 
-A unit applies, in order: interferometer 1, local squeezes, interferometer 2,
-local displacements, Kerr gates.  For a single mode the interferometers
-degenerate to rotations.  A bank of L independent single-mode circuits maps a
-scalar input tau (encoded as a displacement of the vacuum) to the feature
-vector sigma(tau) in R^L via <x> measurements.
+A unit is the layer of Killoran et al. (PRR 1, 033063, 2019) on one qumode:
+K(kappa) D(alpha) R(phi2) S(r) R(phi1), applied right to left.  Rotations
+and the Kerr gate are diagonal in the Fock basis, so they act as phase
+vectors; squeeze and displacement are truncated matrix exponentials.  A bank
+of L independent circuits maps a scalar input tau (encoded as a displacement
+of the vacuum) to the feature vector sigma(tau) in R^L via <x> measurements.
 """
 
 from __future__ import annotations
@@ -14,162 +15,89 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import fock
-from .fock import BeamSplitter, Displacement, FockOperator, FockVector, Kerr, Rotation, Squeeze
+from .fock import Displacement, FockVector, Squeeze
+
+# flat layout per unit: rot1, squeeze, rot2, Re disp, Im disp, kerr
+PARAMS_PER_UNIT = 6
 
 
 @dataclass
 class QnnUnitParams:
-    """Gate parameters of one unit on n_modes qumodes."""
+    """Gate parameters of one single-mode unit."""
 
-    bs1: np.ndarray       # n(n-1)/2 beam-splitter angles, interferometer 1
-    rot1: np.ndarray      # n rotation angles, interferometer 1
-    squeeze: np.ndarray   # n real squeeze parameters
-    bs2: np.ndarray
-    rot2: np.ndarray
-    disp: np.ndarray      # n complex displacement amplitudes
-    kerr: np.ndarray      # n Kerr strengths
+    rot1: float      # first rotation angle
+    squeeze: float   # real squeeze parameter
+    rot2: float      # second rotation angle
+    disp: complex    # displacement amplitude
+    kerr: float      # Kerr strength
 
     def __post_init__(self):
-        self.bs1 = np.atleast_1d(np.asarray(self.bs1, dtype=float))
-        self.rot1 = np.atleast_1d(np.asarray(self.rot1, dtype=float))
-        self.squeeze = np.atleast_1d(np.asarray(self.squeeze, dtype=float))
-        self.bs2 = np.atleast_1d(np.asarray(self.bs2, dtype=float))
-        self.rot2 = np.atleast_1d(np.asarray(self.rot2, dtype=float))
-        self.disp = np.atleast_1d(np.asarray(self.disp, dtype=complex))
-        self.kerr = np.atleast_1d(np.asarray(self.kerr, dtype=float))
-        n = self.rot1.shape[0]
-        n_bs = n * (n - 1) // 2
-        for name, arr, want in [
-            ("bs1", self.bs1, n_bs), ("rot1", self.rot1, n),
-            ("squeeze", self.squeeze, n), ("bs2", self.bs2, n_bs),
-            ("rot2", self.rot2, n), ("disp", self.disp, n), ("kerr", self.kerr, n),
-        ]:
-            if arr.shape[0] != want:
-                raise ValueError(f"{name} has length {arr.shape[0]}, expected {want}")
-            if not np.all(np.isfinite(arr.real)) or not np.all(np.isfinite(arr.imag)):
-                raise ValueError(f"{name} contains non-finite entries")
-        # n=0 would mean no modes; bs arrays may be empty for n=1
-        if n < 1:
-            raise ValueError("unit needs at least one mode")
-
-    @property
-    def n_modes(self) -> int:
-        return self.rot1.shape[0]
+        self.rot1 = float(self.rot1)
+        self.squeeze = float(self.squeeze)
+        self.rot2 = float(self.rot2)
+        self.disp = complex(self.disp)
+        self.kerr = float(self.kerr)
+        if not np.all(np.isfinite([self.rot1, self.squeeze, self.rot2,
+                                   self.disp.real, self.disp.imag, self.kerr])):
+            raise ValueError("unit parameters must be finite")
 
 
-def zero_unit(n_modes: int = 1) -> QnnUnitParams:
-    n_bs = n_modes * (n_modes - 1) // 2
-    return QnnUnitParams(
-        bs1=np.zeros(n_bs), rot1=np.zeros(n_modes), squeeze=np.zeros(n_modes),
-        bs2=np.zeros(n_bs), rot2=np.zeros(n_modes),
-        disp=np.zeros(n_modes, dtype=complex), kerr=np.zeros(n_modes),
-    )
+def zero_unit() -> QnnUnitParams:
+    return QnnUnitParams(rot1=0.0, squeeze=0.0, rot2=0.0, disp=0j, kerr=0.0)
 
 
 @dataclass
 class QnnCircuit:
-    """Ordered stack of units sharing one mode count and cutoff.
+    """Ordered stack of single-mode units at one cutoff.
 
     The composed unitary is cached and invalidated through a version counter
     that any parameter write must bump (see set_flat).
     """
 
     units: list
-    n_modes: int
     cutoff: int
     version: int = 0
     _unitary_cache: tuple = field(default=None, repr=False, compare=False)
-
-    def __post_init__(self):
-        for u in self.units:
-            if u.n_modes != self.n_modes:
-                raise ValueError("all units must share the circuit's mode count")
 
     @property
     def depth(self) -> int:
         return len(self.units)
 
-    # flat layout per unit: bs1, rot1, squeeze, bs2, rot2, Re disp, Im disp, kerr
     def get_flat(self) -> np.ndarray:
-        parts = []
-        for u in self.units:
-            parts.extend([u.bs1, u.rot1, u.squeeze, u.bs2, u.rot2,
-                          u.disp.real, u.disp.imag, u.kerr])
-        if not parts:
-            return np.zeros(0)
-        return np.concatenate(parts)
+        return np.array([[u.rot1, u.squeeze, u.rot2, u.disp.real, u.disp.imag, u.kerr]
+                         for u in self.units], dtype=float).reshape(-1)
 
     def set_flat(self, values: np.ndarray) -> None:
         values = np.asarray(values, dtype=float)
-        if values.shape[0] != self.get_flat().shape[0]:
+        if values.shape != (PARAMS_PER_UNIT * self.depth,):
             raise ValueError("flat parameter vector has wrong length")
-        i = 0
-        n = self.n_modes
-        n_bs = n * (n - 1) // 2
-        for u in self.units:
-            for name, size in [("bs1", n_bs), ("rot1", n), ("squeeze", n),
-                               ("bs2", n_bs), ("rot2", n)]:
-                setattr(u, name, values[i:i + size].copy())
-                i += size
-            re = values[i:i + n]
-            im = values[i + n:i + 2 * n]
-            u.disp = re + 1j * im
-            i += 2 * n
-            u.kerr = values[i:i + n].copy()
-            i += n
+        for u, row in zip(self.units, values.reshape(-1, PARAMS_PER_UNIT)):
+            u.rot1, u.squeeze, u.rot2, re, im, u.kerr = row
+            u.disp = complex(re, im)
         self.version += 1
 
     def unitary(self) -> np.ndarray:
         """Composed circuit matrix (excluding the input encoding)."""
         if self._unitary_cache is not None and self._unitary_cache[0] == self.version:
             return self._unitary_cache[1]
-        dim = self.cutoff**self.n_modes
-        mat = np.eye(dim, dtype=complex)
+        mat = np.eye(self.cutoff, dtype=complex)
         for u in self.units:
             mat = _unit_matrix(u, self.cutoff) @ mat
         self._unitary_cache = (self.version, mat)
         return mat
 
 
-def _interferometer_matrix(bs_angles, rot_angles, n_modes, cutoff) -> np.ndarray:
-    dim = cutoff**n_modes
-    mat = np.eye(dim, dtype=complex)
-    k = 0
-    # triangular sweep over adjacent pairs; n(n-1)/2 beam splitters total
-    for sweep in range(n_modes - 1):
-        for m in range(n_modes - 1 - sweep):
-            bs = fock.gate_matrix(BeamSplitter(bs_angles[k], modes=(m, m + 1)), cutoff)
-            mat = fock.tensor_embed(bs, m, n_modes, cutoff).entries @ mat
-            k += 1
-    for m in range(n_modes):
-        rot = fock.gate_matrix(Rotation(rot_angles[m]), cutoff)
-        mat = fock.tensor_embed(rot, m, n_modes, cutoff).entries @ mat
-    return mat
-
-
-def _unit_matrix(params: QnnUnitParams, cutoff: int) -> np.ndarray:
-    n = params.n_modes
-    mat = _interferometer_matrix(params.bs1, params.rot1, n, cutoff)
-    for m in range(n):
-        sq = fock.gate_matrix(Squeeze(params.squeeze[m]), cutoff)
-        mat = fock.tensor_embed(sq, m, n, cutoff).entries @ mat
-    mat = _interferometer_matrix(params.bs2, params.rot2, n, cutoff) @ mat
-    for m in range(n):
-        dg = fock.gate_matrix(Displacement(params.disp[m]), cutoff)
-        mat = fock.tensor_embed(dg, m, n, cutoff).entries @ mat
-    for m in range(n):
-        kg = fock.gate_matrix(Kerr(params.kerr[m]), cutoff)
-        mat = fock.tensor_embed(kg, m, n, cutoff).entries @ mat
-    return mat
-
-
-def unit_apply(state: FockVector, params: QnnUnitParams, cutoff: int = None) -> FockVector:
-    """Apply one unit (interferometer, squeeze, interferometer, displace, Kerr)."""
-    cutoff = state.cutoff if cutoff is None else cutoff
-    mat = _unit_matrix(params, cutoff)
-    if mat.shape[0] != state.amplitudes.shape[0]:
-        raise ValueError("unit dimension does not match state")
-    return FockVector(mat @ state.amplitudes, state.cutoff)
+def _unit_matrix(u: QnnUnitParams, cutoff: int) -> np.ndarray:
+    """K D R2 S R1, with the diagonal gates applied as phase vectors."""
+    # set_flat writes without validation; squeeze and displacement are
+    # checked by fock.gate_matrix
+    if not np.all(np.isfinite([u.rot1, u.rot2, u.kerr])):
+        raise ValueError("non-finite rotation angle or Kerr strength")
+    n = np.arange(cutoff)
+    mat = fock.gate_matrix(Squeeze(u.squeeze), cutoff).entries * np.exp(1j * u.rot1 * n)
+    mat = np.exp(1j * u.rot2 * n)[:, None] * mat
+    mat = fock.gate_matrix(Displacement(u.disp), cutoff).entries @ mat
+    return np.exp(1j * u.kerr * n**2)[:, None] * mat
 
 
 def encode_input(tau: float, cutoff: int) -> FockVector:
@@ -193,8 +121,6 @@ class QnnBank:
         for c in self.circuits:
             if c.cutoff != cut:
                 raise ValueError("all circuits must share one cutoff")
-            if c.n_modes != 1:
-                raise ValueError("bank circuits are single-mode")
 
     @property
     def n_features(self) -> int:
@@ -212,13 +138,13 @@ class QnnBank:
         return np.concatenate([c.get_flat() for c in self.circuits])
 
     def set_flat(self, values: np.ndarray) -> None:
-        i = 0
-        for c in self.circuits:
-            size = c.get_flat().shape[0]
-            c.set_flat(values[i:i + size])
-            i += size
-        if i != np.asarray(values).shape[0]:
+        """Write every circuit's parameters; a wrong length writes nothing."""
+        values = np.asarray(values, dtype=float)
+        sizes = [PARAMS_PER_UNIT * c.depth for c in self.circuits]
+        if values.shape != (sum(sizes),):
             raise ValueError("flat parameter vector has wrong length")
+        for c, part in zip(self.circuits, np.split(values, np.cumsum(sizes)[:-1])):
+            c.set_flat(part)
 
 
 def forward(bank: QnnBank, tau: float) -> np.ndarray:
@@ -247,16 +173,11 @@ def random_bank(n_features: int, depth: int, cutoff: int, rng: np.random.Generat
     parameters drawn normal with the given standard deviations."""
     circuits = []
     for _ in range(n_features):
-        units = []
-        for _ in range(depth):
-            units.append(QnnUnitParams(
-                bs1=np.zeros(0),
-                rot1=rng.uniform(0.0, passive_high, 1),
-                squeeze=rng.normal(0.0, squeeze_scale, 1),
-                bs2=np.zeros(0),
-                rot2=rng.uniform(0.0, passive_high, 1),
-                disp=rng.normal(0.0, disp_scale, 1) + 0j,
-                kerr=rng.normal(0.0, kerr_scale, 1),
-            ))
-        circuits.append(QnnCircuit(units=units, n_modes=1, cutoff=cutoff))
+        units = [QnnUnitParams(rot1=rng.uniform(0.0, passive_high),
+                               squeeze=rng.normal(0.0, squeeze_scale),
+                               rot2=rng.uniform(0.0, passive_high),
+                               disp=rng.normal(0.0, disp_scale),
+                               kerr=rng.normal(0.0, kerr_scale))
+                 for _ in range(depth)]
+        circuits.append(QnnCircuit(units=units, cutoff=cutoff))
     return QnnBank(circuits=circuits)

@@ -1,15 +1,17 @@
-"""Truncated Fock-basis linear algebra: states, gate matrices, measurements.
+"""Truncated single-mode Fock-basis linear algebra: states, gate matrices,
+measurements.  Every operator is D x D on one qumode; the CV-QNN unit
+(cvqnn) is a product of these gates.
 
 Conventions (fixed once so every oracle value is unambiguous):
   x = (a + a^dag) / sqrt(2),  p = i (a^dag - a) / sqrt(2)
 so a coherent state D(alpha)|0> has <x> = sqrt(2) Re(alpha).
 
-Gates with a non-diagonal generator (displacement, squeeze, beam splitter)
-are built as the matrix exponential of the truncated generator.  The
-truncated generator is exactly anti-Hermitian, so the resulting matrix is
-exactly unitary; it differs from the untruncated gate only in its action
-on high photon-number sectors.  States are never renormalized after a gate
-so truncation loss stays observable.
+Gates with a non-diagonal generator (displacement, squeeze) are built as
+the matrix exponential of the truncated generator.  The truncated generator
+is exactly anti-Hermitian, so the resulting matrix is exactly unitary; it
+differs from the untruncated gate only in its action on high photon-number
+sectors.  States are never renormalized after a gate so truncation loss
+stays observable.
 """
 
 from __future__ import annotations
@@ -47,22 +49,17 @@ class FockVector:
 
 @dataclass
 class FockOperator:
-    """Dense operator on one mode (D x D) or a two-mode tensor space (D^2 x D^2)."""
+    """Dense D x D operator on one mode."""
 
     entries: np.ndarray
     cutoff: int
 
     def __post_init__(self):
         self.entries = np.asarray(self.entries, dtype=complex)
-        d = self.entries.shape[0]
-        if self.entries.ndim != 2 or self.entries.shape[1] != d:
-            raise ValueError("operator matrix must be square")
-        size = self.cutoff
-        while size < d:
-            size *= self.cutoff
-        if size != d:
+        if self.entries.shape != (self.cutoff, self.cutoff):
             raise ValueError(
-                f"operator dimension {d} is not a power of cutoff {self.cutoff}"
+                f"operator matrix has shape {self.entries.shape}, "
+                f"expected ({self.cutoff}, {self.cutoff})"
             )
 
     @property
@@ -86,17 +83,11 @@ class Squeeze:
 
 
 @dataclass(frozen=True)
-class BeamSplitter:
-    theta: float
-    modes: tuple = (0, 1)
-
-
-@dataclass(frozen=True)
 class Kerr:
     kappa: float
 
 
-GateSpec = Union[Displacement, Rotation, Squeeze, BeamSplitter, Kerr]
+GateSpec = Union[Displacement, Rotation, Squeeze, Kerr]
 
 
 def _check_cutoff(cutoff: int) -> None:
@@ -118,24 +109,10 @@ def quadrature_x(cutoff: int) -> FockOperator:
     return FockOperator((a.entries + adag.entries) / np.sqrt(2.0), cutoff)
 
 
-def quadrature_p(cutoff: int) -> FockOperator:
-    a, adag = ladder(cutoff)
-    return FockOperator(1j * (adag.entries - a.entries) / np.sqrt(2.0), cutoff)
-
-
 def vacuum(cutoff: int) -> FockVector:
     _check_cutoff(cutoff)
     amps = np.zeros(cutoff, dtype=complex)
     amps[0] = 1.0
-    return FockVector(amps, cutoff)
-
-
-def number_state(n: int, cutoff: int) -> FockVector:
-    _check_cutoff(cutoff)
-    if not 0 <= n < cutoff:
-        raise ValueError(f"photon number {n} outside [0, {cutoff})")
-    amps = np.zeros(cutoff, dtype=complex)
-    amps[n] = 1.0
     return FockVector(amps, cutoff)
 
 
@@ -151,9 +128,7 @@ def gate_matrix(spec: GateSpec, cutoff: int) -> FockOperator:
     """Gate matrix at the given cutoff.
 
     Diagonal gates (rotation, Kerr) are exact at any cutoff.  The rest are
-    matrix exponentials of the truncated generator.  The beam splitter
-    returns a two-mode operator of dimension cutoff^2 with mode ordering
-    little-endian (first mode of the pair varies fastest).
+    matrix exponentials of the truncated generator.
     """
     _check_cutoff(cutoff)
     n = np.arange(cutoff)
@@ -177,15 +152,6 @@ def gate_matrix(spec: GateSpec, cutoff: int) -> FockOperator:
             raise ValueError("non-finite squeeze parameter")
         gen = 0.5 * spec.r * (a.entries @ a.entries - adag.entries @ adag.entries)
         return FockOperator(expm(gen), cutoff)
-    if isinstance(spec, BeamSplitter):
-        if not _finite(spec.theta):
-            raise ValueError("non-finite beam-splitter angle")
-        eye = np.eye(cutoff)
-        # little-endian: mode 0 of the pair is the fast index
-        a1 = np.kron(eye, a.entries)
-        a2 = np.kron(a.entries, eye)
-        gen = spec.theta * (a1.conj().T @ a2 - a1 @ a2.conj().T)
-        return FockOperator(expm(gen), cutoff)
     raise TypeError(f"unknown gate spec {spec!r}")
 
 
@@ -208,24 +174,3 @@ def expectation(op: FockOperator, state: FockVector) -> float:
         raise ValueError(f"operator is not Hermitian (deviation {herm_err:.3g})")
     val = np.vdot(state.amplitudes, op.entries @ state.amplitudes)
     return float(val.real)
-
-
-def tensor_embed(op: FockOperator, mode: int, n_modes: int, cutoff: int) -> FockOperator:
-    """Kronecker-embed a one-mode (or adjacent-pair two-mode) operator.
-
-    Mode ordering is little-endian: mode 0 varies fastest in the flattened
-    index.  A two-mode operator acts on modes (mode, mode + 1).
-    """
-    _check_cutoff(cutoff)
-    if op.dim == cutoff:
-        span = 1
-    elif op.dim == cutoff**2:
-        span = 2
-    else:
-        raise ValueError("operator dimension matches neither one nor two modes")
-    if mode < 0 or mode + span > n_modes:
-        raise ValueError(f"mode {mode} (span {span}) out of range for {n_modes} modes")
-    above = cutoff ** (n_modes - mode - span)
-    below = cutoff**mode
-    out = np.kron(np.kron(np.eye(above), op.entries), np.eye(below))
-    return FockOperator(out, cutoff)

@@ -57,13 +57,6 @@ class RealDensityVector:
     def n_levels(self) -> int:
         return self._levels
 
-    def purity_defect(self) -> float:
-        """Qubit determinant diagnostic rho_gg*rho_ee - |rho_ge|^2 (>= 0 for
-        physical states); reported, not enforced."""
-        if self._levels != 2:
-            raise ValueError("diagnostic defined for the qubit map only")
-        return float(self.x[0] * self.x[1] - self.x[2] ** 2 - self.x[3] ** 2)
-
 
 @dataclass
 class SuperOperatorModel:

@@ -16,27 +16,18 @@ import numpy as np
 
 @dataclass
 class DecisionVector:
-    """Flat decision coordinates with named blocks and a write counter."""
+    """Flat decision coordinates with named blocks."""
 
     values: np.ndarray
     blocks: dict   # name -> slice
-    version: int = 0
 
     def __post_init__(self):
         self.values = np.asarray(self.values, dtype=float).copy()
-
-    def get(self, name: str) -> np.ndarray:
-        return self.values[self.blocks[name]].copy()
-
-    def set(self, name: str, vals) -> None:
-        self.values[self.blocks[name]] = vals
-        self.version += 1
 
     def replace(self, values: np.ndarray) -> None:
         if values.shape != self.values.shape:
             raise ValueError("decision vector length changed")
         self.values = np.asarray(values, dtype=float).copy()
-        self.version += 1
 
 
 @dataclass
@@ -99,6 +90,7 @@ def gauss_newton(res_fn, z0: np.ndarray, tol: float = 1e-6, max_iter: int = 50,
     Rejected steps are halved up to 8 times while the damping escalates
     tenfold; accepted steps relax it.  bounds, when given, is a list of
     (index, lo, hi) box constraints applied by projection after each step.
+    A non-finite residual in the Jacobian raises FloatingPointError.
     Returns (z, SolveReport).
     """
     if tol <= 0:
@@ -111,10 +103,7 @@ def gauss_newton(res_fn, z0: np.ndarray, tol: float = 1e-6, max_iter: int = 50,
     iters = 0
     while not converged and iters < max_iter:
         r = np.asarray(res_fn(z))
-        try:
-            jac = jacobian_fd(res_fn, z, fd_h)
-        except FloatingPointError:
-            break
+        jac = jacobian_fd(res_fn, z, fd_h)
         jtj = jac.T @ jac
         jtr = jac.T @ r
         loss = float(np.linalg.norm(r))
@@ -158,7 +147,8 @@ def adam(loss_fn, z0: np.ndarray, lr: float = 0.01, max_epochs: int = 200,
          tol: float = 0.0, beta1: float = 0.9, beta2: float = 0.999,
          eps: float = 1e-8, fd_h: float = 1e-6, callback=None):
     """Adam with bias correction on a scalar loss; gradients by central
-    finite differences.  Returns (z, SolveReport)."""
+    finite differences.  A non-finite loss in the gradient raises
+    FloatingPointError.  Returns (z, SolveReport)."""
     if lr <= 0:
         raise ValueError("learning rate must be positive")
     start = time.perf_counter()
@@ -171,7 +161,6 @@ def adam(loss_fn, z0: np.ndarray, lr: float = 0.01, max_epochs: int = 200,
     while not converged and epoch < max_epochs:
         steps = fd_step(z, fd_h)
         grad = np.empty_like(z)
-        bad = False
         for k in range(z.shape[0]):
             zp = z.copy()
             zp[k] += steps[k]
@@ -179,11 +168,8 @@ def adam(loss_fn, z0: np.ndarray, lr: float = 0.01, max_epochs: int = 200,
             zm[k] -= steps[k]
             lp, lm = loss_fn(zp), loss_fn(zm)
             if not (np.isfinite(lp) and np.isfinite(lm)):
-                bad = True
-                break
+                raise FloatingPointError(f"non-finite loss while perturbing coordinate {k}")
             grad[k] = (lp - lm) / (2.0 * steps[k])
-        if bad:
-            break
         epoch += 1
         m = beta1 * m + (1 - beta1) * grad
         v = beta2 * v + (1 - beta2) * grad**2

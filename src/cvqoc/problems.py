@@ -4,7 +4,8 @@ The decision vector concatenates the output weights of every unknown, the
 flattened circuit parameters, and (for the free-final-time problem) the
 morph rate.  Feature evaluations are cached per circuit and invalidated by
 the circuit version counters, so weight-only perturbations never re-run the
-quantum simulation.
+quantum simulation.  Each problem's _sync is the only writer of the weights
+and circuit parameters, and it refreshes the expressions' endpoint values.
 """
 
 from __future__ import annotations
@@ -15,19 +16,6 @@ from . import cvqnn, fock, pmp
 from .lindblad import SuperOperatorModel, propagate_rk4
 from .optimize import DecisionVector
 from .tfc import BoundaryConstraint, ConstrainedExpression, TimeMorph, chebyshev_lobatto_nodes
-
-
-class VersionCounter:
-    __slots__ = ("value",)
-
-    def __init__(self):
-        self.value = 0
-
-    def bump(self):
-        self.value += 1
-
-    def __call__(self):
-        return self.value
 
 
 class FeatureCache:
@@ -96,13 +84,11 @@ class OdeBenchmarkProblem:
         if deriv_step is None:
             deriv_step = 1e-4 * (morph.tauf - morph.tau0)
         self.cache = FeatureCache(bank, deriv_step)
-        self.counter = VersionCounter()
         L = bank.n_features
         self._xi = np.zeros((L, 1))
         self.expr = ConstrainedExpression(
             WeightedFreeFunction(self.cache, self._xi),
-            [BoundaryConstraint("initial", [y0])], morph, version_fn=self.counter,
-        )
+            [BoundaryConstraint("initial", [y0])], morph)
         theta_len = bank.get_flat().shape[0]
         self.decision = DecisionVector(
             values=np.concatenate([np.zeros(L), bank.get_flat()]),
@@ -124,7 +110,7 @@ class OdeBenchmarkProblem:
         if not np.array_equal(theta, self._theta_current):
             self.bank.set_flat(theta)
             self._theta_current = theta.copy()
-        self.counter.bump()
+        self.expr.refresh()
 
     def residual(self, values: np.ndarray) -> np.ndarray:
         self._sync(values)
@@ -158,7 +144,6 @@ class QocProblem:
         if deriv_step is None:
             deriv_step = 1e-4 * (morph.tauf - morph.tau0)
         self.cache = FeatureCache(bank, deriv_step)
-        self.counter = VersionCounter()
         L = bank.n_features
         dim = model.dim
         nc = model.n_controls
@@ -177,19 +162,19 @@ class QocProblem:
                 WeightedFreeFunction(self.cache, self._xi["xi_state"]),
                 [BoundaryConstraint("initial", cfg.rho_init),
                  BoundaryConstraint("final", cfg.rho_target)],
-                morph, version_fn=self.counter),
+                morph),
             expr_costate=ConstrainedExpression(
                 WeightedFreeFunction(self.cache, self._xi["xi_costate"]),
-                costate_constraints, morph, version_fn=self.counter),
+                costate_constraints, morph),
             expr_control=ConstrainedExpression(
                 WeightedFreeFunction(self.cache, self._xi["xi_u"]),
-                [], morph, version_fn=self.counter),
+                [], morph),
             expr_sat_input=ConstrainedExpression(
                 WeightedFreeFunction(self.cache, self._xi["xi_nu"]),
-                [], morph, version_fn=self.counter),
+                [], morph),
             expr_multiplier=ConstrainedExpression(
                 WeightedFreeFunction(self.cache, self._xi["xi_beta"]),
-                [], morph, version_fn=self.counter),
+                [], morph),
         )
         blocks = {}
         sizes = [("xi_state", L * dim), ("xi_costate", L * dim),
@@ -225,7 +210,7 @@ class QocProblem:
             self._theta_current = theta.copy()
         lo, hi = self.c_map_bounds
         self.morph.c_map = float(np.clip(values[blocks["c_map"]][0], lo, hi))
-        self.counter.bump()
+        self.unknowns.refresh()
 
     def residual_vector(self, values: np.ndarray) -> pmp.ResidualVector:
         self._sync(values)

@@ -9,7 +9,7 @@ tau are related by tau = tau0 + c_map * (t - t0).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 
@@ -101,15 +101,13 @@ class ConstrainedExpression:
     """Boundary-exact approximant built from a free function.
 
     free_function(tau) must return (theta, dtheta_dtau), each of shape (d,).
-    Endpoint values of theta are cached; the cache is tied to version_fn()
-    and refreshed automatically whenever the reported version changes.
+    Endpoint values of theta are cached at construction; call refresh()
+    whenever the free function changes.
     """
 
-    def __init__(self, free_function: Callable, constraints: list, morph: TimeMorph,
-                 version_fn: Optional[Callable] = None):
+    def __init__(self, free_function: Callable, constraints: list, morph: TimeMorph):
         self.free_function = free_function
         self.morph = morph
-        self.version_fn = version_fn
         self.initial = None
         self.final = None
         for c in constraints:
@@ -121,10 +119,9 @@ class ConstrainedExpression:
                 if self.final is not None:
                     raise ValueError("duplicate final constraint")
                 self.final = c.value
-        self._cache_version = None
-        self._fresh = False
         self._theta0 = None
         self._thetaf = None
+        self.refresh()
 
     def refresh(self) -> None:
         """Recompute the cached endpoint values of the free function."""
@@ -132,20 +129,10 @@ class ConstrainedExpression:
             self._theta0 = np.atleast_1d(self.free_function(self.morph.tau0)[0])
         if self.final is not None:
             self._thetaf = np.atleast_1d(self.free_function(self.morph.tauf)[0])
-        self._cache_version = self.version_fn() if self.version_fn else None
-        self._fresh = True
-
-    def _ensure_fresh(self) -> None:
-        if not self._fresh:
-            self.refresh()
-            return
-        if self.version_fn is not None and self.version_fn() != self._cache_version:
-            self.refresh()
 
     def eval(self, tau: float):
         """(y_hat(tau), d y_hat / dt), with d/dt = c_map * d/dtau."""
         _check_domain(tau, self.morph)
-        self._ensure_fresh()
         theta, dtheta = self.free_function(tau)
         theta = np.atleast_1d(np.asarray(theta, dtype=float))
         dtheta = np.atleast_1d(np.asarray(dtheta, dtype=float))

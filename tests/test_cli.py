@@ -4,7 +4,7 @@ import os
 import numpy as np
 import pytest
 
-from cvqoc import cli
+from cvqoc import cli, problems
 
 
 def run(argv):
@@ -30,8 +30,9 @@ def test_gates_displacement_complex_param(capsys):
 
 
 def test_gates_bad_kind_and_param(capsys):
-    assert run(["gates", "--kind", "warp", "--param", "1", "--cutoff", "4"]) == 2
-    assert "warp" in capsys.readouterr().err
+    for kind in ("warp", "beamsplitter"):
+        assert run(["gates", "--kind", kind, "--param", "1", "--cutoff", "4"]) == 2
+        assert kind in capsys.readouterr().err
     assert run(["gates", "--kind", "squeeze", "--param", "abc", "--cutoff", "4"]) == 2
 
 
@@ -94,6 +95,20 @@ def test_solve_benchmark_artifacts(tmp_path):
     with open(out / "train.jsonl") as fh:
         entries = [json.loads(ln) for ln in fh]
     assert entries and "L2_total" in entries[-1]
+
+
+def test_solve_nonfinite_residual_exits_3(tmp_path, monkeypatch, capsys):
+    # finite at the initial weights, non-finite once the Jacobian perturbs them
+    orig = problems.OdeBenchmarkProblem.residual
+
+    def residual(self, values):
+        r = orig(self, values)
+        return r if np.all(values[self.xi_mask] == 0.0) else np.full_like(r, np.nan)
+
+    monkeypatch.setattr(problems.OdeBenchmarkProblem, "residual", residual)
+    assert run(["solve", "--preset", "linear_ode_benchmark",
+                "--output", str(tmp_path / "out")]) == 3
+    assert "numerical failure" in capsys.readouterr().err
 
 
 def test_solve_benchmark_deterministic(tmp_path):

@@ -5,7 +5,7 @@ from cvqoc import cvqnn, fock
 
 
 def bank_of(units_per_circuit, cutoff=12):
-    circuits = [cvqnn.QnnCircuit(units=u, n_modes=1, cutoff=cutoff)
+    circuits = [cvqnn.QnnCircuit(units=u, cutoff=cutoff)
                 for u in units_per_circuit]
     return cvqnn.QnnBank(circuits=circuits)
 
@@ -22,19 +22,37 @@ def test_encode_input_coherent_amplitude():
 
 
 def test_zero_unit_is_identity():
-    state = cvqnn.encode_input(0.3, 15)
-    out = cvqnn.unit_apply(state, cvqnn.zero_unit())
-    assert np.max(np.abs(out.amplitudes - state.amplitudes)) < 1e-12
+    mat = cvqnn.QnnCircuit(units=[cvqnn.zero_unit()], cutoff=15).unitary()
+    assert np.max(np.abs(mat - np.eye(15))) < 1e-12
 
 
-def test_rotation_only_unit():
-    phi = 0.9
-    unit = cvqnn.zero_unit()
-    unit.rot1 = np.array([phi])
-    state = cvqnn.encode_input(0.5, 20)
-    out = cvqnn.unit_apply(state, unit)
-    expect = fock.apply(fock.gate_matrix(fock.Rotation(phi), 20), state)
-    assert np.max(np.abs(out.amplitudes - expect.amplitudes)) < 1e-12
+def test_unit_matrix_is_gate_product():
+    # K D R2 S R1 as the dense product of the fock gate matrices
+    rng = np.random.default_rng(12)
+    d = 12
+    for _ in range(20):
+        r1, r2 = rng.uniform(0.0, 2 * np.pi, 2)
+        sq, kappa = rng.normal(0.0, 0.3, 2)
+        alpha = complex(*rng.normal(0.0, 0.3, 2))
+        unit = cvqnn.QnnUnitParams(rot1=r1, squeeze=sq, rot2=r2, disp=alpha, kerr=kappa)
+        gates = [fock.Kerr(kappa), fock.Displacement(alpha), fock.Rotation(r2),
+                 fock.Squeeze(sq), fock.Rotation(r1)]
+        expect = np.eye(d, dtype=complex)
+        for g in gates:
+            expect = expect @ fock.gate_matrix(g, d).entries
+        got = cvqnn.QnnCircuit(units=[unit], cutoff=d).unitary()
+        assert np.max(np.abs(got - expect)) < 1e-12
+
+
+@pytest.mark.parametrize("index", range(cvqnn.PARAMS_PER_UNIT))
+def test_nonfinite_flat_parameter_rejected_at_unitary(index):
+    # flat layout per unit: rot1, squeeze, rot2, Re disp, Im disp, kerr
+    circ = cvqnn.random_bank(1, 1, 8, np.random.default_rng(3)).circuits[0]
+    flat = circ.get_flat()
+    flat[index] = np.nan
+    circ.set_flat(flat)
+    with pytest.raises(ValueError):
+        circ.unitary()
 
 
 def test_depth_zero_forward_is_scaled_input():
@@ -48,7 +66,7 @@ def test_depth_zero_forward_is_scaled_input():
 
 def test_displacement_only_feature():
     unit = cvqnn.zero_unit()
-    unit.disp = np.array([0.3 + 0j])
+    unit.disp = 0.3 + 0j
     bank = bank_of([[unit]], cutoff=30)
     assert abs(cvqnn.forward(bank, 0.0)[0] - np.sqrt(2) * 0.3) < 1e-6
 
@@ -75,12 +93,18 @@ def test_flat_round_trip_and_version():
     rng = np.random.default_rng(1)
     bank = cvqnn.random_bank(2, 2, 8, rng)
     flat = bank.get_flat()
+    assert flat.shape == (2 * 2 * cvqnn.PARAMS_PER_UNIT,)
     v0 = bank.version
     bank.set_flat(flat)
     assert np.array_equal(bank.get_flat(), flat)
     assert all(b == a + 1 for a, b in zip(v0, bank.version))
-    with pytest.raises(ValueError):
-        bank.set_flat(flat[:-1])
+    # a wrong length raises before any circuit is written
+    v1 = bank.version
+    for bad in (flat[:-1] + 1.0, np.append(flat, 0.0) + 1.0):
+        with pytest.raises(ValueError):
+            bank.set_flat(bad)
+        assert np.array_equal(bank.get_flat(), flat)
+        assert bank.version == v1
 
 
 def test_forward_deterministic():
@@ -122,13 +146,14 @@ def test_parameter_continuity():
 
 def test_unit_shape_validation():
     with pytest.raises(ValueError):
-        cvqnn.QnnUnitParams(bs1=np.zeros(0), rot1=np.zeros(1), squeeze=np.zeros(2),
-                            bs2=np.zeros(0), rot2=np.zeros(1),
-                            disp=np.zeros(1, dtype=complex), kerr=np.zeros(1))
+        cvqnn.QnnUnitParams(rot1=0.0, squeeze=np.nan, rot2=0.0, disp=0j, kerr=0.0)
+    with pytest.raises(ValueError):
+        cvqnn.QnnUnitParams(rot1=0.0, squeeze=0.0, rot2=0.0, disp=complex(0, np.inf),
+                            kerr=0.0)
 
 
 def test_bank_rejects_mixed_cutoff():
-    c1 = cvqnn.QnnCircuit(units=[cvqnn.zero_unit()], n_modes=1, cutoff=8)
-    c2 = cvqnn.QnnCircuit(units=[cvqnn.zero_unit()], n_modes=1, cutoff=10)
+    c1 = cvqnn.QnnCircuit(units=[cvqnn.zero_unit()], cutoff=8)
+    c2 = cvqnn.QnnCircuit(units=[cvqnn.zero_unit()], cutoff=10)
     with pytest.raises(ValueError):
         cvqnn.QnnBank(circuits=[c1, c2])

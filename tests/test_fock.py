@@ -87,28 +87,6 @@ def test_cutoff_convergence():
         assert abs(val - val2) < 1e-6
 
 
-def test_beamsplitter_half_swap():
-    # theta = pi/2 exchanges the two modes (up to sign)
-    d = 4
-    bs = fock.gate_matrix(fock.BeamSplitter(np.pi / 2), d).entries
-    # |01> = photon in mode 1; little-endian index = 0 + d*1
-    ket01 = np.zeros(d * d, dtype=complex)
-    ket01[d * 1] = 1.0
-    out = bs @ ket01
-    # expect all weight on |10> (index 1)
-    assert abs(abs(out[1]) - 1.0) < 1e-10
-
-
-def test_tensor_embed_little_endian():
-    d = 3
-    n = fock.FockOperator(np.diag(np.arange(d)).astype(complex), d)
-    on0 = fock.tensor_embed(n, 0, 2, d).entries
-    on1 = fock.tensor_embed(n, 1, 2, d).entries
-    # mode 0 varies fastest: index = n0 + d*n1
-    assert np.allclose(np.diag(on0).real, np.tile(np.arange(d), d))
-    assert np.allclose(np.diag(on1).real, np.repeat(np.arange(d), d))
-
-
 def test_expectation_requires_hermitian():
     a, _ = fock.ladder(5)
     with pytest.raises(ValueError):
@@ -138,8 +116,3 @@ def test_norm_invariant_rejected():
     with pytest.raises(ValueError):
         fock.FockVector(np.ones(4, dtype=complex), 4)
 
-
-def test_number_state_bounds():
-    with pytest.raises(ValueError):
-        fock.number_state(7, 5)
-    assert fock.number_state(2, 5).amplitudes[2] == 1.0

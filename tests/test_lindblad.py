@@ -90,7 +90,6 @@ def test_density_vector_validation():
         RealDensityVector(np.array([1.2, -0.2, 0.0, 0.0]))
     with pytest.raises(ValueError):
         RealDensityVector(np.zeros(5))
-    assert RealDensityVector(np.array([0.5, 0.5, 0.0, 0.0])).purity_defect() == 0.25
 
 
 def test_relaxation_fixed_point():

@@ -46,7 +46,8 @@ def test_feature_cache_reuses_unitaries(monkeypatch):
     values[0] += 0.5
     prob.residual(values)
     assert calls["n"] == after_first
-    # theta change invalidates exactly the touched circuit
+    # theta change: QnnBank.set_flat rewrites every circuit and bumps each
+    # version, so all features are recomputed
     values[prob.decision.blocks["theta"]] = values[prob.decision.blocks["theta"]] + 1e-3
     prob.residual(values)
     assert calls["n"] > after_first

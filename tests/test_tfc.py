@@ -136,18 +136,19 @@ def test_duplicate_constraint_rejected():
                                BoundaryConstraint("initial", [1.0])], MORPH)
 
 
-def test_version_fn_invalidates_endpoint_cache():
-    state = {"offset": 0.0, "version": 0}
+def test_refresh_updates_endpoint_cache():
+    state = {"offset": 0.0}
 
     def free(tau):
         return np.atleast_1d(state["offset"]), np.atleast_1d(0.0)
 
-    expr = ConstrainedExpression(free, [BoundaryConstraint("initial", [1.0])],
-                                 MORPH, version_fn=lambda: state["version"])
+    expr = ConstrainedExpression(free, [BoundaryConstraint("initial", [1.0])], MORPH)
     assert expr.eval(MORPH.tau0)[0][0] == pytest.approx(1.0, abs=1e-14)
     state["offset"] = 5.0
-    state["version"] += 1
-    # boundary must stay exact because the cache refreshes on version change
+    # the cached endpoint is stale until refresh() ...
+    assert expr.eval(MORPH.tau0)[0][0] == pytest.approx(6.0, abs=1e-14)
+    # ... which restores the exact boundary
+    expr.refresh()
     assert expr.eval(MORPH.tau0)[0][0] == pytest.approx(1.0, abs=1e-14)
 
 
