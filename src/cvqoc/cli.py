@@ -219,8 +219,8 @@ def cmd_propagate(args) -> int:
     t_ctrl = data[:, 0]
 
     def u_of_t(t):
-        return np.array([np.interp(t, t_ctrl, data[:, 1 + c])
-                         for c in range(model.n_controls)])
+        return np.column_stack([np.interp(t, t_ctrl, data[:, 1 + c])
+                                for c in range(model.n_controls)])
 
     ts, xs = lindblad.propagate_rk4(model, x0, u_of_t,
                                     float(prop["t0"]), float(prop["tf"]),
@@ -252,10 +252,7 @@ def _solve_artifacts_qoc(problem, report, outdir: str, system: str) -> dict:
 
     # RK4 verification on the same grid (20 substeps per sample interval)
     sub = 20
-    ts, vx = lindblad.propagate_rk4(model, problem.cfg.rho_init,
-                                    problem.control_function(),
-                                    problem.cfg.t0, problem.final_time(),
-                                    sub * (grid.shape[0] - 1))
+    _, vx, gap = problem.verify_rk4(sub * (grid.shape[0] - 1))
     vx = vx[::sub]
     rows = [np.concatenate([[t], x, u, [x[:n_pop].sum()]])
             for t, x, u in zip(grid, vx, us)]
@@ -267,7 +264,7 @@ def _solve_artifacts_qoc(problem, report, outdir: str, system: str) -> dict:
         "tf": problem.final_time(),
         "c_map": problem.morph.c_map,
         "terminal_error_trained": problem.terminal_state_error(),
-        "terminal_error_rk4": float(np.linalg.norm(vx[-1] - problem.cfg.rho_target)),
+        "terminal_error_rk4": gap,
         "loss_breakdown": problem.residual_vector(problem.decision.values).breakdown(),
     }
 
@@ -333,7 +330,7 @@ def cmd_solve(args) -> int:
     with open(os.path.join(args.output, "report.json"), "w") as fh:
         json.dump(summary, fh, indent=2, sort_keys=True)
         fh.write("\n")
-    print(f"{system}: converged={report.converged} "
+    print(f"{system}: converged={report.converged} stop_reason={report.stop_reason} "
           f"final_loss={report.final_loss:.6e} iterations={report.iterations}")
     print(f"artifacts in {args.output}")
     return 0

@@ -108,6 +108,28 @@ def encode_input(tau: float, cutoff: int) -> FockVector:
     return fock.apply(gate, fock.vacuum(cutoff))
 
 
+class InputEncoder:
+    """encode_input for a batch of real inputs, without an expm per input.
+
+    For real tau the displacement generator is tau G with G = a^dag - a, a
+    real skew-symmetric matrix.  One eigendecomposition i G = V diag(w) V^dag
+    gives D(tau)|0> = V (exp(-i tau w) * conj(V[0])), so a batch costs one
+    table of phases and one matrix product.
+    """
+
+    def __init__(self, cutoff: int):
+        a, adag = fock.ladder(cutoff)
+        self._w, self._v = np.linalg.eigh(1j * (adag.entries - a.entries))
+        self._v0 = self._v[0].conj()   # V^dag |0>
+
+    def __call__(self, taus) -> np.ndarray:
+        """Amplitudes of D(tau)|0>, one row per entry of the 1-D array taus."""
+        taus = np.asarray(taus, dtype=float)
+        if not np.all(np.isfinite(taus)):
+            raise ValueError("non-finite input")
+        return (np.exp(-1j * np.multiply.outer(taus, self._w)) * self._v0) @ self._v.T
+
+
 @dataclass
 class QnnBank:
     """L independent single-mode circuits producing the feature vector."""
@@ -138,13 +160,15 @@ class QnnBank:
         return np.concatenate([c.get_flat() for c in self.circuits])
 
     def set_flat(self, values: np.ndarray) -> None:
-        """Write every circuit's parameters; a wrong length writes nothing."""
+        """Write the circuits whose slice differs from their parameters, so
+        only those get a new version; a wrong length writes nothing."""
         values = np.asarray(values, dtype=float)
         sizes = [PARAMS_PER_UNIT * c.depth for c in self.circuits]
         if values.shape != (sum(sizes),):
             raise ValueError("flat parameter vector has wrong length")
         for c, part in zip(self.circuits, np.split(values, np.cumsum(sizes)[:-1])):
-            c.set_flat(part)
+            if not np.array_equal(part, c.get_flat()):
+                c.set_flat(part)
 
 
 def forward(bank: QnnBank, tau: float) -> np.ndarray:

@@ -277,7 +277,14 @@ def three_level_model(p: ThreeLevelParams, jumps: list = None) -> SuperOperatorM
 def propagate_rk4(model: SuperOperatorModel, x0: np.ndarray, u_of_t: callable,
                   t0: float, tf: float, steps: int):
     """Fixed-step RK4 on x_dot = L(u(t)) x; returns (times, states) including
-    both endpoints.  u_of_t(t) returns the control vector at time t."""
+    both endpoints.
+
+    The control is tabulated up front: u_of_t is called once, on the array of
+    the 2 * steps + 1 stage times t0 + k h / 2, and returns one control
+    vector per time, shape (2 * steps + 1, n_controls); a constant control of
+    shape (n_controls,) broadcasts.  The generator is built once per stage
+    time.
+    """
     if steps < 10:
         raise ValueError("use at least 10 steps")
     if not tf > t0:
@@ -286,20 +293,20 @@ def propagate_rk4(model: SuperOperatorModel, x0: np.ndarray, u_of_t: callable,
     if x.shape[0] != model.dim:
         raise ValueError("initial state has wrong dimension")
     h = (tf - t0) / steps
-    ts = np.empty(steps + 1)
+    stages = np.linspace(t0, tf, 2 * steps + 1)
+    us = np.broadcast_to(np.asarray(u_of_t(stages), dtype=float),
+                         (stages.shape[0], model.n_controls))
     xs = np.empty((steps + 1, model.dim))
-    ts[0], xs[0] = t0, x
+    xs[0] = x
+    gen_end = model.generator(us[0])
     for i in range(steps):
-        t = t0 + i * h
-
-        def f(ti, xi):
-            return model.generator(np.atleast_1d(u_of_t(ti))) @ xi
-
-        k1 = f(t, x)
-        k2 = f(t + 0.5 * h, x + 0.5 * h * k1)
-        k3 = f(t + 0.5 * h, x + 0.5 * h * k2)
-        k4 = f(t + h, x + h * k3)
+        gen_start = gen_end
+        gen_mid = model.generator(us[2 * i + 1])
+        gen_end = model.generator(us[2 * i + 2])
+        k1 = gen_start @ x
+        k2 = gen_mid @ (x + 0.5 * h * k1)
+        k3 = gen_mid @ (x + 0.5 * h * k2)
+        k4 = gen_end @ (x + h * k3)
         x = x + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-        ts[i + 1] = t + h
         xs[i + 1] = x
-    return ts, xs
+    return stages[::2].copy(), xs

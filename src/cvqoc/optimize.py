@@ -30,6 +30,11 @@ class DecisionVector:
         self.values = np.asarray(values, dtype=float).copy()
 
 
+# why a solver stopped: loss under tolerance, iteration budget spent, no
+# trial step lowered the loss, or the damped normal equations were singular
+STOP_REASONS = ("converged", "max_iter", "no_descent", "singular")
+
+
 @dataclass
 class SolveReport:
     iterations: int
@@ -38,12 +43,17 @@ class SolveReport:
     converged: bool
     tolerance_used: float
     wall_time: float = 0.0
+    stop_reason: str = "max_iter"
 
     def __post_init__(self):
         if not self.loss_history:
             raise ValueError("loss history must not be empty")
         if self.loss_history[-1] != self.final_loss:
             raise ValueError("final loss must equal the last history entry")
+        if self.stop_reason not in STOP_REASONS:
+            raise ValueError(f"unknown stop reason {self.stop_reason!r}")
+        if (self.stop_reason == "converged") != self.converged:
+            raise ValueError("stop reason contradicts the converged flag")
 
     def to_dict(self) -> dict:
         return {
@@ -53,6 +63,7 @@ class SolveReport:
             "converged": self.converged,
             "tolerance_used": self.tolerance_used,
             "wall_time": self.wall_time,
+            "stop_reason": self.stop_reason,
         }
 
 
@@ -90,8 +101,10 @@ def gauss_newton(res_fn, z0: np.ndarray, tol: float = 1e-6, max_iter: int = 50,
     Rejected steps are halved up to 8 times while the damping escalates
     tenfold; accepted steps relax it.  bounds, when given, is a list of
     (index, lo, hi) box constraints applied by projection after each step.
-    A non-finite residual in the Jacobian raises FloatingPointError.
-    Returns (z, SolveReport).
+    A non-finite residual in the Jacobian raises FloatingPointError.  The
+    iteration stops when the loss is under tol, after max_iter iterations,
+    when all 9 trial steps fail to lower the loss (no_descent), or when the
+    damped system cannot be solved (singular).  Returns (z, SolveReport).
     """
     if tol <= 0:
         raise ValueError("tolerance must be positive")
@@ -100,6 +113,7 @@ def gauss_newton(res_fn, z0: np.ndarray, tol: float = 1e-6, max_iter: int = 50,
     lam = max(damping, 0.0)
     history = [float(np.linalg.norm(res_fn(z)))]
     converged = history[0] < tol
+    reason = "converged" if converged else "max_iter"
     iters = 0
     while not converged and iters < max_iter:
         r = np.asarray(res_fn(z))
@@ -108,11 +122,13 @@ def gauss_newton(res_fn, z0: np.ndarray, tol: float = 1e-6, max_iter: int = 50,
         jtr = jac.T @ r
         loss = float(np.linalg.norm(r))
         accepted = False
+        stall = "no_descent"
         step_scale = 1.0
         for _ in range(9):
             try:
                 delta = np.linalg.solve(jtj + lam * np.eye(jtj.shape[0]), -jtr)
             except np.linalg.LinAlgError:
+                stall = "singular"
                 break
             z_try = z + step_scale * delta
             if bounds:
@@ -133,12 +149,14 @@ def gauss_newton(res_fn, z0: np.ndarray, tol: float = 1e-6, max_iter: int = 50,
             callback(iters, z, loss)
         if loss < tol:
             converged = True
+            reason = "converged"
         elif not accepted:
-            break  # stalled: singular or no descent found
+            reason = stall
+            break
     report = SolveReport(
         iterations=iters, final_loss=history[-1], loss_history=history,
         converged=bool(converged), tolerance_used=tol,
-        wall_time=time.perf_counter() - start,
+        wall_time=time.perf_counter() - start, stop_reason=reason,
     )
     return z, report
 
@@ -186,6 +204,7 @@ def adam(loss_fn, z0: np.ndarray, lr: float = 0.01, max_epochs: int = 200,
         iterations=epoch, final_loss=history[-1], loss_history=history,
         converged=bool(converged), tolerance_used=tol,
         wall_time=time.perf_counter() - start,
+        stop_reason="converged" if converged else "max_iter",
     )
     return z, report
 
@@ -228,7 +247,9 @@ def train(problem, schedule: TrainSchedule, callback=None):
     (boolean coordinate masks), residual(values) -> array, and bounds()
     giving box constraints as (index, lo, hi) in full coordinates.
     callback, when given, is invoked as callback(epoch, full_values, loss)
-    after every accepted optimizer step.
+    after every accepted optimizer step.  The report's stop_reason is the
+    Gauss-Newton one in xi mode; theta and joint runs that end above the
+    tolerance stop at their epoch or round budget (max_iter).
     """
     start = time.perf_counter()
     bounds_full = problem.bounds()
@@ -262,26 +283,30 @@ def train(problem, schedule: TrainSchedule, callback=None):
 
     if schedule.mode == "theta":
         res, z0, idx = _masked(problem, problem.theta_mask)
+        n_res = len(res(z0))
 
         def loss(sub):
             r = res(sub)
             return float(np.mean(r**2))
 
+        # mean(r^2) < tolerance^2 / n  <=>  ||r|| < tolerance
         z, report = adam(loss, z0, lr=schedule.adam_lr,
                          max_epochs=schedule.adam_epochs,
-                         tol=schedule.tolerance**2, fd_h=schedule.fd_h,
+                         tol=schedule.tolerance**2 / n_res, fd_h=schedule.fd_h,
                          callback=lift(idx))
         full = problem.decision.values.copy()
         full[idx] = z
         problem.decision.replace(full)
         # report L2 norms for comparability with the least-squares modes
         history = [float(np.linalg.norm(problem.residual(problem.decision.values)))]
+        converged = history[-1] < schedule.tolerance
         report = SolveReport(
             iterations=report.iterations, final_loss=history[-1],
-            loss_history=[np.sqrt(max(h, 0.0) * len(res(z))) for h in report.loss_history[:-1]] + history,
-            converged=history[-1] < schedule.tolerance,
+            loss_history=[np.sqrt(max(h, 0.0) * n_res) for h in report.loss_history[:-1]] + history,
+            converged=converged,
             tolerance_used=schedule.tolerance,
             wall_time=time.perf_counter() - start,
+            stop_reason="converged" if converged else "max_iter",
         )
         return report
 
@@ -329,8 +354,10 @@ def train(problem, schedule: TrainSchedule, callback=None):
                 break
     final = float(np.linalg.norm(problem.residual(problem.decision.values)))
     history.append(final)
+    converged = bool(final < schedule.tolerance)
     return SolveReport(
         iterations=iters, final_loss=final, loss_history=history,
-        converged=bool(final < schedule.tolerance), tolerance_used=schedule.tolerance,
+        converged=converged, tolerance_used=schedule.tolerance,
         wall_time=time.perf_counter() - start,
+        stop_reason="converged" if converged else "max_iter",
     )

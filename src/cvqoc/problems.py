@@ -2,62 +2,86 @@
 
 The decision vector concatenates the output weights of every unknown, the
 flattened circuit parameters, and (for the free-final-time problem) the
-morph rate.  Feature evaluations are cached per circuit and invalidated by
-the circuit version counters, so weight-only perturbations never re-run the
-quantum simulation.  Each problem's _sync is the only writer of the weights
-and circuit parameters, and it refreshes the expressions' endpoint values.
+morph rate.  Features sigma(tau) are computed in batches: one encoding of
+all inputs, one matrix product per circuit.  Their rows at the collocation
+nodes and domain endpoints are tabulated, and a circuit's column is
+recomputed only when its version changes, so weight-only perturbations
+never re-run the quantum simulation.  Each problem's _sync is the only
+writer of the weights and circuit parameters, and it refreshes the
+expressions' endpoint values.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from . import cvqnn, fock, pmp
-from .lindblad import SuperOperatorModel, propagate_rk4
+from . import cvqnn, fock, lindblad, pmp
+from .lindblad import SuperOperatorModel
 from .optimize import DecisionVector
 from .tfc import BoundaryConstraint, ConstrainedExpression, TimeMorph, chebyshev_lobatto_nodes
 
 
 class FeatureCache:
-    """Per-circuit memo of sigma_l(tau); derivative by central difference."""
+    """sigma(tau) and d sigma / d tau of a bank, the derivative by central
+    difference at deriv_step.
 
-    def __init__(self, bank: cvqnn.QnnBank, deriv_step: float):
+    The rows at the fixed points `taus` (the nodes and domain endpoints) are
+    tabulated per circuit version; any other tau is computed on demand.
+    """
+
+    def __init__(self, bank: cvqnn.QnnBank, deriv_step: float, taus=()):
         self.bank = bank
         self.deriv_step = deriv_step
-        self._states = {}   # tau -> encoded input amplitudes
-        self._x_op = fock.quadrature_x(bank.cutoff)
-        self._per_circuit = [{"version": None, "values": {}} for _ in bank.circuits]
+        self._encode = cvqnn.InputEncoder(bank.cutoff)
+        self._x_op = fock.quadrature_x(bank.cutoff).entries.real
+        taus = np.unique(np.asarray(taus, dtype=float))
+        self._row = {float(t): i for i, t in enumerate(taus)}
+        self._table_amps = self._encode(self._with_steps(taus))
+        self._sig = np.empty((taus.shape[0], bank.n_features))
+        self._dsig = np.empty_like(self._sig)
+        self._versions = [None] * bank.n_features
 
-    def _encoded(self, tau: float) -> np.ndarray:
-        amps = self._states.get(tau)
-        if amps is None:
-            amps = cvqnn.encode_input(tau, self.bank.cutoff).amplitudes
-            self._states[tau] = amps
-        return amps
-
-    def _value(self, l: int, tau: float) -> float:
-        circ = self.bank.circuits[l]
-        slot = self._per_circuit[l]
-        if slot["version"] != circ.version:
-            slot["values"] = {}
-            slot["version"] = circ.version
-        val = slot["values"].get(tau)
-        if val is None:
-            psi = circ.unitary() @ self._encoded(tau)
-            val = float(np.vdot(psi, self._x_op.entries @ psi).real)
-            slot["values"][tau] = val
-        return val
-
-    def features(self, tau: float):
-        """(sigma(tau), d sigma / d tau), each of shape (L,)."""
+    def _with_steps(self, taus: np.ndarray) -> np.ndarray:
         h = self.deriv_step
-        L = self.bank.n_features
-        sig = np.empty(L)
-        dsig = np.empty(L)
-        for l in range(L):
-            sig[l] = self._value(l, tau)
-            dsig[l] = (self._value(l, tau + h) - self._value(l, tau - h)) / (2.0 * h)
-        return sig, dsig
+        return np.concatenate([taus, taus + h, taus - h])
+
+    def _column(self, circ: cvqnn.QnnCircuit, amps: np.ndarray) -> np.ndarray:
+        """<x> of one circuit on every encoded input (rows of amps)."""
+        psi = amps @ circ.unitary().T
+        return np.einsum("kd,kd->k", psi.conj(), psi @ self._x_op).real
+
+    def _split(self, vals: np.ndarray, k: int):
+        """(values at tau, central difference) from rows [tau; tau+h; tau-h]."""
+        return vals[:k], (vals[k:2 * k] - vals[2 * k:]) / (2.0 * self.deriv_step)
+
+    def _tabulate(self) -> None:
+        k = self._sig.shape[0]
+        for l, circ in enumerate(self.bank.circuits):
+            if self._versions[l] != circ.version:
+                self._sig[:, l], self._dsig[:, l] = self._split(
+                    self._column(circ, self._table_amps), k)
+                self._versions[l] = circ.version
+
+    def _batch(self, taus: np.ndarray, derivative: bool):
+        pts = self._with_steps(taus) if derivative else taus
+        amps = self._encode(pts)
+        vals = np.column_stack([self._column(c, amps) for c in self.bank.circuits])
+        if not derivative:
+            return vals, None
+        return self._split(vals, taus.shape[0])
+
+    def features(self, tau, derivative: bool = True):
+        """(sigma, d sigma / d tau), each of shape (L,) for a scalar tau and
+        (K, L) for a 1-D array of K points.  With derivative=False the
+        derivative is None and tau +- deriv_step is not evaluated."""
+        if np.ndim(tau) > 0:
+            return self._batch(np.asarray(tau, dtype=float), derivative)
+        row = self._row.get(float(tau))
+        if row is not None:
+            self._tabulate()
+            return self._sig[row], self._dsig[row] if derivative else None
+        sig, dsig = self._batch(np.array([tau], dtype=float), derivative)
+        return sig[0], dsig[0] if derivative else None
 
 
 class WeightedFreeFunction:
@@ -67,9 +91,9 @@ class WeightedFreeFunction:
         self.cache = cache
         self.xi = xi
 
-    def __call__(self, tau: float):
-        sig, dsig = self.cache.features(tau)
-        return sig @ self.xi, dsig @ self.xi
+    def __call__(self, tau, derivative: bool = True):
+        sig, dsig = self.cache.features(tau, derivative)
+        return sig @ self.xi, dsig @ self.xi if derivative else None
 
 
 class OdeBenchmarkProblem:
@@ -83,7 +107,8 @@ class OdeBenchmarkProblem:
         self.nodes = chebyshev_lobatto_nodes(n_nodes, morph)
         if deriv_step is None:
             deriv_step = 1e-4 * (morph.tauf - morph.tau0)
-        self.cache = FeatureCache(bank, deriv_step)
+        self.cache = FeatureCache(bank, deriv_step,
+                                  np.append(self.nodes, [morph.tau0, morph.tauf]))
         L = bank.n_features
         self._xi = np.zeros((L, 1))
         self.expr = ConstrainedExpression(
@@ -122,8 +147,8 @@ class OdeBenchmarkProblem:
 
     def solution(self, t_grid: np.ndarray) -> np.ndarray:
         self._sync(self.decision.values)
-        taus = self.morph.to_tau(t_grid)
-        return np.array([self.expr.eval(tau)[0][0] for tau in taus])
+        taus = self.morph.to_tau(np.asarray(t_grid, dtype=float))
+        return self.expr.eval(taus, derivative=False)[0][:, 0]
 
 
 class QocProblem:
@@ -143,7 +168,8 @@ class QocProblem:
         self.nodes = chebyshev_lobatto_nodes(n_nodes, morph)
         if deriv_step is None:
             deriv_step = 1e-4 * (morph.tauf - morph.tau0)
-        self.cache = FeatureCache(bank, deriv_step)
+        self.cache = FeatureCache(bank, deriv_step,
+                                  np.append(self.nodes, [morph.tau0, morph.tauf]))
         L = bank.n_features
         dim = model.dim
         nc = model.n_controls
@@ -225,7 +251,7 @@ class QocProblem:
     def _eval_grid(self, expr, t_grid):
         self._sync(self.decision.values)
         taus = self.morph.to_tau(np.asarray(t_grid, dtype=float))
-        return np.array([expr.eval(tau)[0] for tau in taus])
+        return expr.eval(taus, derivative=False)[0]
 
     def state_trajectory(self, t_grid):
         return self._eval_grid(self.unknowns.expr_state, t_grid)
@@ -237,14 +263,16 @@ class QocProblem:
         return self._eval_grid(self.unknowns.expr_control, t_grid)
 
     def control_function(self):
-        """u(t) callable for the RK4 verifier; clamps tau to the domain edge
-        to tolerate endpoint rounding."""
+        """u(t) for the RK4 verifier: a scalar t gives shape (n_controls,), a
+        1-D array of K times (K, n_controls).  tau is clamped to the domain
+        edge to tolerate endpoint rounding."""
         self._sync(self.decision.values)
         morph = self.morph
+        expr = self.unknowns.expr_control
 
         def u_of_t(t):
-            tau = float(np.clip(morph.to_tau(t), morph.tau0, morph.tauf))
-            return self.unknowns.expr_control.eval(tau)[0]
+            tau = np.clip(morph.to_tau(t), morph.tau0, morph.tauf)
+            return expr.eval(tau, derivative=False)[0]
 
         return u_of_t
 
@@ -261,8 +289,8 @@ class QocProblem:
     def verify_rk4(self, steps: int = 2000):
         """Propagate the learned control with RK4 and report the endpoint gap."""
         self._sync(self.decision.values)
-        ts, xs = propagate_rk4(self.model, self.cfg.rho_init,
-                               self.control_function(),
-                               self.cfg.t0, self.morph.tf, steps)
+        ts, xs = lindblad.propagate_rk4(self.model, self.cfg.rho_init,
+                                        self.control_function(),
+                                        self.cfg.t0, self.morph.tf, steps)
         gap = float(np.linalg.norm(xs[-1] - self.cfg.rho_target))
         return ts, xs, gap

@@ -49,20 +49,30 @@ class TimeMorph:
 
 
 def _check_domain(tau, morph: TimeMorph) -> None:
-    tau = np.asarray(tau, dtype=float)
-    if np.any(tau < morph.tau0 - DOMAIN_TOL) or np.any(tau > morph.tauf + DOMAIN_TOL):
+    """Raise ValueError if any tau lies outside the domain (a float is
+    compared as is, an array through its extremes)."""
+    if isinstance(tau, float):
+        lo = hi = tau
+    else:
+        tau = np.asarray(tau, dtype=float)
+        if tau.size == 0:
+            return
+        lo, hi = tau.min(), tau.max()
+    if lo < morph.tau0 - DOMAIN_TOL or hi > morph.tauf + DOMAIN_TOL:
         raise ValueError(
             f"tau={tau} outside morph domain [{morph.tau0}, {morph.tauf}]"
         )
 
 
-def omega(k: int, tau, morph: TimeMorph):
-    """Cubic switching function: omega(1) is 1 at tau0 and 0 at tauf,
-    omega(2) the reverse; both have vanishing endpoint slopes."""
-    _check_domain(tau, morph)
-    dt = np.asarray(tau, dtype=float) - morph.tau0
+def _unit_coord(tau, morph: TimeMorph):
+    """(s, tauf - tau0) with s = (tau - tau0) / (tauf - tau0) in [0, 1]."""
     dtf = morph.tauf - morph.tau0
-    s = dt / dtf
+    if not isinstance(tau, float):
+        tau = np.asarray(tau, dtype=float)
+    return (tau - morph.tau0) / dtf, dtf
+
+
+def _omega(k: int, s):
     if k == 1:
         return 1.0 + 2.0 * s**3 - 3.0 * s**2
     if k == 2:
@@ -70,18 +80,26 @@ def omega(k: int, tau, morph: TimeMorph):
     raise ValueError(f"switching index must be 1 or 2, got {k}")
 
 
-def omega_prime(k: int, tau, morph: TimeMorph):
-    """d omega / d tau; zero at both endpoints by construction."""
-    _check_domain(tau, morph)
-    dt = np.asarray(tau, dtype=float) - morph.tau0
-    dtf = morph.tauf - morph.tau0
-    s = dt / dtf
+def _omega_prime(k: int, s, dtf: float):
     core = (6.0 * s**2 - 6.0 * s) / dtf
     if k == 1:
         return core
     if k == 2:
         return -core
     raise ValueError(f"switching index must be 1 or 2, got {k}")
+
+
+def omega(k: int, tau, morph: TimeMorph):
+    """Cubic switching function: omega(1) is 1 at tau0 and 0 at tauf,
+    omega(2) the reverse; both have vanishing endpoint slopes."""
+    _check_domain(tau, morph)
+    return _omega(k, _unit_coord(tau, morph)[0])
+
+
+def omega_prime(k: int, tau, morph: TimeMorph):
+    """d omega / d tau; zero at both endpoints by construction."""
+    _check_domain(tau, morph)
+    return _omega_prime(k, *_unit_coord(tau, morph))
 
 
 @dataclass
@@ -100,9 +118,12 @@ class BoundaryConstraint:
 class ConstrainedExpression:
     """Boundary-exact approximant built from a free function.
 
-    free_function(tau) must return (theta, dtheta_dtau), each of shape (d,).
-    Endpoint values of theta are cached at construction; call refresh()
-    whenever the free function changes.
+    free_function(tau) must return (theta, dtheta_dtau): each of shape (d,)
+    for a scalar tau and (K, d) for a 1-D array of K points.  eval with
+    derivative=False calls free_function(tau, derivative=False), which may
+    skip the derivative and return None for it.  Endpoint values of theta
+    are cached at construction; call refresh() whenever the free function
+    changes.
     """
 
     def __init__(self, free_function: Callable, constraints: list, morph: TimeMorph):
@@ -130,24 +151,33 @@ class ConstrainedExpression:
         if self.final is not None:
             self._thetaf = np.atleast_1d(self.free_function(self.morph.tauf)[0])
 
-    def eval(self, tau: float):
-        """(y_hat(tau), d y_hat / dt), with d/dt = c_map * d/dtau."""
+    def eval(self, tau, derivative: bool = True):
+        """(y_hat(tau), d y_hat / dt), with d/dt = c_map * d/dtau.
+
+        tau is a scalar (each item of shape (d,)) or a 1-D array of K points
+        (each of shape (K, d)).  With derivative=False the second item is None.
+        """
         _check_domain(tau, self.morph)
-        theta, dtheta = self.free_function(tau)
-        theta = np.atleast_1d(np.asarray(theta, dtype=float))
-        dtheta = np.atleast_1d(np.asarray(dtheta, dtype=float))
-        value = theta.copy()
-        dvalue = dtheta.copy()
-        if self.initial is not None:
-            w = omega(1, tau, self.morph)
-            wp = omega_prime(1, tau, self.morph)
-            value += w * (self.initial - self._theta0)
-            dvalue += wp * (self.initial - self._theta0)
-        if self.final is not None:
-            w = omega(2, tau, self.morph)
-            wp = omega_prime(2, tau, self.morph)
-            value += w * (self.final - self._thetaf)
-            dvalue += wp * (self.final - self._thetaf)
+        if derivative:
+            theta, dtheta = self.free_function(tau)
+            dvalue = np.array(dtheta, dtype=float, ndmin=1)
+        else:
+            theta, _ = self.free_function(tau, derivative=False)
+            dvalue = None
+        value = np.array(theta, dtype=float, ndmin=1)
+        if self.initial is not None or self.final is not None:
+            s, dtf = _unit_coord(tau, self.morph)
+            if np.ndim(s):
+                s = s[:, None]   # one row per point
+            for k, target, end in ((1, self.initial, self._theta0),
+                                   (2, self.final, self._thetaf)):
+                if target is None:
+                    continue
+                value += _omega(k, s) * (target - end)
+                if derivative:
+                    dvalue += _omega_prime(k, s, dtf) * (target - end)
+        if dvalue is None:
+            return value, None
         return value, self.morph.c_map * dvalue
 
 

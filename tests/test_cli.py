@@ -4,7 +4,7 @@ import os
 import numpy as np
 import pytest
 
-from cvqoc import cli, problems
+from cvqoc import cli, lindblad, problems
 
 
 def run(argv):
@@ -88,6 +88,7 @@ def test_solve_benchmark_artifacts(tmp_path):
         assert (out / name).exists()
     report = json.loads((out / "report.json").read_text())
     assert report["report"]["converged"] is True
+    assert report["report"]["stop_reason"] == "converged"
     assert report["max_grid_error"] < 1e-2
     header, data = cli.read_csv(str(out / "trajectory.csv"))
     assert header == ["t", "y"]
@@ -142,6 +143,27 @@ def test_propagate_frozen_populations(tmp_path):
     assert np.max(np.abs(data[:, 1] - 0.3)) < 1e-12
     assert np.max(np.abs(data[:, 2] - 0.7)) < 1e-12
     assert np.max(np.abs(data[:, -1] - 1.0)) < 1e-12
+
+
+def test_propagate_interpolates_each_control(tmp_path):
+    # a ramp in the pump and a constant Stokes control on the lambda system
+    cfg = tmp_path / "sys.json"
+    cfg.write_text(json.dumps({
+        "system_params": {"delta": 0.1, "delta1": 1.0},
+        "propagate": {"x0": [1.0, 0, 0, 0, 0, 0, 0, 0, 0], "t0": 0.0, "tf": 2.0,
+                      "steps": 40},
+    }))
+    ctrl = tmp_path / "u.csv"
+    ctrl.write_text("t,u,u_s\n0.0,0.0,0.5\n2.0,2.0,0.5\n")
+    out = tmp_path / "traj.csv"
+    assert run(["propagate", "--system", "three-level", "--config", str(cfg),
+                "--control", str(ctrl), "--output", str(out)]) == 0
+    _, data = cli.read_csv(str(out))
+    model = lindblad.three_level_model(lindblad.ThreeLevelParams())
+    _, xs = lindblad.propagate_rk4(model, data[0, 1:10],
+                                   lambda t: np.column_stack([t, 0.5 + 0 * t]),
+                                   0.0, 2.0, 40)
+    assert np.max(np.abs(data[:, 1:10] - xs)) < 1e-11
 
 
 def test_propagate_bad_control_shape(tmp_path, capsys):

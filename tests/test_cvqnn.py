@@ -95,6 +95,11 @@ def test_flat_round_trip_and_version():
     flat = bank.get_flat()
     assert flat.shape == (2 * 2 * cvqnn.PARAMS_PER_UNIT,)
     v0 = bank.version
+    # an unchanged slice is not rewritten, so its circuit keeps its version
+    bank.set_flat(flat)
+    assert np.array_equal(bank.get_flat(), flat)
+    assert bank.version == v0
+    flat = flat + 1.0
     bank.set_flat(flat)
     assert np.array_equal(bank.get_flat(), flat)
     assert all(b == a + 1 for a, b in zip(v0, bank.version))

@@ -105,7 +105,7 @@ def test_relaxation_fixed_point():
 def test_rk4_trace_conserved():
     model = two_level_model(P)
     _, xs = propagate_rk4(model, np.array([1.0, 0.0, 0.0, 0.0]),
-                          lambda t: np.array([np.sin(t)]), 0.0, 10.0, 500)
+                          lambda t: np.sin(t)[:, None], 0.0, 10.0, 500)
     assert np.max(np.abs(xs[:, 0] + xs[:, 1] - 1.0)) < 1e-9
 
 
@@ -155,3 +155,48 @@ def test_three_level_model_with_jumps_hook():
 def test_two_level_params_validation():
     with pytest.raises(ValueError):
         TwoLevelParams(gamma_eg=-0.1)
+
+
+def _rk4_reference(model, x0, u_scalar, t0, tf, steps):
+    """Textbook RK4 evaluating the control and generator at every stage."""
+    h = (tf - t0) / steps
+    x = np.asarray(x0, dtype=float)
+    out = [x]
+    for i in range(steps):
+        t = t0 + i * h
+
+        def f(ti, xi):
+            return model.generator(np.atleast_1d(u_scalar(ti))) @ xi
+
+        k1 = f(t, x)
+        k2 = f(t + 0.5 * h, x + 0.5 * h * k1)
+        k3 = f(t + 0.5 * h, x + 0.5 * h * k2)
+        k4 = f(t + h, x + h * k3)
+        x = x + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+        out.append(x)
+    return np.array(out)
+
+
+def test_rk4_tabulated_control_matches_per_step_reference():
+    calls = []
+
+    def u_table(t):
+        calls.append(np.shape(t))
+        return np.column_stack([np.sin(3.0 * t), 0.5 * np.cos(t)])
+
+    def u_scalar(t):
+        return np.array([np.sin(3.0 * t), 0.5 * np.cos(t)])
+
+    model = three_level_model(ThreeLevelParams())
+    x0 = np.array([1.0, 0, 0, 0, 0, 0, 0, 0, 0])
+    ts, xs = propagate_rk4(model, x0, u_table, 0.0, 4.0, 400)
+    assert calls == [(801,)]
+    assert np.allclose(ts, np.linspace(0.0, 4.0, 401), rtol=0, atol=1e-15)
+    ref = _rk4_reference(model, x0, u_scalar, 0.0, 4.0, 400)
+    assert np.max(np.abs(xs - ref)) < 1e-13
+    model2 = two_level_model(P)
+    _, xs2 = propagate_rk4(model2, np.array([1.0, 0.0, 0.0, 0.0]),
+                           lambda t: np.sin(t)[:, None], 0.0, 10.0, 500)
+    ref2 = _rk4_reference(model2, np.array([1.0, 0.0, 0.0, 0.0]),
+                          lambda t: np.array([np.sin(t)]), 0.0, 10.0, 500)
+    assert np.max(np.abs(xs2 - ref2)) < 1e-13

@@ -219,3 +219,62 @@ def test_train_callback_receives_full_vectors():
 def test_unknown_mode_rejected():
     with pytest.raises(ValueError):
         TrainSchedule(mode="bogus")
+
+
+def _counting(res):
+    calls = {"n": 0}
+
+    def wrapped(z):
+        calls["n"] += 1
+        return res(z)
+
+    return wrapped, calls
+
+
+def test_gauss_newton_names_each_stop():
+    _, rep = gauss_newton(lambda z: z * 0.0, np.array([1.0, 2.0]), tol=1e-6)
+    assert (rep.stop_reason, rep.converged) == ("converged", True)
+
+    def rosen(z):
+        return np.array([10.0 * (z[1] - z[0]**2), 1.0 - z[0]])
+
+    _, rep = gauss_newton(rosen, np.array([-1.2, 1.0]), tol=1e-10, max_iter=2)
+    assert (rep.stop_reason, rep.iterations) == ("max_iter", 2)
+    # a flat residual: the zero Jacobian gives a zero step that never descends,
+    # and without damping the normal equations are singular
+    res, calls = _counting(lambda z: np.array([1.0 + z[0]**2]))
+    _, rep = gauss_newton(res, np.zeros(1), tol=1e-6, damping=1e-8)
+    assert (rep.stop_reason, rep.iterations) == ("no_descent", 1)
+    # initial loss, r, the Jacobian's base point and 2 columns, 9 trial
+    # steps: naming the stop costs nothing extra
+    assert calls["n"] == 1 + 1 + 3 + 9
+    res, calls = _counting(lambda z: np.array([1.0 + z[0]**2]))
+    _, rep = gauss_newton(res, np.zeros(1), tol=1e-6, damping=0.0)
+    assert (rep.stop_reason, rep.iterations) == ("singular", 1)
+    assert calls["n"] == 1 + 1 + 3
+    assert rep.to_dict()["stop_reason"] == "singular"
+
+
+def test_solve_report_stop_reason_validated():
+    with pytest.raises(ValueError):
+        SolveReport(iterations=1, final_loss=1.0, loss_history=[1.0],
+                    converged=False, tolerance_used=1e-6, stop_reason="tired")
+    with pytest.raises(ValueError):
+        SolveReport(iterations=1, final_loss=1.0, loss_history=[1.0],
+                    converged=True, tolerance_used=1e-6, stop_reason="max_iter")
+
+
+def test_train_carries_stop_reason():
+    rep = optimize.train(ToyProblem(), TrainSchedule(mode="xi", tolerance=1e-8,
+                                                     gn_max_iter=1))
+    assert rep.stop_reason == "max_iter"
+    rep = optimize.train(ToyProblem(), TrainSchedule(mode="theta", tolerance=1e-8,
+                                                     adam_epochs=3))
+    assert (rep.stop_reason, rep.iterations) == ("max_iter", 3)
+    rep = optimize.train(ToyProblem(), TrainSchedule(mode="theta", tolerance=1e3,
+                                                     adam_epochs=3))
+    assert (rep.stop_reason, rep.iterations) == ("converged", 0)
+    rep = optimize.train(ToyProblem(), TrainSchedule(mode="joint", tolerance=1e-8,
+                                                     joint_rounds=1, joint_gn_steps=2,
+                                                     joint_adam_steps=2))
+    assert rep.stop_reason == "max_iter"

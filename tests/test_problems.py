@@ -29,7 +29,6 @@ def qoc_problem(seed=7, n_nodes=8, **ocp):
 
 
 def test_feature_cache_reuses_unitaries(monkeypatch):
-    prob = ode_problem()
     calls = {"n": 0}
     orig = cvqnn.QnnCircuit.unitary
 
@@ -38,6 +37,8 @@ def test_feature_cache_reuses_unitaries(monkeypatch):
         return orig(self)
 
     monkeypatch.setattr(cvqnn.QnnCircuit, "unitary", counting)
+    # construction tabulates the node features (the endpoint refresh)
+    prob = ode_problem()
     values = prob.decision.values.copy()
     prob.residual(values)
     after_first = calls["n"]
@@ -46,8 +47,8 @@ def test_feature_cache_reuses_unitaries(monkeypatch):
     values[0] += 0.5
     prob.residual(values)
     assert calls["n"] == after_first
-    # theta change: QnnBank.set_flat rewrites every circuit and bumps each
-    # version, so all features are recomputed
+    # theta change in every circuit's slice: QnnBank.set_flat rewrites and
+    # re-versions each circuit, so every feature column is recomputed
     values[prob.decision.blocks["theta"]] = values[prob.decision.blocks["theta"]] + 1e-3
     prob.residual(values)
     assert calls["n"] > after_first
@@ -143,3 +144,77 @@ def test_qoc_control_function_clamps_endpoints():
     # tiny rounding past the horizon must not raise
     assert np.isfinite(u(tf + 1e-12)[0])
     assert np.isfinite(u(-1e-12)[0])
+
+
+def test_feature_cache_batch_matches_scalar_oracles():
+    bank = small_bank()
+    taus = np.random.default_rng(3).uniform(-0.8, 0.8, 25)
+    cache = problems.FeatureCache(bank, 1e-4)
+    sig, dsig = cache.features(taus)
+    assert sig.shape == dsig.shape == (25, bank.n_features)
+    assert np.allclose(sig, [cvqnn.forward(bank, t) for t in taus], atol=1e-12)
+    assert np.allclose(dsig, [cvqnn.forward_dtau(bank, t, 1e-4) for t in taus], atol=1e-10)
+    values, none = cache.features(taus, derivative=False)
+    assert none is None
+    assert np.allclose(values, sig, atol=1e-14)
+    # tabulated points are lookups with the same values
+    table = problems.FeatureCache(bank, 1e-4, taus[:5])
+    for t in taus[:5]:
+        row, drow = table.features(t)
+        assert np.allclose(row, cvqnn.forward(bank, t), atol=1e-12)
+        assert np.allclose(drow, cvqnn.forward_dtau(bank, t, 1e-4), atol=1e-10)
+
+
+def test_array_eval_matches_scalar_calls_and_boundaries():
+    prob = qoc_problem(costate_terminal_constraint=True)
+    rng = np.random.default_rng(2)
+    values = prob.decision.values.copy()
+    values[prob.xi_mask] = rng.normal(0.0, 0.5, int(prob.xi_mask.sum()))
+    prob._sync(values)
+    m = prob.morph
+    taus = np.concatenate([[m.tau0], rng.uniform(m.tau0, m.tauf, 12), prob.nodes, [m.tauf]])
+    u = prob.unknowns
+    for expr in (u.expr_state, u.expr_costate, u.expr_control,
+                 u.expr_sat_input, u.expr_multiplier):
+        y, ydot = expr.eval(taus)
+        rows = [expr.eval(t) for t in taus]
+        assert np.allclose(y, [r[0] for r in rows], rtol=0, atol=1e-12)
+        assert np.allclose(ydot, [r[1] for r in rows], rtol=0, atol=1e-10)
+        y_only, none = expr.eval(taus, derivative=False)
+        assert none is None
+        assert np.allclose(y_only, y, rtol=0, atol=1e-14)
+    x = u.expr_state.eval(taus)[0]
+    assert np.max(np.abs(x[0] - prob.cfg.rho_init)) < 1e-12
+    assert np.max(np.abs(x[-1] - prob.cfg.rho_target)) < 1e-12
+    assert np.max(np.abs(u.expr_costate.eval(taus)[0][-1])) < 1e-12
+    with pytest.raises(ValueError):
+        u.expr_state.eval(np.array([0.0, m.tauf + 1e-6]))
+
+
+def test_one_theta_coordinate_rebuilds_one_circuit(monkeypatch):
+    prob = qoc_problem()
+    values = prob.decision.values.copy()
+    values[prob.xi_mask] = np.random.default_rng(5).normal(0.0, 0.3, int(prob.xi_mask.sum()))
+    prob.residual(values)
+    circuits = prob.bank.circuits
+    versions = [c.version for c in circuits]
+    cached = [c._unitary_cache for c in circuits]
+    builds = {"n": 0}
+    orig = cvqnn._unit_matrix
+
+    def counting(u, cutoff):
+        builds["n"] += 1
+        return orig(u, cutoff)
+
+    monkeypatch.setattr(cvqnn, "_unit_matrix", counting)
+    theta = prob.decision.blocks["theta"]
+    per_circuit = cvqnn.PARAMS_PER_UNIT * circuits[0].depth
+    values[theta.start + 2 * per_circuit + 4] += 1e-3   # Im disp of circuit 2, unit 0
+    r = prob.residual(values)
+    assert builds["n"] == circuits[2].depth
+    assert circuits[2].version == versions[2] + 1
+    for l in (0, 1, 3, 4, 5):
+        assert circuits[l].version == versions[l]
+        assert circuits[l]._unitary_cache is cached[l]
+    fresh = qoc_problem()
+    assert np.allclose(r, fresh.residual(values), rtol=0, atol=1e-12)
