@@ -273,27 +273,13 @@ def _solve_artifacts_benchmark(problem, report, outdir: str) -> dict:
     grid = _sample_grid(problem.morph.t0, problem.morph.tf)
     y = problem.solution(grid)
     write_csv(os.path.join(outdir, "trajectory.csv"), ["t", "y"], zip(grid, y))
-
-    class _Scalar:
-        dim = 1
-        n_controls = 1
-
-        def generator(self, u):
-            return np.array([[problem.rate]])
-
-    ts, ys = lindblad.propagate_rk4(_Scalar(), np.array([y[0]]),
-                                    lambda t: np.zeros(1),
-                                    grid[0], grid[-1], 20 * (grid.shape[0] - 1))
-    ys = ys[::20, 0]
-    write_csv(os.path.join(outdir, "verify.csv"), ["t", "y"], zip(grid, ys))
-
     exact = y[0] * np.exp(problem.rate * (grid - grid[0]))
+    write_csv(os.path.join(outdir, "verify.csv"), ["t", "y"], zip(grid, exact))
     return {
         "system": "linear-ode-benchmark",
         "report": report.to_dict(),
         "tf": problem.morph.tf,
         "terminal_error_trained": float(abs(y[-1] - exact[-1])),
-        "terminal_error_rk4": float(abs(ys[-1] - exact[-1])),
         "max_grid_error": float(np.max(np.abs(y - exact))),
     }
 

@@ -114,12 +114,15 @@ class InputEncoder:
     For real tau the displacement generator is tau G with G = a^dag - a, a
     real skew-symmetric matrix.  One eigendecomposition i G = V diag(w) V^dag
     gives D(tau)|0> = V (exp(-i tau w) * conj(V[0])), so a batch costs one
-    table of phases and one matrix product.
+    table of phases and one matrix product.  d/dtau D(tau)|0> = G D(tau)|0>
+    exactly in the truncated basis; `generator` holds G.
     """
 
     def __init__(self, cutoff: int):
         a, adag = fock.ladder(cutoff)
-        self._w, self._v = np.linalg.eigh(1j * (adag.entries - a.entries))
+        gen = adag.entries - a.entries
+        self.generator = gen.real
+        self._w, self._v = np.linalg.eigh(1j * gen)
         self._v0 = self._v[0].conj()   # V^dag |0>
 
     def __call__(self, taus) -> np.ndarray:

@@ -249,27 +249,16 @@ def three_level_hamiltonian(p: ThreeLevelParams, u_p: float, u_s: float) -> np.n
     ], dtype=complex)
 
 
-def three_level_model(p: ThreeLevelParams, jumps: list = None) -> SuperOperatorModel:
-    """Closed dynamics by default; jump operators (3x3 matrix, rate) may be
-    attached, in which case the generic vectorizer supplies the generator."""
-    zero = np.zeros((3, 3), dtype=complex)
-    base_jumps = jumps or []
+def three_level_model(p: ThreeLevelParams) -> SuperOperatorModel:
+    """Closed lambda-system dynamics with controls (u_p, u_s)."""
 
     def gen(u):
         u = np.atleast_1d(u)
-        if base_jumps:
-            h = three_level_hamiltonian(p, float(u[0]), float(u[1]))
-            return lindblad_vectorize(h, base_jumps)
         return three_level_generator(p, float(u[0]), float(u[1]))
 
-    if base_jumps:
-        drift = lindblad_vectorize(three_level_hamiltonian(p, 0.0, 0.0), base_jumps)
-        du_p = lindblad_vectorize(three_level_hamiltonian(p, 1.0, 0.0), base_jumps) - drift
-        du_s = lindblad_vectorize(three_level_hamiltonian(p, 0.0, 1.0), base_jumps) - drift
-    else:
-        drift = three_level_generator(p, 0.0, 0.0)
-        du_p = three_level_generator(p, 1.0, 0.0) - drift
-        du_s = three_level_generator(p, 0.0, 1.0) - drift
+    drift = three_level_generator(p, 0.0, 0.0)
+    du_p = three_level_generator(p, 1.0, 0.0) - drift
+    du_s = three_level_generator(p, 0.0, 1.0) - drift
     return SuperOperatorModel(dim=9, n_controls=2, generator=gen,
                               generator_du=[du_p, du_s])
 

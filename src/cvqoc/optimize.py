@@ -78,8 +78,7 @@ def jacobian_fd(res_fn, z: np.ndarray, h: float = 1e-6) -> np.ndarray:
         raise ValueError("step must be positive")
     z = np.asarray(z, dtype=float)
     steps = fd_step(z, h)
-    r0 = np.asarray(res_fn(z))
-    jac = np.empty((r0.shape[0], z.shape[0]))
+    cols = []
     for k in range(z.shape[0]):
         zp = z.copy()
         zp[k] += steps[k]
@@ -89,8 +88,8 @@ def jacobian_fd(res_fn, z: np.ndarray, h: float = 1e-6) -> np.ndarray:
         rm = np.asarray(res_fn(zm))
         if not (np.all(np.isfinite(rp)) and np.all(np.isfinite(rm))):
             raise FloatingPointError(f"non-finite residual while perturbing coordinate {k}")
-        jac[:, k] = (rp - rm) / (2.0 * steps[k])
-    return jac
+        cols.append((rp - rm) / (2.0 * steps[k]))
+    return np.column_stack(cols)
 
 
 def gauss_newton(res_fn, z0: np.ndarray, tol: float = 1e-6, max_iter: int = 50,

@@ -2,13 +2,14 @@
 
 The decision vector concatenates the output weights of every unknown, the
 flattened circuit parameters, and (for the free-final-time problem) the
-morph rate.  Features sigma(tau) are computed in batches: one encoding of
-all inputs, one matrix product per circuit.  Their rows at the collocation
-nodes and domain endpoints are tabulated, and a circuit's column is
-recomputed only when its version changes, so weight-only perturbations
-never re-run the quantum simulation.  Each problem's _sync is the only
-writer of the weights and circuit parameters, and it refreshes the
-expressions' endpoint values.
+morph rate.  Features sigma(tau) and their exact tau-derivatives are
+computed in batches: one encoding of all inputs, and per circuit one matrix
+product for sigma and one more for the derivative (none when only values
+are asked for).  Their rows at the collocation nodes and domain endpoints
+are tabulated, and a circuit's column is recomputed only when its version
+changes, so weight-only perturbations never re-run the quantum simulation.
+Each problem's _sync is the only writer of the weights and circuit
+parameters, and it refreshes the expressions' endpoint values.
 """
 
 from __future__ import annotations
@@ -22,66 +23,69 @@ from .tfc import BoundaryConstraint, ConstrainedExpression, TimeMorph, chebyshev
 
 
 class FeatureCache:
-    """sigma(tau) and d sigma / d tau of a bank, the derivative by central
-    difference at deriv_step.
+    """sigma(tau) and its exact derivative d sigma / d tau for a bank.
 
-    The rows at the fixed points `taus` (the nodes and domain endpoints) are
-    tabulated per circuit version; any other tau is computed on demand.
+    Each tau is encoded once as enc = D(tau)|0> = expm(tau G)|0>, G = a^dag - a
+    in the truncated basis, so d enc / d tau = G enc.  With psi = U enc and the
+    real symmetric quadrature X, sigma = <psi|X|psi> and
+    d sigma / d tau = 2 Re <U G enc|X|psi>: one more matrix product per
+    circuit.  The rows at the fixed points `taus` (the nodes and domain
+    endpoints) are tabulated per circuit version, and a tau, or an array of
+    them, made only of such points is a lookup; any other tau is computed on
+    demand.
     """
 
-    def __init__(self, bank: cvqnn.QnnBank, deriv_step: float, taus=()):
+    def __init__(self, bank: cvqnn.QnnBank, taus=()):
         self.bank = bank
-        self.deriv_step = deriv_step
         self._encode = cvqnn.InputEncoder(bank.cutoff)
         self._x_op = fock.quadrature_x(bank.cutoff).entries.real
-        taus = np.unique(np.asarray(taus, dtype=float))
-        self._row = {float(t): i for i, t in enumerate(taus)}
-        self._table_amps = self._encode(self._with_steps(taus))
-        self._sig = np.empty((taus.shape[0], bank.n_features))
+        self._taus = np.unique(np.asarray(taus, dtype=float))
+        self._row = {float(t): i for i, t in enumerate(self._taus)}
+        self._table_amps = self._encode(self._taus)
+        self._sig = np.empty((self._taus.shape[0], bank.n_features))
         self._dsig = np.empty_like(self._sig)
         self._versions = [None] * bank.n_features
 
-    def _with_steps(self, taus: np.ndarray) -> np.ndarray:
-        h = self.deriv_step
-        return np.concatenate([taus, taus + h, taus - h])
-
-    def _column(self, circ: cvqnn.QnnCircuit, amps: np.ndarray) -> np.ndarray:
-        """<x> of one circuit on every encoded input (rows of amps)."""
-        psi = amps @ circ.unitary().T
-        return np.einsum("kd,kd->k", psi.conj(), psi @ self._x_op).real
-
-    def _split(self, vals: np.ndarray, k: int):
-        """(values at tau, central difference) from rows [tau; tau+h; tau-h]."""
-        return vals[:k], (vals[k:2 * k] - vals[2 * k:]) / (2.0 * self.deriv_step)
+    def _column(self, circ: cvqnn.QnnCircuit, amps: np.ndarray, derivative: bool):
+        """(<x>, d<x>/dtau) of one circuit on every encoded input (rows of
+        amps); the derivative is None unless asked for."""
+        u = circ.unitary()
+        psi = amps @ u.T
+        x_psi = psi @ self._x_op
+        sig = np.einsum("kd,kd->k", psi.conj(), x_psi).real
+        if not derivative:
+            return sig, None
+        tangent = amps @ (u @ self._encode.generator).T
+        return sig, 2.0 * np.einsum("kd,kd->k", tangent.conj(), x_psi).real
 
     def _tabulate(self) -> None:
-        k = self._sig.shape[0]
         for l, circ in enumerate(self.bank.circuits):
             if self._versions[l] != circ.version:
-                self._sig[:, l], self._dsig[:, l] = self._split(
-                    self._column(circ, self._table_amps), k)
+                self._sig[:, l], self._dsig[:, l] = self._column(
+                    circ, self._table_amps, True)
                 self._versions[l] = circ.version
 
     def _batch(self, taus: np.ndarray, derivative: bool):
-        pts = self._with_steps(taus) if derivative else taus
-        amps = self._encode(pts)
-        vals = np.column_stack([self._column(c, amps) for c in self.bank.circuits])
-        if not derivative:
-            return vals, None
-        return self._split(vals, taus.shape[0])
+        amps = self._encode(taus)
+        sig, dsig = zip(*(self._column(c, amps, derivative) for c in self.bank.circuits))
+        return np.column_stack(sig), np.column_stack(dsig) if derivative else None
 
     def features(self, tau, derivative: bool = True):
         """(sigma, d sigma / d tau), each of shape (L,) for a scalar tau and
         (K, L) for a 1-D array of K points.  With derivative=False the
-        derivative is None and tau +- deriv_step is not evaluated."""
-        if np.ndim(tau) > 0:
-            return self._batch(np.asarray(tau, dtype=float), derivative)
-        row = self._row.get(float(tau))
-        if row is not None:
-            self._tabulate()
-            return self._sig[row], self._dsig[row] if derivative else None
-        sig, dsig = self._batch(np.array([tau], dtype=float), derivative)
-        return sig[0], dsig[0] if derivative else None
+        derivative is None, and off the table its product is skipped."""
+        if np.ndim(tau) == 0:
+            row = self._row.get(float(tau))
+            if row is None:
+                sig, dsig = self._batch(np.array([tau], dtype=float), derivative)
+                return sig[0], dsig[0] if derivative else None
+        else:
+            tau = np.asarray(tau, dtype=float)
+            if not np.isin(tau, self._taus).all():
+                return self._batch(tau, derivative)
+            row = np.searchsorted(self._taus, tau)
+        self._tabulate()
+        return self._sig[row], self._dsig[row] if derivative else None
 
 
 class WeightedFreeFunction:
@@ -100,15 +104,12 @@ class OdeBenchmarkProblem:
     """Scalar linear ODE y' = rate * y, y(t0) = y0, on a fixed horizon."""
 
     def __init__(self, bank: cvqnn.QnnBank, morph: TimeMorph, n_nodes: int,
-                 rate: float, y0: float, deriv_step: float = None):
+                 rate: float, y0: float):
         self.bank = bank
         self.morph = morph
         self.rate = rate
         self.nodes = chebyshev_lobatto_nodes(n_nodes, morph)
-        if deriv_step is None:
-            deriv_step = 1e-4 * (morph.tauf - morph.tau0)
-        self.cache = FeatureCache(bank, deriv_step,
-                                  np.append(self.nodes, [morph.tau0, morph.tauf]))
+        self.cache = FeatureCache(bank, np.append(self.nodes, [morph.tau0, morph.tauf]))
         L = bank.n_features
         self._xi = np.zeros((L, 1))
         self.expr = ConstrainedExpression(
@@ -139,11 +140,8 @@ class OdeBenchmarkProblem:
 
     def residual(self, values: np.ndarray) -> np.ndarray:
         self._sync(values)
-        out = np.empty(self.nodes.shape[0])
-        for i, tau in enumerate(self.nodes):
-            y, ydot = self.expr.eval(tau)
-            out[i] = ydot[0] - self.rate * y[0]
-        return out
+        y, ydot = self.expr.eval(self.nodes)
+        return ydot[:, 0] - self.rate * y[:, 0]
 
     def solution(self, t_grid: np.ndarray) -> np.ndarray:
         self._sync(self.decision.values)
@@ -158,7 +156,7 @@ class QocProblem:
     def __init__(self, bank: cvqnn.QnnBank, cfg: pmp.OcpConfig,
                  model: SuperOperatorModel, morph: TimeMorph, n_nodes: int,
                  weights: pmp.ResidualWeights = None,
-                 c_map_bounds: tuple = (0.05, 20.0), deriv_step: float = None):
+                 c_map_bounds: tuple = (0.05, 20.0)):
         self.bank = bank
         self.cfg = cfg
         self.model = model
@@ -166,10 +164,7 @@ class QocProblem:
         self.weights = weights
         self.c_map_bounds = c_map_bounds
         self.nodes = chebyshev_lobatto_nodes(n_nodes, morph)
-        if deriv_step is None:
-            deriv_step = 1e-4 * (morph.tauf - morph.tau0)
-        self.cache = FeatureCache(bank, deriv_step,
-                                  np.append(self.nodes, [morph.tau0, morph.tauf]))
+        self.cache = FeatureCache(bank, np.append(self.nodes, [morph.tau0, morph.tauf]))
         L = bank.n_features
         dim = model.dim
         nc = model.n_controls

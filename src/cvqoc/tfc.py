@@ -121,9 +121,10 @@ class ConstrainedExpression:
     free_function(tau) must return (theta, dtheta_dtau): each of shape (d,)
     for a scalar tau and (K, d) for a 1-D array of K points.  eval with
     derivative=False calls free_function(tau, derivative=False), which may
-    skip the derivative and return None for it.  Endpoint values of theta
-    are cached at construction; call refresh() whenever the free function
-    changes.
+    skip the derivative and return None for it; a feature-bank free function
+    then skips the exact tangent product of its features.  Endpoint values
+    of theta are cached at construction; call refresh() whenever the free
+    function changes.
     """
 
     def __init__(self, free_function: Callable, constraints: list, morph: TimeMorph):

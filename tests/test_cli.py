@@ -93,6 +93,13 @@ def test_solve_benchmark_artifacts(tmp_path):
     header, data = cli.read_csv(str(out / "trajectory.csv"))
     assert header == ["t", "y"]
     assert data.shape[0] >= 200
+    # verify.csv is the exact solution y0 exp(rate (t - t0)) on the same grid
+    bench = json.loads(open(cli.preset_path("linear_ode_benchmark")).read())["benchmark"]
+    header, exact = cli.read_csv(str(out / "verify.csv"))
+    assert header == ["t", "y"]
+    assert np.array_equal(exact[:, 0], data[:, 0])
+    expect = bench["y0"] * np.exp(bench["rate"] * (exact[:, 0] - exact[0, 0]))
+    assert np.allclose(exact[:, 1], expect, rtol=1e-11, atol=0)
     with open(out / "train.jsonl") as fh:
         entries = [json.loads(ln) for ln in fh]
     assert entries and "L2_total" in entries[-1]

@@ -140,18 +140,6 @@ def test_rk4_input_validation():
         propagate_rk4(model, np.zeros(3), lambda t: np.zeros(1), 0.0, 1.0, 50)
 
 
-def test_three_level_model_with_jumps_hook():
-    p = ThreeLevelParams()
-    decay = np.zeros((3, 3), dtype=complex)
-    decay[0, 2] = 1.0  # |1><3|
-    model = three_level_model(p, jumps=[(decay, 0.2)])
-    g = model.generator(np.array([0.3, 0.4]))
-    expect = lindblad_vectorize(three_level_hamiltonian(p, 0.3, 0.4), [(decay, 0.2)])
-    assert np.max(np.abs(g - expect)) < 1e-12
-    # population rows still sum to zero
-    assert np.max(np.abs(g[0] + g[1] + g[2])) < 1e-12
-
-
 def test_two_level_params_validation():
     with pytest.raises(ValueError):
         TwoLevelParams(gamma_eg=-0.1)

@@ -16,6 +16,11 @@ def ode_problem(seed=28):
                                         rate=-2.0, y0=1.0)
 
 
+def dsigma_oracle(bank, tau, h=1e-3):
+    """Richardson extrapolation of two central differences, error O(h^4)."""
+    return (4.0 * cvqnn.forward_dtau(bank, tau, h / 2) - cvqnn.forward_dtau(bank, tau, h)) / 3.0
+
+
 def qoc_problem(seed=7, n_nodes=8, **ocp):
     bank = cvqnn.random_bank(6, 2, 10, np.random.default_rng(seed),
                              squeeze_scale=0.1, disp_scale=0.3, kerr_scale=0.15)
@@ -55,11 +60,15 @@ def test_feature_cache_reuses_unitaries(monkeypatch):
 
 
 def test_feature_cache_derivative_matches_forward_dtau():
+    # off-table scalar path
     bank = small_bank()
-    cache = problems.FeatureCache(bank, 1e-4)
+    cache = problems.FeatureCache(bank)
     sig, dsig = cache.features(0.3)
     assert np.allclose(sig, cvqnn.forward(bank, 0.3), atol=1e-12)
-    assert np.allclose(dsig, cvqnn.forward_dtau(bank, 0.3, 1e-4), atol=1e-10)
+    assert np.allclose(dsig, dsigma_oracle(bank, 0.3), rtol=0, atol=1e-10)
+    values, none = cache.features(0.3, derivative=False)
+    assert none is None
+    assert np.array_equal(values, sig)
 
 
 def test_ode_benchmark_trains_to_analytic_solution():
@@ -149,20 +158,23 @@ def test_qoc_control_function_clamps_endpoints():
 def test_feature_cache_batch_matches_scalar_oracles():
     bank = small_bank()
     taus = np.random.default_rng(3).uniform(-0.8, 0.8, 25)
-    cache = problems.FeatureCache(bank, 1e-4)
+    cache = problems.FeatureCache(bank)
     sig, dsig = cache.features(taus)
     assert sig.shape == dsig.shape == (25, bank.n_features)
     assert np.allclose(sig, [cvqnn.forward(bank, t) for t in taus], atol=1e-12)
-    assert np.allclose(dsig, [cvqnn.forward_dtau(bank, t, 1e-4) for t in taus], atol=1e-10)
+    assert np.allclose(dsig, [dsigma_oracle(bank, t) for t in taus], rtol=0, atol=1e-10)
     values, none = cache.features(taus, derivative=False)
     assert none is None
     assert np.allclose(values, sig, atol=1e-14)
-    # tabulated points are lookups with the same values
-    table = problems.FeatureCache(bank, 1e-4, taus[:5])
+    # tabulated points are lookups with the same values, one by one or as an array
+    table = problems.FeatureCache(bank, taus[:5])
     for t in taus[:5]:
         row, drow = table.features(t)
         assert np.allclose(row, cvqnn.forward(bank, t), atol=1e-12)
-        assert np.allclose(drow, cvqnn.forward_dtau(bank, t, 1e-4), atol=1e-10)
+        assert np.allclose(drow, dsigma_oracle(bank, t), rtol=0, atol=1e-10)
+    rows, drows = table.features(taus[:5])
+    assert np.allclose(rows, sig[:5], rtol=0, atol=1e-14)
+    assert np.allclose(drows, dsig[:5], rtol=0, atol=1e-14)
 
 
 def test_array_eval_matches_scalar_calls_and_boundaries():
