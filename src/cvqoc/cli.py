@@ -8,6 +8,7 @@ converge), 2 config error, 3 numerical failure.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import sys
@@ -54,15 +55,38 @@ def preset_path(name: str) -> str:
     return path
 
 
+@contextlib.contextmanager
+def _building(section: str):
+    """Report a ValueError or TypeError raised while building objects from a
+    config section as a ConfigError naming that section."""
+    try:
+        yield
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"bad {section} section: {exc}")
+
+
 def _build_bank(qnn: dict) -> cvqnn.QnnBank:
     _check_keys(qnn, "qnn", ["n_features", "depth", "cutoff", "seed"],
                 ["passive_high", "squeeze_scale", "disp_scale", "kerr_scale"])
-    rng = np.random.default_rng(int(qnn["seed"]))
-    kwargs = {k: float(qnn[k]) for k in
-              ("passive_high", "squeeze_scale", "disp_scale", "kerr_scale")
-              if k in qnn}
-    return cvqnn.random_bank(int(qnn["n_features"]), int(qnn["depth"]),
-                             int(qnn["cutoff"]), rng, **kwargs)
+    with _building("qnn"):
+        rng = np.random.default_rng(int(qnn["seed"]))
+        kwargs = {k: float(qnn[k]) for k in
+                  ("passive_high", "squeeze_scale", "disp_scale", "kerr_scale")
+                  if k in qnn}
+        return cvqnn.random_bank(int(qnn["n_features"]), int(qnn["depth"]),
+                                 int(qnn["cutoff"]), rng, **kwargs)
+
+
+def _build_model(system: str, params: dict) -> lindblad.SuperOperatorModel:
+    """The two- or three-level model from a strictly checked system_params."""
+    if system == "two-level":
+        _check_keys(params, "system_params", [],
+                    ["gamma_eg", "gamma_ge", "omega_x", "omega_z"])
+        with _building("system_params"):
+            return lindblad.two_level_model(lindblad.TwoLevelParams(**params))
+    _check_keys(params, "system_params", [], ["delta", "delta1"])
+    with _building("system_params"):
+        return lindblad.three_level_model(lindblad.ThreeLevelParams(**params))
 
 
 def _build_schedule(train: dict) -> optimize.TrainSchedule:
@@ -70,14 +94,13 @@ def _build_schedule(train: dict) -> optimize.TrainSchedule:
                 ["tolerance", "gn_max_iter", "gn_damping", "adam_lr",
                  "adam_epochs", "joint_rounds", "joint_gn_steps",
                  "joint_adam_steps", "fd_h"])
-    try:
+    with _building("train"):
         return optimize.TrainSchedule(**train)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"bad train section: {exc}")
 
 
 def build_problem(cfg: dict):
-    """Returns (problem, schedule, system_name)."""
+    """Returns (problem, schedule, system_name).  Only construction runs
+    here, so a config error exits 2 and a failure in training still exits 3."""
     _check_keys(cfg, "<top level>", ["system", "qnn", "tfc", "train"],
                 ["system_params", "ocp", "benchmark"])
     system = cfg["system"]
@@ -87,43 +110,34 @@ def build_problem(cfg: dict):
     if system == "linear-ode-benchmark":
         _check_keys(tfc_cfg, "tfc", ["n_nodes", "tau0", "tauf", "t0", "t_final"])
         _check_keys(cfg.get("benchmark", {}), "benchmark", ["rate", "y0"])
-        bench = cfg["benchmark"]
-        morph = tfc.TimeMorph.from_times(float(tfc_cfg["t0"]), float(tfc_cfg["t_final"]),
-                                         float(tfc_cfg["tau0"]), float(tfc_cfg["tauf"]))
-        problem = problems.OdeBenchmarkProblem(
-            bank, morph, int(tfc_cfg["n_nodes"]),
-            rate=float(bench["rate"]), y0=float(bench["y0"]))
+        with _building("benchmark"):
+            rate, y0 = float(cfg["benchmark"]["rate"]), float(cfg["benchmark"]["y0"])
+        with _building("tfc"):
+            morph = tfc.TimeMorph.from_times(float(tfc_cfg["t0"]), float(tfc_cfg["t_final"]),
+                                             float(tfc_cfg["tau0"]), float(tfc_cfg["tauf"]))
+            problem = problems.OdeBenchmarkProblem(bank, morph, int(tfc_cfg["n_nodes"]),
+                                                   rate=rate, y0=y0)
     elif system in ("two-level", "three-level"):
         _check_keys(tfc_cfg, "tfc", ["n_nodes", "tau0", "tauf", "t0", "c_map_init"])
-        if system == "two-level":
-            _check_keys(cfg.get("system_params", {}), "system_params",
-                        [], ["gamma_eg", "gamma_ge", "omega_x", "omega_z"])
-            model = lindblad.two_level_model(
-                lindblad.TwoLevelParams(**cfg.get("system_params", {})))
-        else:
-            _check_keys(cfg.get("system_params", {}), "system_params",
-                        [], ["delta", "delta1"])
-            model = lindblad.three_level_model(
-                lindblad.ThreeLevelParams(**cfg.get("system_params", {})))
+        model = _build_model(system, cfg.get("system_params", {}))
         ocp = dict(cfg.get("ocp", {}))
         _check_keys(ocp, "ocp",
                     ["time_weight", "energy_weight", "reg_weight",
                      "u_min", "u_max", "sat_steepness", "rho_init", "rho_target"],
                     ["costate_terminal_constraint"])
-        ocp["rho_init"] = np.asarray(ocp["rho_init"], dtype=float)
-        ocp["rho_target"] = np.asarray(ocp["rho_target"], dtype=float)
-        if ocp["rho_init"].shape != (model.dim,) or ocp["rho_target"].shape != (model.dim,):
-            raise ConfigError(f"ocp boundary states must have length {model.dim}")
-        try:
+        with _building("ocp"):
+            ocp["rho_init"] = np.asarray(ocp["rho_init"], dtype=float)
+            ocp["rho_target"] = np.asarray(ocp["rho_target"], dtype=float)
+            if ocp["rho_init"].shape != (model.dim,) or ocp["rho_target"].shape != (model.dim,):
+                raise ConfigError(f"ocp boundary states must have length {model.dim}")
             lindblad.RealDensityVector(ocp["rho_init"])
             lindblad.RealDensityVector(ocp["rho_target"])
             cfg_ocp = pmp.OcpConfig(t0=float(tfc_cfg["t0"]), **ocp)
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"bad ocp section: {exc}")
-        morph = tfc.TimeMorph(float(tfc_cfg["t0"]), float(tfc_cfg["tau0"]),
-                              float(tfc_cfg["tauf"]), float(tfc_cfg["c_map_init"]))
-        problem = problems.QocProblem(bank, cfg_ocp, model, morph,
-                                      int(tfc_cfg["n_nodes"]))
+        with _building("tfc"):
+            morph = tfc.TimeMorph(float(tfc_cfg["t0"]), float(tfc_cfg["tau0"]),
+                                  float(tfc_cfg["tauf"]), float(tfc_cfg["c_map_init"]))
+            problem = problems.QocProblem(bank, cfg_ocp, model, morph,
+                                          int(tfc_cfg["n_nodes"]))
     else:
         raise ConfigError(f"unknown system {system!r}; expected two-level, "
                           "three-level, or linear-ode-benchmark")
@@ -205,10 +219,7 @@ def cmd_propagate(args) -> int:
     _check_keys(cfg, "<top level>", ["system_params", "propagate"])
     prop = cfg["propagate"]
     _check_keys(prop, "propagate", ["x0", "t0", "tf", "steps"])
-    if args.system == "two-level":
-        model = lindblad.two_level_model(lindblad.TwoLevelParams(**cfg["system_params"]))
-    else:
-        model = lindblad.three_level_model(lindblad.ThreeLevelParams(**cfg["system_params"]))
+    model = _build_model(args.system, cfg["system_params"])
     x0 = np.asarray(prop["x0"], dtype=float)
     if x0.shape != (model.dim,):
         raise ConfigError(f"x0 must have length {model.dim}")

@@ -143,6 +143,7 @@ class QnnBank:
         if len(self.circuits) < 1:
             raise ValueError("bank needs at least one circuit")
         cut = self.circuits[0].cutoff
+        fock._check_cutoff(cut)   # circuits are built lazily; fail here, not in training
         for c in self.circuits:
             if c.cutoff != cut:
                 raise ValueError("all circuits must share one cutoff")

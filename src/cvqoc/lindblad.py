@@ -46,16 +46,11 @@ class RealDensityVector:
         d = {4: 2, 9: 3}.get(self.x.shape[0])
         if d is None:
             raise ValueError("length must be 4 (qubit) or 9 (qutrit)")
-        self._levels = d
         pops = self.x[:d]
         if abs(float(pops.sum()) - 1.0) > 1e-9:
             raise ValueError(f"populations sum to {pops.sum()}, expected 1")
         if np.any(pops < -1e-9) or np.any(pops > 1 + 1e-9):
             raise ValueError("populations outside [0, 1]")
-
-    @property
-    def n_levels(self) -> int:
-        return self._levels
 
 
 @dataclass

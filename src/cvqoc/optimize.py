@@ -7,7 +7,6 @@ the circuit parameters; joint training alternates the two.
 
 from __future__ import annotations
 
-import dataclasses
 import time
 from dataclasses import dataclass
 
@@ -224,19 +223,8 @@ class TrainSchedule:
     def __post_init__(self):
         if self.mode not in ("xi", "theta", "joint"):
             raise ValueError(f"unknown training mode {self.mode!r}")
-
-
-def _masked(problem, mask):
-    """Residual over a subset of coordinates, the rest held at current values."""
-    base = problem.decision.values.copy()
-    idx = np.flatnonzero(mask)
-
-    def res(sub):
-        full = base.copy()
-        full[idx] = sub
-        return problem.residual(full)
-
-    return res, base[idx], idx
+        if not self.tolerance > 0:
+            raise ValueError("tolerance must be positive")
 
 
 def train(problem, schedule: TrainSchedule, callback=None):
@@ -251,55 +239,57 @@ def train(problem, schedule: TrainSchedule, callback=None):
     tolerance stop at their epoch or round budget (max_iter).
     """
     start = time.perf_counter()
-    bounds_full = problem.bounds()
+    bounds = problem.bounds()
 
-    def sub_bounds(idx):
+    def fit(mask, offset, solve):
+        """solve(res, z0, bounds, callback) on the masked coordinates, the rest
+        held at their current values; writes the result back and returns the
+        solver's report.  Callback epochs are shifted by offset."""
+        base = problem.decision.values.copy()
+        idx = np.flatnonzero(mask)
         pos = {j: i for i, j in enumerate(idx)}
-        return [(pos[j], lo, hi) for j, lo, hi in bounds_full if j in pos]
 
-    def lift(idx, offset=0):
-        if callback is None:
-            return None
+        def lift(sub):
+            full = base.copy()
+            full[idx] = sub
+            return full
 
-        def cb(k, z_sub, loss):
-            full = problem.decision.values.copy()
-            full[idx] = z_sub
-            callback(offset + k, full, loss)
+        def lifted(k, sub, loss):
+            callback(offset + k, lift(sub), loss)
 
-        return cb
+        z, report = solve(lambda sub: problem.residual(lift(sub)), base[idx],
+                          [(pos[j], lo, hi) for j, lo, hi in bounds if j in pos],
+                          lifted if callback else None)
+        problem.decision.replace(lift(z))
+        return report
 
-    if schedule.mode == "xi":
-        res, z0, idx = _masked(problem, problem.xi_mask)
-        z, report = gauss_newton(res, z0, tol=schedule.tolerance,
-                                 max_iter=schedule.gn_max_iter,
-                                 damping=schedule.gn_damping, fd_h=schedule.fd_h,
-                                 bounds=sub_bounds(idx), callback=lift(idx))
-        full = problem.decision.values.copy()
-        full[idx] = z
-        problem.decision.replace(full)
+    def newton(max_iter):
+        return lambda res, z0, sub_bounds, cb: gauss_newton(
+            res, z0, tol=schedule.tolerance, max_iter=max_iter,
+            damping=schedule.gn_damping, fd_h=schedule.fd_h,
+            bounds=sub_bounds, callback=cb)
+
+    def descent(loss, max_epochs, tol):
+        return lambda res, z0, _, cb: adam(
+            lambda sub: loss(res(sub)), z0, lr=schedule.adam_lr,
+            max_epochs=max_epochs, tol=tol, fd_h=schedule.fd_h, callback=cb)
+
+    # a joint schedule without Adam steps is exactly xi-only training
+    if schedule.mode == "xi" or (schedule.mode == "joint" and schedule.joint_adam_steps == 0):
+        report = fit(problem.xi_mask, 0, newton(schedule.gn_max_iter))
         report.wall_time = time.perf_counter() - start
         return report
 
     if schedule.mode == "theta":
-        res, z0, idx = _masked(problem, problem.theta_mask)
-        n_res = len(res(z0))
-
-        def loss(sub):
-            r = res(sub)
-            return float(np.mean(r**2))
-
+        n_res = len(problem.residual(problem.decision.values))
         # mean(r^2) < tolerance^2 / n  <=>  ||r|| < tolerance
-        z, report = adam(loss, z0, lr=schedule.adam_lr,
-                         max_epochs=schedule.adam_epochs,
-                         tol=schedule.tolerance**2 / n_res, fd_h=schedule.fd_h,
-                         callback=lift(idx))
-        full = problem.decision.values.copy()
-        full[idx] = z
-        problem.decision.replace(full)
+        report = fit(problem.theta_mask, 0,
+                     descent(lambda r: float(np.mean(r**2)), schedule.adam_epochs,
+                             schedule.tolerance**2 / n_res))
         # report L2 norms for comparability with the least-squares modes
         history = [float(np.linalg.norm(problem.residual(problem.decision.values)))]
         converged = history[-1] < schedule.tolerance
-        report = SolveReport(
+        return SolveReport(
             iterations=report.iterations, final_loss=history[-1],
             loss_history=[np.sqrt(max(h, 0.0) * n_res) for h in report.loss_history[:-1]] + history,
             converged=converged,
@@ -307,50 +297,22 @@ def train(problem, schedule: TrainSchedule, callback=None):
             wall_time=time.perf_counter() - start,
             stop_reason="converged" if converged else "max_iter",
         )
-        return report
 
     # joint: alternate short Gauss-Newton bursts on xi with Adam bursts on theta
-    if schedule.joint_adam_steps == 0:
-        # degenerate schedule is exactly xi-only training
-        return train(problem, dataclasses.replace(schedule, mode="xi"), callback)
+    bursts = ((problem.xi_mask, newton(schedule.joint_gn_steps)),
+              (problem.theta_mask, descent(lambda r: float(np.linalg.norm(r)),
+                                           schedule.joint_adam_steps, schedule.tolerance)))
     history = [float(np.linalg.norm(problem.residual(problem.decision.values)))]
     iters = 0
     converged = history[0] < schedule.tolerance
     for _ in range(schedule.joint_rounds):
-        if converged:
-            break
-        res, z0, idx = _masked(problem, problem.xi_mask)
-        z, rep = gauss_newton(res, z0, tol=schedule.tolerance,
-                              max_iter=schedule.joint_gn_steps,
-                              damping=schedule.gn_damping, fd_h=schedule.fd_h,
-                              bounds=sub_bounds(idx), callback=lift(idx, iters))
-        full = problem.decision.values.copy()
-        full[idx] = z
-        problem.decision.replace(full)
-        iters += rep.iterations
-        history.extend(rep.loss_history[1:])
-        if history[-1] < schedule.tolerance:
-            converged = True
-            break
-        if schedule.joint_adam_steps > 0:
-            res_t, zt0, idx_t = _masked(problem, problem.theta_mask)
-
-            def loss_t(sub):
-                r = res_t(sub)
-                return float(np.linalg.norm(r))
-
-            zt, rep_t = adam(loss_t, zt0, lr=schedule.adam_lr,
-                             max_epochs=schedule.joint_adam_steps,
-                             tol=schedule.tolerance, fd_h=schedule.fd_h,
-                             callback=lift(idx_t, iters))
-            full = problem.decision.values.copy()
-            full[idx_t] = zt
-            problem.decision.replace(full)
-            iters += rep_t.iterations
-            history.extend(rep_t.loss_history[1:])
-            if history[-1] < schedule.tolerance:
-                converged = True
+        for mask, solve in bursts:
+            if converged:
                 break
+            report = fit(mask, iters, solve)
+            iters += report.iterations
+            history.extend(report.loss_history[1:])
+            converged = history[-1] < schedule.tolerance
     final = float(np.linalg.norm(problem.residual(problem.decision.values)))
     history.append(final)
     converged = bool(final < schedule.tolerance)

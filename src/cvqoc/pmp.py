@@ -19,7 +19,7 @@ makes H(t_f) a sum of squares, which cannot equal -time_weight).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -121,27 +121,6 @@ class UnknownSet:
     expr_sat_input: ConstrainedExpression
     expr_multiplier: ConstrainedExpression
 
-    @property
-    def morph(self):
-        return self.expr_state.morph
-
-    def refresh(self):
-        for e in (self.expr_state, self.expr_costate, self.expr_control,
-                  self.expr_sat_input, self.expr_multiplier):
-            e.refresh()
-
-
-@dataclass
-class ResidualWeights:
-    """Optional per-family scaling hook; all ones leaves the raw residual."""
-
-    state: float = 1.0
-    costate: float = 1.0
-    control: float = 1.0
-    sat_input: float = 1.0
-    constraint: float = 1.0
-    terminal: float = 1.0
-
 
 @dataclass
 class ResidualVector:
@@ -151,17 +130,11 @@ class ResidualVector:
     sat_input: np.ndarray   # (N, nc)
     constraint: np.ndarray  # (N, nc)
     terminal: float
-    weights: ResidualWeights = field(default_factory=ResidualWeights)
 
     def concat(self) -> np.ndarray:
-        w = self.weights
         return np.concatenate([
-            (w.state * self.state).ravel(),
-            (w.costate * self.costate).ravel(),
-            (w.control * self.control).ravel(),
-            (w.sat_input * self.sat_input).ravel(),
-            (w.constraint * self.constraint).ravel(),
-            [w.terminal * self.terminal],
+            self.state.ravel(), self.costate.ravel(), self.control.ravel(),
+            self.sat_input.ravel(), self.constraint.ravel(), [self.terminal],
         ])
 
     def breakdown(self) -> dict:
@@ -179,7 +152,7 @@ class ResidualVector:
 
 
 def residuals(unknowns: UnknownSet, cfg: OcpConfig, model: SuperOperatorModel,
-              nodes: np.ndarray, weights: ResidualWeights = None) -> ResidualVector:
+              nodes: np.ndarray) -> ResidualVector:
     """Evaluate every residual family at the collocation nodes.
 
     The terminal Hamiltonian row is taken at the last node, which must be
@@ -216,5 +189,4 @@ def residuals(unknowns: UnknownSet, cfg: OcpConfig, model: SuperOperatorModel,
     return ResidualVector(
         state=r_state, costate=r_costate, control=r_control,
         sat_input=r_sat, constraint=r_constraint, terminal=terminal,
-        weights=weights or ResidualWeights(),
     )

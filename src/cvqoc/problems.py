@@ -8,8 +8,9 @@ product for sigma and one more for the derivative (none when only values
 are asked for).  Their rows at the collocation nodes and domain endpoints
 are tabulated, and a circuit's column is recomputed only when its version
 changes, so weight-only perturbations never re-run the quantum simulation.
-Each problem's _sync is the only writer of the weights and circuit
-parameters, and it refreshes the expressions' endpoint values.
+Both problems share one base, _Collocation, which owns that layout: its
+_sync is the only writer of the weights and the circuit parameters, and it
+refreshes the endpoint values of every expression the base created.
 """
 
 from __future__ import annotations
@@ -100,125 +101,50 @@ class WeightedFreeFunction:
         return sig @ self.xi, dsig @ self.xi if derivative else None
 
 
-class OdeBenchmarkProblem:
-    """Scalar linear ODE y' = rate * y, y(t0) = y0, on a fixed horizon."""
+class _Collocation:
+    """The decision-vector layout shared by every collocation problem.
+
+    It holds the nodes, the feature cache and one weight array of shape
+    (L, width) per unknown.  The decision vector lays out the weight blocks
+    in the order given, then the flattened circuit parameters (theta), then
+    the extra scalars (name -> initial value).  _sync is the only writer of
+    the weights and the circuit parameters; it rebuilds circuits only when
+    theta changed and refreshes the endpoint values of every expression made
+    by _expression.
+    """
 
     def __init__(self, bank: cvqnn.QnnBank, morph: TimeMorph, n_nodes: int,
-                 rate: float, y0: float):
+                 widths: dict, scalars: dict):
         self.bank = bank
         self.morph = morph
-        self.rate = rate
         self.nodes = chebyshev_lobatto_nodes(n_nodes, morph)
         self.cache = FeatureCache(bank, np.append(self.nodes, [morph.tau0, morph.tauf]))
-        L = bank.n_features
-        self._xi = np.zeros((L, 1))
-        self.expr = ConstrainedExpression(
-            WeightedFreeFunction(self.cache, self._xi),
-            [BoundaryConstraint("initial", [y0])], morph)
-        theta_len = bank.get_flat().shape[0]
-        self.decision = DecisionVector(
-            values=np.concatenate([np.zeros(L), bank.get_flat()]),
-            blocks={"xi": slice(0, L), "theta": slice(L, L + theta_len)},
-        )
-        self.xi_mask = np.zeros(L + theta_len, dtype=bool)
-        self.xi_mask[:L] = True
-        self.theta_mask = ~self.xi_mask
-        self._theta_current = bank.get_flat()
-
-    def bounds(self):
-        return []
-
-    def _sync(self, values: np.ndarray) -> None:
-        values = np.asarray(values, dtype=float)
-        L = self.bank.n_features
-        self._xi[:, 0] = values[:L]
-        theta = values[L:]
-        if not np.array_equal(theta, self._theta_current):
-            self.bank.set_flat(theta)
-            self._theta_current = theta.copy()
-        self.expr.refresh()
-
-    def residual(self, values: np.ndarray) -> np.ndarray:
-        self._sync(values)
-        y, ydot = self.expr.eval(self.nodes)
-        return ydot[:, 0] - self.rate * y[:, 0]
-
-    def solution(self, t_grid: np.ndarray) -> np.ndarray:
-        self._sync(self.decision.values)
-        taus = self.morph.to_tau(np.asarray(t_grid, dtype=float))
-        return self.expr.eval(taus, derivative=False)[0][:, 0]
-
-
-class QocProblem:
-    """PMP collocation problem for a superoperator model with box-bounded
-    controls and free final time (decision scalar: morph rate)."""
-
-    def __init__(self, bank: cvqnn.QnnBank, cfg: pmp.OcpConfig,
-                 model: SuperOperatorModel, morph: TimeMorph, n_nodes: int,
-                 weights: pmp.ResidualWeights = None,
-                 c_map_bounds: tuple = (0.05, 20.0)):
-        self.bank = bank
-        self.cfg = cfg
-        self.model = model
-        self.morph = morph
-        self.weights = weights
-        self.c_map_bounds = c_map_bounds
-        self.nodes = chebyshev_lobatto_nodes(n_nodes, morph)
-        self.cache = FeatureCache(bank, np.append(self.nodes, [morph.tau0, morph.tauf]))
-        L = bank.n_features
-        dim = model.dim
-        nc = model.n_controls
-        self._xi = {
-            "xi_state": np.zeros((L, dim)),
-            "xi_costate": np.zeros((L, dim)),
-            "xi_u": np.zeros((L, nc)),
-            "xi_nu": np.zeros((L, nc)),
-            "xi_beta": np.zeros((L, nc)),
-        }
-        costate_constraints = []
-        if cfg.costate_terminal_constraint:
-            costate_constraints = [BoundaryConstraint("final", cfg.costate_final)]
-        self.unknowns = pmp.UnknownSet(
-            expr_state=ConstrainedExpression(
-                WeightedFreeFunction(self.cache, self._xi["xi_state"]),
-                [BoundaryConstraint("initial", cfg.rho_init),
-                 BoundaryConstraint("final", cfg.rho_target)],
-                morph),
-            expr_costate=ConstrainedExpression(
-                WeightedFreeFunction(self.cache, self._xi["xi_costate"]),
-                costate_constraints, morph),
-            expr_control=ConstrainedExpression(
-                WeightedFreeFunction(self.cache, self._xi["xi_u"]),
-                [], morph),
-            expr_sat_input=ConstrainedExpression(
-                WeightedFreeFunction(self.cache, self._xi["xi_nu"]),
-                [], morph),
-            expr_multiplier=ConstrainedExpression(
-                WeightedFreeFunction(self.cache, self._xi["xi_beta"]),
-                [], morph),
-        )
+        self._xi = {name: np.zeros((bank.n_features, w)) for name, w in widths.items()}
+        self._exprs = []
+        theta = bank.get_flat()
+        sizes = ([(name, arr.size) for name, arr in self._xi.items()]
+                 + [("theta", theta.size)] + [(name, 1) for name in scalars])
         blocks = {}
-        sizes = [("xi_state", L * dim), ("xi_costate", L * dim),
-                 ("xi_u", L * nc), ("xi_nu", L * nc), ("xi_beta", L * nc)]
-        theta_len = bank.get_flat().shape[0]
-        sizes.append(("theta", theta_len))
-        sizes.append(("c_map", 1))
         pos = 0
         for name, size in sizes:
             blocks[name] = slice(pos, pos + size)
             pos += size
-        init = np.zeros(pos)
-        init[blocks["theta"]] = bank.get_flat()
-        init[blocks["c_map"]] = morph.c_map
+        init = np.concatenate([np.zeros(blocks["theta"].start), theta, list(scalars.values())])
         self.decision = DecisionVector(values=init, blocks=blocks)
-        self.xi_mask = np.ones(pos, dtype=bool)
-        self.xi_mask[blocks["theta"]] = False
         self.theta_mask = np.zeros(pos, dtype=bool)
         self.theta_mask[blocks["theta"]] = True
-        self._theta_current = bank.get_flat()
+        self.xi_mask = ~self.theta_mask
+        self._theta_current = theta
+
+    def _expression(self, name: str, constraints: list) -> ConstrainedExpression:
+        """Constrained expression over the features, weighted by block name."""
+        expr = ConstrainedExpression(WeightedFreeFunction(self.cache, self._xi[name]),
+                                     constraints, self.morph)
+        self._exprs.append(expr)
+        return expr
 
     def bounds(self):
-        return [(self.decision.blocks["c_map"].start, *self.c_map_bounds)]
+        return []
 
     def _sync(self, values: np.ndarray) -> None:
         values = np.asarray(values, dtype=float)
@@ -229,24 +155,77 @@ class QocProblem:
         if not np.array_equal(theta, self._theta_current):
             self.bank.set_flat(theta)
             self._theta_current = theta.copy()
-        lo, hi = self.c_map_bounds
-        self.morph.c_map = float(np.clip(values[blocks["c_map"]][0], lo, hi))
-        self.unknowns.refresh()
-
-    def residual_vector(self, values: np.ndarray) -> pmp.ResidualVector:
-        self._sync(values)
-        return pmp.residuals(self.unknowns, self.cfg, self.model, self.nodes,
-                             self.weights)
-
-    def residual(self, values: np.ndarray) -> np.ndarray:
-        return self.residual_vector(values).concat()
-
-    # --- trained-solution accessors -------------------------------------
+        for expr in self._exprs:
+            expr.refresh()
 
     def _eval_grid(self, expr, t_grid):
         self._sync(self.decision.values)
         taus = self.morph.to_tau(np.asarray(t_grid, dtype=float))
         return expr.eval(taus, derivative=False)[0]
+
+
+class OdeBenchmarkProblem(_Collocation):
+    """Scalar linear ODE y' = rate * y, y(t0) = y0, on a fixed horizon."""
+
+    def __init__(self, bank: cvqnn.QnnBank, morph: TimeMorph, n_nodes: int,
+                 rate: float, y0: float):
+        super().__init__(bank, morph, n_nodes, {"xi": 1}, {})
+        self.rate = rate
+        self.expr = self._expression("xi", [BoundaryConstraint("initial", [y0])])
+
+    def residual(self, values: np.ndarray) -> np.ndarray:
+        self._sync(values)
+        y, ydot = self.expr.eval(self.nodes)
+        return ydot[:, 0] - self.rate * y[:, 0]
+
+    def solution(self, t_grid: np.ndarray) -> np.ndarray:
+        return self._eval_grid(self.expr, t_grid)[:, 0]
+
+
+class QocProblem(_Collocation):
+    """PMP collocation problem for a superoperator model with box-bounded
+    controls and free final time (decision scalar: morph rate)."""
+
+    def __init__(self, bank: cvqnn.QnnBank, cfg: pmp.OcpConfig,
+                 model: SuperOperatorModel, morph: TimeMorph, n_nodes: int,
+                 c_map_bounds: tuple = (0.05, 20.0)):
+        dim, nc = model.dim, model.n_controls
+        super().__init__(bank, morph, n_nodes,
+                         {"xi_state": dim, "xi_costate": dim,
+                          "xi_u": nc, "xi_nu": nc, "xi_beta": nc},
+                         {"c_map": morph.c_map})
+        self.cfg = cfg
+        self.model = model
+        self.c_map_bounds = c_map_bounds
+        costate_constraints = []
+        if cfg.costate_terminal_constraint:
+            costate_constraints = [BoundaryConstraint("final", cfg.costate_final)]
+        self.unknowns = pmp.UnknownSet(
+            expr_state=self._expression(
+                "xi_state", [BoundaryConstraint("initial", cfg.rho_init),
+                             BoundaryConstraint("final", cfg.rho_target)]),
+            expr_costate=self._expression("xi_costate", costate_constraints),
+            expr_control=self._expression("xi_u", []),
+            expr_sat_input=self._expression("xi_nu", []),
+            expr_multiplier=self._expression("xi_beta", []),
+        )
+
+    def bounds(self):
+        return [(self.decision.blocks["c_map"].start, *self.c_map_bounds)]
+
+    def _sync(self, values: np.ndarray) -> None:
+        lo, hi = self.c_map_bounds
+        self.morph.c_map = float(np.clip(values[self.decision.blocks["c_map"].start], lo, hi))
+        super()._sync(values)
+
+    def residual_vector(self, values: np.ndarray) -> pmp.ResidualVector:
+        self._sync(values)
+        return pmp.residuals(self.unknowns, self.cfg, self.model, self.nodes)
+
+    def residual(self, values: np.ndarray) -> np.ndarray:
+        return self.residual_vector(values).concat()
+
+    # --- trained-solution accessors -------------------------------------
 
     def state_trajectory(self, t_grid):
         return self._eval_grid(self.unknowns.expr_state, t_grid)

@@ -243,3 +243,48 @@ def test_costate_terminal_constraint_key(pin):
     lam_f, _ = problem.unknowns.expr_costate.eval(problem.morph.tauf)
     # lambda(t_f) is free unless the config pins it explicitly
     assert (np.max(np.abs(lam_f)) < 1e-12) == bool(pin)
+
+
+
+# (section, key, bad value) on the two-level preset
+BAD_SOLVE_CONFIGS = {
+    "no_features": ("qnn", "n_features", 0),
+    "cutoff_1": ("qnn", "cutoff", 1),
+    "negative_gamma": ("system_params", "gamma_eg", -0.1),
+    "one_node": ("tfc", "n_nodes", 1),
+    "tau0_at_tauf": ("tfc", "tau0", 0.8),
+    "tau0_past_tauf": ("tfc", "tau0", 1.0),
+    "zero_c_map": ("tfc", "c_map_init", 0.0),
+    "negative_c_map": ("tfc", "c_map_init", -0.4),
+    "zero_tolerance": ("train", "tolerance", 0.0),
+    "negative_tolerance": ("train", "tolerance", -1e-3),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_SOLVE_CONFIGS) + ["propagate_unknown_param"])
+def test_bad_config_value_exits_2(case, tmp_path, capsys):
+    # a bad value is a config error (exit 2) naming its section, not a traceback
+    if case == "propagate_unknown_param":
+        cfg = tmp_path / "sys.json"
+        cfg.write_text(json.dumps({
+            "system_params": {"bogus": 1},
+            "propagate": {"x0": [1.0, 0.0, 0.0, 0.0], "t0": 0.0, "tf": 1.0,
+                          "steps": 50}}))
+        ctrl = tmp_path / "u.csv"
+        ctrl.write_text("0.0,0.0\n1.0,0.0\n")
+        argv = ["propagate", "--system", "two-level", "--config", str(cfg),
+                "--control", str(ctrl), "--output", str(tmp_path / "o.csv")]
+        section, key = "system_params", "bogus"
+    else:
+        section, key, value = BAD_SOLVE_CONFIGS[case]
+        cfg = cli.load_config(cli.preset_path("two_level_ground_to_excited"))
+        cfg[section][key] = value
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        argv = ["solve", "--config", str(path), "--output", str(tmp_path / "o")]
+    assert run(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:")
+    assert f"'{section}'" in err or f"bad {section} section" in err
+    if case == "propagate_unknown_param":
+        assert key in err

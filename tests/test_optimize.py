@@ -278,3 +278,41 @@ def test_train_carries_stop_reason():
                                                      joint_rounds=1, joint_gn_steps=2,
                                                      joint_adam_steps=2))
     assert rep.stop_reason == "max_iter"
+
+
+# residual calls, callback epochs and callback losses of train on ToyProblem
+# with theta started off zero; the losses a callback receives are L2 norms
+# except in theta mode, where Adam reports mean(r^2)
+TRAIN_PINS = {
+    "xi": (TrainSchedule(mode="xi", tolerance=1e-10, gn_max_iter=3), 25,
+           [2.299687444141591] * 2),
+    "theta": (TrainSchedule(mode="theta", tolerance=1e-10, adam_epochs=3), 18,
+              [0.6952388031901704, 0.6951291580138032, 0.6950261434860702]),
+    "joint": (TrainSchedule(mode="joint", tolerance=1e-10, joint_rounds=2,
+                            joint_gn_steps=2, joint_adam_steps=2), 74,
+              [2.299687444141591, 2.299687444141591, 2.29961974430976,
+               2.2995589601559034, 2.2995567932294554, 2.2995567932294554,
+               2.299499914829031, 2.299449056958122]),
+    "joint_zero_adam": (TrainSchedule(mode="joint", tolerance=1e-10, gn_max_iter=3,
+                                      joint_adam_steps=0), 25,
+                        [2.299687444141591] * 2),
+}
+
+
+@pytest.mark.parametrize("case", sorted(TRAIN_PINS))
+def test_train_pins_residual_calls_and_callbacks(case):
+    schedule, n_calls, losses = TRAIN_PINS[case]
+    prob = ToyProblem()
+    prob.decision.values[3:] = [0.3, -0.2]
+    residual, calls = _counting(prob.residual)
+    prob.residual = residual
+    seen = []
+    optimize.train(prob, schedule,
+                   callback=lambda k, values, loss: seen.append((k, values.copy(), loss)))
+    assert calls["n"] == n_calls
+    assert [k for k, _, _ in seen] == list(range(1, len(losses) + 1))
+    assert [loss for _, _, loss in seen] == pytest.approx(losses, rel=1e-12, abs=0)
+    # each callback carries the full vector its loss was computed at
+    for _, values, loss in seen:
+        r = prob.residual(values)
+        assert loss == (np.mean(r**2) if case == "theta" else np.linalg.norm(r))

@@ -206,18 +206,6 @@ def test_boundary_rows_have_no_boundary_error():
     assert np.max(np.abs(xf - cfg.rho_target)) < 1e-12
 
 
-def test_residual_weights_scale_families():
-    cfg = make_cfg()
-    model = lindblad.two_level_model(lindblad.TwoLevelParams())
-    nodes = chebyshev_lobatto_nodes(6, MORPH)
-    unknowns = make_unknowns(cfg, MORPH, u_val=0.5)
-    plain = pmp.residuals(unknowns, cfg, model, nodes)
-    scaled = pmp.residuals(unknowns, cfg, model, nodes,
-                           pmp.ResidualWeights(control=3.0))
-    assert np.allclose(scaled.concat()[6 * 8:6 * 8 + 6],
-                       3.0 * plain.concat()[6 * 8:6 * 8 + 6])
-
-
 def test_costate_constraint_optional():
     cfg = make_cfg(costate_terminal_constraint=False)
     assert cfg.costate_terminal_constraint is False
