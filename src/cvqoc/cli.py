@@ -233,9 +233,10 @@ def cmd_propagate(args) -> int:
         return np.column_stack([np.interp(t, t_ctrl, data[:, 1 + c])
                                 for c in range(model.n_controls)])
 
-    ts, xs = lindblad.propagate_rk4(model, x0, u_of_t,
-                                    float(prop["t0"]), float(prop["tf"]),
-                                    int(prop["steps"]))
+    with _building("propagate"):
+        ts, xs = lindblad.propagate_rk4(model, x0, u_of_t,
+                                        float(prop["t0"]), float(prop["tf"]),
+                                        int(prop["steps"]))
     n_pop = int(round(np.sqrt(model.dim)))
     head = ["t"] + [f"x{i + 1}" for i in range(model.dim)] + ["trace"]
     rows = (np.concatenate([[t], x, [x[:n_pop].sum()]]) for t, x in zip(ts, xs))
@@ -269,6 +270,8 @@ def _solve_artifacts_qoc(problem, report, outdir: str, system: str) -> dict:
             for t, x, u in zip(grid, vx, us)]
     write_csv(os.path.join(outdir, "verify.csv"), head, rows)
 
+    # conditioning of the closed-form Gauss-Newton Jacobian at the solution
+    sv = np.linalg.svd(problem.jacobian(problem.decision.values), compute_uv=False)
     return {
         "system": system,
         "report": report.to_dict(),
@@ -277,6 +280,8 @@ def _solve_artifacts_qoc(problem, report, outdir: str, system: str) -> dict:
         "terminal_error_trained": problem.terminal_state_error(),
         "terminal_error_rk4": gap,
         "loss_breakdown": problem.residual_vector(problem.decision.values).breakdown(),
+        "jacobian_singular_values": [float(sv[0]), float(sv[-1])],
+        "jacobian_cond": float(sv[0] / sv[-1]),
     }
 
 

@@ -2,7 +2,9 @@
 
 Gauss-Newton with Levenberg-Marquardt damping handles the output-weight
 (and morph-rate) coordinates; Adam with finite-difference gradients handles
-the circuit parameters; joint training alternates the two.
+the circuit parameters; joint training alternates the two.  Gauss-Newton
+takes a supplied Jacobian when the problem has one (QocProblem.jacobian,
+closed form) and a central difference (jacobian_fd) otherwise.
 """
 
 from __future__ import annotations
@@ -93,13 +95,16 @@ def jacobian_fd(res_fn, z: np.ndarray, h: float = 1e-6) -> np.ndarray:
 
 def gauss_newton(res_fn, z0: np.ndarray, tol: float = 1e-6, max_iter: int = 50,
                  damping: float = 1e-8, fd_h: float = 1e-6,
-                 bounds=None, callback=None):
+                 bounds=None, callback=None, jac_fn=None):
     """Damped Gauss-Newton iteration on the residual L2 norm.
 
-    Rejected steps are halved up to 8 times while the damping escalates
-    tenfold; accepted steps relax it.  bounds, when given, is a list of
-    (index, lo, hi) box constraints applied by projection after each step.
-    A non-finite residual in the Jacobian raises FloatingPointError.  The
+    jac_fn(z), when given, returns the Jacobian of res_fn at z; otherwise
+    jacobian_fd takes central differences with step fd_h.  Rejected steps
+    are halved up to 8 times while the damping escalates tenfold; accepted
+    steps relax it.  bounds, when given, is a list of (index, lo, hi) box
+    constraints applied by projection after each step.  A non-finite
+    Jacobian entry, or a non-finite residual while differencing, raises
+    FloatingPointError.  The
     iteration stops when the loss is under tol, after max_iter iterations,
     when all 9 trial steps fail to lower the loss (no_descent), or when the
     damped system cannot be solved (singular).  Returns (z, SolveReport).
@@ -115,7 +120,12 @@ def gauss_newton(res_fn, z0: np.ndarray, tol: float = 1e-6, max_iter: int = 50,
     iters = 0
     while not converged and iters < max_iter:
         r = np.asarray(res_fn(z))
-        jac = jacobian_fd(res_fn, z, fd_h)
+        if jac_fn is None:
+            jac = jacobian_fd(res_fn, z, fd_h)
+        else:
+            jac = np.asarray(jac_fn(z), dtype=float)
+        if not np.all(np.isfinite(jac)):
+            raise FloatingPointError("non-finite Jacobian entry")
         jtj = jac.T @ jac
         jtr = jac.T @ r
         loss = float(np.linalg.norm(r))
@@ -232,7 +242,9 @@ def train(problem, schedule: TrainSchedule, callback=None):
 
     The problem must expose: decision (DecisionVector), xi_mask, theta_mask
     (boolean coordinate masks), residual(values) -> array, and bounds()
-    giving box constraints as (index, lo, hi) in full coordinates.
+    giving box constraints as (index, lo, hi) in full coordinates.  When it
+    also has jacobian(values), the residual's Jacobian on the xi_mask
+    coordinates, Gauss-Newton uses it instead of finite differences.
     callback, when given, is invoked as callback(epoch, full_values, loss)
     after every accepted optimizer step.  The report's stop_reason is the
     Gauss-Newton one in xi mode; theta and joint runs that end above the
@@ -240,11 +252,14 @@ def train(problem, schedule: TrainSchedule, callback=None):
     """
     start = time.perf_counter()
     bounds = problem.bounds()
+    xi_jacobian = getattr(problem, "jacobian", None)
 
-    def fit(mask, offset, solve):
-        """solve(res, z0, bounds, callback) on the masked coordinates, the rest
-        held at their current values; writes the result back and returns the
-        solver's report.  Callback epochs are shifted by offset."""
+    def fit(mask, offset, solve, jac=None):
+        """solve(res, jac, z0, bounds, callback) on the masked coordinates, the
+        rest held at their current values; writes the result back and returns
+        the solver's report.  jac, a Jacobian on the masked coordinates taken
+        at full values, reaches solve as a function of the masked ones (or as
+        None).  Callback epochs are shifted by offset."""
         base = problem.decision.values.copy()
         idx = np.flatnonzero(mask)
         pos = {j: i for i, j in enumerate(idx)}
@@ -257,26 +272,27 @@ def train(problem, schedule: TrainSchedule, callback=None):
         def lifted(k, sub, loss):
             callback(offset + k, lift(sub), loss)
 
-        z, report = solve(lambda sub: problem.residual(lift(sub)), base[idx],
+        z, report = solve(lambda sub: problem.residual(lift(sub)),
+                          None if jac is None else (lambda sub: jac(lift(sub))), base[idx],
                           [(pos[j], lo, hi) for j, lo, hi in bounds if j in pos],
                           lifted if callback else None)
         problem.decision.replace(lift(z))
         return report
 
     def newton(max_iter):
-        return lambda res, z0, sub_bounds, cb: gauss_newton(
+        return lambda res, jac, z0, sub_bounds, cb: gauss_newton(
             res, z0, tol=schedule.tolerance, max_iter=max_iter,
             damping=schedule.gn_damping, fd_h=schedule.fd_h,
-            bounds=sub_bounds, callback=cb)
+            bounds=sub_bounds, callback=cb, jac_fn=jac)
 
     def descent(loss, max_epochs, tol):
-        return lambda res, z0, _, cb: adam(
+        return lambda res, _jac, z0, _, cb: adam(
             lambda sub: loss(res(sub)), z0, lr=schedule.adam_lr,
             max_epochs=max_epochs, tol=tol, fd_h=schedule.fd_h, callback=cb)
 
     # a joint schedule without Adam steps is exactly xi-only training
     if schedule.mode == "xi" or (schedule.mode == "joint" and schedule.joint_adam_steps == 0):
-        report = fit(problem.xi_mask, 0, newton(schedule.gn_max_iter))
+        report = fit(problem.xi_mask, 0, newton(schedule.gn_max_iter), xi_jacobian)
         report.wall_time = time.perf_counter() - start
         return report
 
@@ -299,17 +315,18 @@ def train(problem, schedule: TrainSchedule, callback=None):
         )
 
     # joint: alternate short Gauss-Newton bursts on xi with Adam bursts on theta
-    bursts = ((problem.xi_mask, newton(schedule.joint_gn_steps)),
+    bursts = ((problem.xi_mask, newton(schedule.joint_gn_steps), xi_jacobian),
               (problem.theta_mask, descent(lambda r: float(np.linalg.norm(r)),
-                                           schedule.joint_adam_steps, schedule.tolerance)))
+                                           schedule.joint_adam_steps, schedule.tolerance),
+               None))
     history = [float(np.linalg.norm(problem.residual(problem.decision.values)))]
     iters = 0
     converged = history[0] < schedule.tolerance
     for _ in range(schedule.joint_rounds):
-        for mask, solve in bursts:
+        for mask, solve, jac in bursts:
             if converged:
                 break
-            report = fit(mask, iters, solve)
+            report = fit(mask, iters, solve, jac)
             iters += report.iterations
             history.extend(report.loss_history[1:])
             converged = history[-1] < schedule.tolerance

@@ -15,6 +15,13 @@ pins lambda(t_f) = costate_final, the transversality condition of a free
 terminal state; no shipped problem has a free terminal state, and with the
 state also pinned the pair over-constrains the problem (lambda = 0 then
 makes H(t_f) a sum of squares, which cannot equal -time_weight).
+
+residual_jacobian is the closed-form Jacobian of the concatenated residual
+with respect to the output weights of the five unknowns and the morph rate.
+Every constrained expression is affine in its weights (tfc.AffineMap) and
+the generator is affine in the control, so each block is a batched einsum
+over the nodes.  QocProblem hands it to Gauss-Newton; the linear ODE
+benchmark and bare residual functions still use optimize.jacobian_fd.
 """
 
 from __future__ import annotations
@@ -81,6 +88,18 @@ def saturation_dnu(nu, cfg: OcpConfig):
     z = np.clip(cfg.sat_steepness * nu / span, -500.0, 500.0)
     sig = 1.0 / (1.0 + np.exp(-z))
     return cfg.sat_steepness * sig * (1.0 - sig)
+
+
+def saturation_d2nu(nu, cfg: OcpConfig):
+    """Second derivative of the saturation, k^2 / span * s (1 - s) (1 - 2 s)
+    with s the logistic of k nu / span; zero for a collapsed interval."""
+    nu = np.asarray(nu, dtype=float)
+    span = cfg.u_span
+    if span == 0.0:
+        return np.zeros_like(nu)
+    z = np.clip(cfg.sat_steepness * nu / span, -500.0, 500.0)
+    sig = 1.0 / (1.0 + np.exp(-z))
+    return cfg.sat_steepness**2 / span * sig * (1.0 - sig) * (1.0 - 2.0 * sig)
 
 
 def saturation_inverse(u: float, cfg: OcpConfig) -> float:
@@ -190,3 +209,71 @@ def residuals(unknowns: UnknownSet, cfg: OcpConfig, model: SuperOperatorModel,
         state=r_state, costate=r_costate, control=r_control,
         sat_input=r_sat, constraint=r_constraint, terminal=terminal,
     )
+
+
+def _diagonal(coef: np.ndarray, psi: np.ndarray) -> np.ndarray:
+    """coef[i, w] psi[i, l] delta_wv, indexed (i, w, l, v): the derivative of
+    the node-wise family coef * y in the weights of y = psi xi."""
+    return np.einsum("iw,il,wv->iwlv", coef, psi, np.eye(coef.shape[1]))
+
+
+def residual_jacobian(maps: list, weights: list, c_map: float, cfg: OcpConfig,
+                      model: SuperOperatorModel) -> np.ndarray:
+    """Closed-form Jacobian of residuals(...).concat().
+
+    maps and weights are the tfc.AffineMap at the nodes and the weight matrix
+    (L, width) of each unknown, in UnknownSet order (state, costate, control,
+    saturation input, multiplier).  Columns are those weights flattened row
+    by row, in the same order, then c_map.  The values of the unknowns at the
+    nodes come from the maps; no residual is evaluated.  The generator must
+    be affine in u: G(u) = G(0) + sum_c u_c G_c.
+    """
+    px, pl, pu, pn, pb = (m.psi for m in maps)
+    x, lam, u, nu, beta = (m.psi @ w + m.b for m, w in zip(maps, weights))
+    xdot, lamdot = (m.dpsi @ w + m.db for m, w in zip(maps[:2], weights[:2]))  # d/dtau
+    n, dim = x.shape
+    nc = u.shape[1]
+    gdu = np.array(model.generator_du)                                   # (nc, dim, dim)
+    gen = model.generator(np.zeros(nc)) + np.einsum("ic,cab->iab", u, gdu)
+    g_x = np.einsum("cab,ib->ica", gdu, x)        # G_c x
+    gt_lam = np.einsum("cba,ib->ica", gdu, lam)   # G_c^T lambda
+    phi_d = saturation_dnu(nu, cfg)
+    ones = np.ones((n, nc))
+    rate = np.full((n, dim), c_map)
+
+    widths = (dim, dim, nc, nc, nc)
+    col = np.cumsum([0] + [px.shape[1] * w for w in widths])
+    row = np.cumsum([0, n * dim, n * dim, n * nc, n * nc, n * nc])
+    jac = np.zeros((row[-1] + 1, col[-1] + 1))
+
+    def put(family, unknown, block):
+        jac[row[family]:row[family + 1], col[unknown]:col[unknown + 1]] = (
+            block.reshape(row[family + 1] - row[family], -1))
+
+    # state: c xdot - G(u) x
+    put(0, 0, _diagonal(rate, maps[0].dpsi) - np.einsum("il,iaj->ialj", px, gen))
+    put(0, 2, -np.einsum("il,ica->ialc", pu, g_x))
+    # costate: c lamdot + G(u)^T lambda
+    put(1, 1, _diagonal(rate, maps[1].dpsi) + np.einsum("il,ija->ialj", pl, gen))
+    put(1, 2, np.einsum("il,ica->ialc", pu, gt_lam))
+    # control: lambda^T G_c x + 2 w_E u + beta
+    put(2, 0, np.einsum("icj,il->iclj", gt_lam, px))
+    put(2, 1, np.einsum("icj,il->iclj", g_x, pl))
+    put(2, 2, _diagonal(2.0 * cfg.energy_weight * ones, pu))
+    put(2, 4, _diagonal(ones, pb))
+    # saturation: 2 w_R nu - beta phi'(nu)
+    put(3, 3, _diagonal(2.0 * cfg.reg_weight - beta * saturation_d2nu(nu, cfg), pn))
+    put(3, 4, _diagonal(-phi_d, pb))
+    # constraint: u - phi(nu)
+    put(4, 2, _diagonal(ones, pu))
+    put(4, 3, _diagonal(-phi_d, pn))
+    # terminal H at the last node
+    partials = (gen[-1].T @ lam[-1], gen[-1] @ x[-1],
+                2.0 * cfg.energy_weight * u[-1] + g_x[-1] @ lam[-1] + beta[-1],
+                2.0 * cfg.reg_weight * nu[-1] - beta[-1] * phi_d[-1],
+                u[-1] - saturation(nu[-1], cfg))
+    for k, (m, dh) in enumerate(zip(maps, partials)):
+        jac[-1, col[k]:col[k + 1]] = np.outer(m.psi[-1], dh).ravel()
+    # c_map enters only through xdot = c dx/dtau and lamdot = c dlam/dtau
+    jac[:row[2], -1] = np.concatenate([xdot.ravel(), lamdot.ravel()])
+    return jac

@@ -225,6 +225,22 @@ class QocProblem(_Collocation):
     def residual(self, values: np.ndarray) -> np.ndarray:
         return self.residual_vector(values).concat()
 
+    def jacobian(self, values: np.ndarray) -> np.ndarray:
+        """Closed-form Jacobian of residual(values) on the xi_mask coordinates
+        (the weight blocks in UnknownSet order, then c_map), built from the
+        tabulated feature rows; no residual is evaluated.  c_map enters as
+        its clipped value, so on a bound the c_map column is the one-sided
+        derivative from inside."""
+        self._sync(values)
+        m = self.morph
+        n = self.nodes.shape[0]
+        sig, dsig = self.cache.features(np.append(self.nodes, [m.tau0, m.tauf]))
+        # expressions and weight blocks were both made in UnknownSet order
+        maps = [e.affine(self.nodes, sig[:n], dsig[:n], sig[n], sig[n + 1])
+                for e in self._exprs]
+        return pmp.residual_jacobian(maps, list(self._xi.values()), m.c_map,
+                                     self.cfg, self.model)
+
     # --- trained-solution accessors -------------------------------------
 
     def state_trajectory(self, t_grid):

@@ -9,7 +9,7 @@ tau are related by tau = tau0 + c_map * (t - t0).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -115,6 +115,18 @@ class BoundaryConstraint:
             raise ValueError("boundary value must be finite")
 
 
+class AffineMap(NamedTuple):
+    """A constrained expression over features, as an affine map of its
+    weights xi (shape (L, d)) at K points: y = psi @ xi + b and
+    d y / d tau = dpsi @ xi + db.  psi and dpsi have shape (K, L); b and db
+    have shape (K, d), or (K, 1) zeros when nothing is constrained."""
+
+    psi: np.ndarray
+    dpsi: np.ndarray
+    b: np.ndarray
+    db: np.ndarray
+
+
 class ConstrainedExpression:
     """Boundary-exact approximant built from a free function.
 
@@ -180,6 +192,29 @@ class ConstrainedExpression:
         if dvalue is None:
             return value, None
         return value, self.morph.c_map * dvalue
+
+    def affine(self, tau: np.ndarray, sig: np.ndarray, dsig: np.ndarray,
+               sig0: np.ndarray, sigf: np.ndarray) -> AffineMap:
+        """The expression over the free function sigma(tau)^T xi as an affine
+        map of xi at the 1-D array tau: psi = sig - omega1 sig0^T - omega2 sigf^T
+        and b = omega1 y0^T + omega2 yf^T, with only the constrained ends
+        taken.  sig and dsig are the feature rows sigma and d sigma / d tau at
+        tau, shape (K, L); sig0 and sigf are sigma(tau0) and sigma(tauf).
+        Derivatives are in tau; d/dt is c_map times them."""
+        _check_domain(tau, self.morph)
+        s, dtf = _unit_coord(tau, self.morph)
+        s = s[:, None]
+        psi, dpsi = sig, dsig
+        b = db = np.zeros((s.shape[0], 1))
+        for k, target, end in ((1, self.initial, sig0), (2, self.final, sigf)):
+            if target is None:
+                continue
+            w, dw = _omega(k, s), _omega_prime(k, s, dtf)
+            psi = psi - w * end
+            dpsi = dpsi - dw * end
+            b = b + w * target
+            db = db + dw * target
+        return AffineMap(psi, dpsi, b, db)
 
 
 def chebyshev_lobatto_nodes(n: int, morph: TimeMorph) -> np.ndarray:

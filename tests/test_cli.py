@@ -119,6 +119,30 @@ def test_solve_nonfinite_residual_exits_3(tmp_path, monkeypatch, capsys):
     assert "numerical failure" in capsys.readouterr().err
 
 
+def test_solve_nonfinite_jacobian_exits_3(tmp_path, monkeypatch, capsys):
+    def jacobian(self, values):
+        return np.full((1, int(self.xi_mask.sum())), np.nan)
+
+    monkeypatch.setattr(problems.QocProblem, "jacobian", jacobian)
+    assert run(["solve", "--preset", "two_level_ground_to_excited",
+                "--output", str(tmp_path / "out")]) == 3
+    assert "non-finite Jacobian" in capsys.readouterr().err
+
+
+def test_solve_qoc_reports_jacobian_conditioning(tmp_path):
+    cfg = cli.load_config(cli.preset_path("two_level_ground_to_excited"))
+    cfg["train"]["gn_max_iter"] = 2
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    out = tmp_path / "out"
+    assert run(["solve", "--config", str(path), "--output", str(out)]) == 0
+    report = json.loads((out / "report.json").read_text())
+    largest, smallest = report["jacobian_singular_values"]
+    assert np.isfinite([largest, smallest, report["jacobian_cond"]]).all()
+    assert largest >= smallest > 0
+    assert report["jacobian_cond"] == pytest.approx(largest / smallest)
+
+
 def test_solve_benchmark_deterministic(tmp_path):
     reports = []
     for sub in ("a", "b"):
@@ -261,20 +285,26 @@ BAD_SOLVE_CONFIGS = {
 }
 
 
-@pytest.mark.parametrize("case", sorted(BAD_SOLVE_CONFIGS) + ["propagate_unknown_param"])
+# (system_params, propagate overrides, section and word named in the error)
+BAD_PROPAGATE_CONFIGS = {
+    "propagate_unknown_param": ({"bogus": 1}, {}, "system_params", "bogus"),
+    "propagate_few_steps": ({}, {"steps": 5}, "propagate", "steps"),
+    "propagate_tf_at_t0": ({}, {"tf": 0.0}, "propagate", "tf"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_SOLVE_CONFIGS) + sorted(BAD_PROPAGATE_CONFIGS))
 def test_bad_config_value_exits_2(case, tmp_path, capsys):
     # a bad value is a config error (exit 2) naming its section, not a traceback
-    if case == "propagate_unknown_param":
+    if case in BAD_PROPAGATE_CONFIGS:
+        params, over, section, key = BAD_PROPAGATE_CONFIGS[case]
+        prop = {"x0": [1.0, 0.0, 0.0, 0.0], "t0": 0.0, "tf": 1.0, "steps": 50}
         cfg = tmp_path / "sys.json"
-        cfg.write_text(json.dumps({
-            "system_params": {"bogus": 1},
-            "propagate": {"x0": [1.0, 0.0, 0.0, 0.0], "t0": 0.0, "tf": 1.0,
-                          "steps": 50}}))
+        cfg.write_text(json.dumps({"system_params": params, "propagate": {**prop, **over}}))
         ctrl = tmp_path / "u.csv"
         ctrl.write_text("0.0,0.0\n1.0,0.0\n")
         argv = ["propagate", "--system", "two-level", "--config", str(cfg),
                 "--control", str(ctrl), "--output", str(tmp_path / "o.csv")]
-        section, key = "system_params", "bogus"
     else:
         section, key, value = BAD_SOLVE_CONFIGS[case]
         cfg = cli.load_config(cli.preset_path("two_level_ground_to_excited"))
@@ -286,5 +316,5 @@ def test_bad_config_value_exits_2(case, tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error:")
     assert f"'{section}'" in err or f"bad {section} section" in err
-    if case == "propagate_unknown_param":
+    if case in BAD_PROPAGATE_CONFIGS:
         assert key in err

@@ -107,6 +107,36 @@ def test_gauss_newton_raises_on_nonfinite_jacobian():
         gauss_newton(res, np.zeros(2))
 
 
+def test_gauss_newton_uses_supplied_jacobian(monkeypatch):
+    rng = np.random.default_rng(3)
+    a = rng.normal(size=(8, 5))
+    b = rng.normal(size=8)
+    calls = {"n": 0}
+
+    def res(z):
+        calls["n"] += 1
+        return a @ z - b
+
+    def no_fd(*args, **kwargs):
+        raise AssertionError("finite differences used despite jac_fn")
+
+    monkeypatch.setattr(optimize, "jacobian_fd", no_fd)
+    z, rep = gauss_newton(res, np.zeros(5), tol=1e-12, max_iter=1, damping=0.0,
+                          jac_fn=lambda z: a)
+    assert np.allclose(z, np.linalg.lstsq(a, b, rcond=None)[0], atol=1e-10)
+    assert rep.iterations == 1
+    # initial loss, the residual at the top of the iteration, one accepted trial
+    assert calls["n"] == 3
+
+
+def test_gauss_newton_raises_on_nonfinite_supplied_jacobian():
+    def jac(z):
+        return np.array([[1.0, np.nan]])
+
+    with pytest.raises(FloatingPointError, match="non-finite Jacobian"):
+        gauss_newton(lambda z: np.array([1.0 + z[0]]), np.zeros(2), jac_fn=jac)
+
+
 def test_adam_quadratic_bowl():
     rng = np.random.default_rng(2)
     z_star = rng.normal(size=3)

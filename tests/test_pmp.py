@@ -68,6 +68,16 @@ def test_saturation_dnu():
         assert pmp.saturation_dnu(nu, cfg) > 0
 
 
+def test_saturation_d2nu():
+    cfg = make_cfg(sat_steepness=1.3, u_min=-1.0, u_max=3.0)
+    assert pmp.saturation_d2nu(0.0, cfg) == pytest.approx(0.0, abs=1e-15)
+    for nu in np.random.default_rng(1).normal(0.0, 3.0, 8):
+        h = 1e-5
+        fd = (pmp.saturation_dnu(nu + h, cfg) - pmp.saturation_dnu(nu - h, cfg)) / (2 * h)
+        assert pmp.saturation_d2nu(nu, cfg) == pytest.approx(fd, abs=1e-9)
+    assert np.all(pmp.saturation_d2nu(np.ones(3), make_cfg(u_min=0.5, u_max=0.5)) == 0.0)
+
+
 def test_saturation_inverse_round_trip():
     cfg = make_cfg()
     for u in (-1.9, -0.3, 0.0, 1.5):

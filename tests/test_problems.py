@@ -230,3 +230,78 @@ def test_one_theta_coordinate_rebuilds_one_circuit(monkeypatch):
         assert circuits[l]._unitary_cache is cached[l]
     fresh = qoc_problem()
     assert np.allclose(r, fresh.residual(values), rtol=0, atol=1e-12)
+
+
+def _preset_problem(name):
+    from cvqoc import cli
+    return cli.build_problem(cli.load_config(cli.preset_path(name)))[0]
+
+
+def _jacobian_fd_on_xi(prob, values):
+    idx = np.flatnonzero(prob.xi_mask)
+
+    def res(sub):
+        full = values.copy()
+        full[idx] = sub
+        return prob.residual(full)
+
+    return optimize.jacobian_fd(res, values[idx]), res
+
+
+@pytest.mark.parametrize("preset", ["two_level_ground_to_excited",
+                                    "two_level_to_superposition",
+                                    "three_level_pop_inversion"])
+def test_closed_form_jacobian_matches_finite_differences(preset):
+    prob = _preset_problem(preset)
+    values = prob.decision.values.copy()
+    values[prob.xi_mask] += np.random.default_rng(17).normal(0.0, 0.3, int(prob.xi_mask.sum()))
+    r = prob.residual(values)
+    jac = prob.jacobian(values)
+    # the Jacobian evaluates no residual and leaves the residual untouched
+    assert np.array_equal(prob.residual(values), r)
+    fd, _ = _jacobian_fd_on_xi(prob, values)
+    assert jac.shape == fd.shape == (r.shape[0], int(prob.xi_mask.sum()))
+    assert np.max(np.abs(jac - fd)) <= 1e-6 * np.max(np.abs(fd))
+
+
+def test_closed_form_c_map_column_is_one_sided_on_the_bound():
+    # the three-level solve ends with c_map on its lower bound
+    prob = _preset_problem("three_level_pop_inversion")
+    c = prob.decision.blocks["c_map"].start
+    values = prob.decision.values.copy()
+    values[prob.xi_mask] += np.random.default_rng(5).normal(0.0, 0.3, int(prob.xi_mask.sum()))
+    values[c] = prob.c_map_bounds[0]
+    jac = prob.jacobian(values)
+    fd, res = _jacobian_fd_on_xi(prob, values)
+    scale = np.max(np.abs(fd))
+    assert np.max(np.abs(jac[:, :-1] - fd[:, :-1])) <= 1e-6 * scale
+    # closed form: the derivative from inside, xdot / c and lamdot / c; the
+    # residual is affine in c, so a forward difference reproduces it
+    sub = values[prob.xi_mask]
+    h = 1e-6
+    step = np.zeros_like(sub)
+    step[-1] = h
+    forward = (res(sub + step) - res(sub)) / h
+    assert np.max(np.abs(jac[:, -1] - forward)) <= 1e-6 * scale
+    assert np.max(np.abs(jac[:, -1])) > 1e-3
+    # the central difference steps below the bound, where _sync clips c_map
+    # and the residual does not move, so it returns half the column
+    assert np.max(np.abs(fd[:, -1] - 0.5 * jac[:, -1])) <= 1e-6 * scale
+
+
+def test_affine_map_reproduces_expression_values():
+    prob = qoc_problem(costate_terminal_constraint=True)
+    values = prob.decision.values.copy()
+    values[prob.xi_mask] = np.random.default_rng(9).normal(0.0, 0.5, int(prob.xi_mask.sum()))
+    prob._sync(values)
+    m = prob.morph
+    n = prob.nodes.shape[0]
+    sig, dsig = prob.cache.features(np.append(prob.nodes, [m.tau0, m.tauf]))
+    u = prob.unknowns
+    for expr, name in ((u.expr_state, "xi_state"), (u.expr_costate, "xi_costate"),
+                       (u.expr_control, "xi_u")):
+        amap = expr.affine(prob.nodes, sig[:n], dsig[:n], sig[n], sig[n + 1])
+        y, ydot = expr.eval(prob.nodes)
+        xi = prob._xi[name]
+        assert np.allclose(amap.psi @ xi + amap.b, y, rtol=0, atol=1e-12)
+        assert np.allclose(m.c_map * (amap.dpsi @ xi + amap.db), ydot, rtol=0, atol=1e-12)
