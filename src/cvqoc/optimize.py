@@ -93,6 +93,13 @@ def jacobian_fd(res_fn, z: np.ndarray, h: float = 1e-6) -> np.ndarray:
     return np.column_stack(cols)
 
 
+def _finite_loss(loss, where: str) -> float:
+    loss = float(loss)
+    if not np.isfinite(loss):
+        raise FloatingPointError(f"non-finite loss {where}")
+    return loss
+
+
 def gauss_newton(res_fn, z0: np.ndarray, tol: float = 1e-6, max_iter: int = 50,
                  damping: float = 1e-8, fd_h: float = 1e-6,
                  bounds=None, callback=None, jac_fn=None):
@@ -102,19 +109,21 @@ def gauss_newton(res_fn, z0: np.ndarray, tol: float = 1e-6, max_iter: int = 50,
     jacobian_fd takes central differences with step fd_h.  Rejected steps
     are halved up to 8 times while the damping escalates tenfold; accepted
     steps relax it.  bounds, when given, is a list of (index, lo, hi) box
-    constraints applied by projection after each step.  A non-finite
-    Jacobian entry, or a non-finite residual while differencing, raises
-    FloatingPointError.  The
-    iteration stops when the loss is under tol, after max_iter iterations,
-    when all 9 trial steps fail to lower the loss (no_descent), or when the
-    damped system cannot be solved (singular).  Returns (z, SolveReport).
+    constraints applied by projection after each step.  A non-finite loss
+    at the starting point, a non-finite Jacobian entry, or a non-finite
+    residual while differencing raises FloatingPointError; a trial step
+    with a non-finite loss is rejected, so every accepted point has a
+    finite loss.  The iteration stops when the loss is under tol, after
+    max_iter iterations, when all 9 trial steps fail to lower the loss
+    (no_descent), or when the damped system cannot be solved (singular).
+    Returns (z, SolveReport).
     """
     if tol <= 0:
         raise ValueError("tolerance must be positive")
     start = time.perf_counter()
     z = np.asarray(z0, dtype=float).copy()
     lam = max(damping, 0.0)
-    history = [float(np.linalg.norm(res_fn(z)))]
+    history = [_finite_loss(np.linalg.norm(res_fn(z)), "at the starting point")]
     converged = history[0] < tol
     reason = "converged" if converged else "max_iter"
     iters = 0
@@ -173,15 +182,16 @@ def adam(loss_fn, z0: np.ndarray, lr: float = 0.01, max_epochs: int = 200,
          tol: float = 0.0, beta1: float = 0.9, beta2: float = 0.999,
          eps: float = 1e-8, fd_h: float = 1e-6, callback=None):
     """Adam with bias correction on a scalar loss; gradients by central
-    finite differences.  A non-finite loss in the gradient raises
-    FloatingPointError.  Returns (z, SolveReport)."""
+    finite differences.  A non-finite loss, at the starting point, in the
+    gradient or after an update, raises FloatingPointError.  Returns
+    (z, SolveReport)."""
     if lr <= 0:
         raise ValueError("learning rate must be positive")
     start = time.perf_counter()
     z = np.asarray(z0, dtype=float).copy()
     m = np.zeros_like(z)
     v = np.zeros_like(z)
-    history = [float(loss_fn(z))]
+    history = [_finite_loss(loss_fn(z), "at the starting point")]
     converged = history[0] < tol
     epoch = 0
     while not converged and epoch < max_epochs:
@@ -202,7 +212,7 @@ def adam(loss_fn, z0: np.ndarray, lr: float = 0.01, max_epochs: int = 200,
         m_hat = m / (1 - beta1**epoch)
         v_hat = v / (1 - beta2**epoch)
         z = z - lr * m_hat / (np.sqrt(v_hat) + eps)
-        loss = float(loss_fn(z))
+        loss = _finite_loss(loss_fn(z), f"after epoch {epoch}")
         history.append(loss)
         if callback:
             callback(epoch, z, loss)

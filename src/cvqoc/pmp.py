@@ -16,11 +16,12 @@ terminal state; no shipped problem has a free terminal state, and with the
 state also pinned the pair over-constrains the problem (lambda = 0 then
 makes H(t_f) a sum of squares, which cannot equal -time_weight).
 
-residual_jacobian is the closed-form Jacobian of the concatenated residual
-with respect to the output weights of the five unknowns and the morph rate.
-Every constrained expression is affine in its weights (tfc.AffineMap) and
-the generator is affine in the control, so each block is a batched einsum
-over the nodes.  QocProblem hands it to Gauss-Newton; the linear ODE
+Every unknown is a tfc.ConstrainedExpression: feature rows times the
+unknown's output weights, plus the boundary terms.  residuals evaluates them
+node by node.  residual_jacobian is the closed-form Jacobian of the
+concatenated residual with respect to those weights and the morph rate.
+Each expression is affine in its weights (tfc.AffineMap) and the generator
+is affine in the control, so each block is a batched einsum over the nodes.  QocProblem hands it to Gauss-Newton; the linear ODE
 benchmark and bare residual functions still use optimize.jacobian_fd.
 """
 
@@ -128,10 +129,13 @@ def hamiltonian(x: np.ndarray, lam: np.ndarray, u, nu, beta,
 class UnknownSet:
     """TFC approximants for every unknown of the boundary value problem.
 
-    expr_state carries two-point constraints, expr_costate is free (or
-    pinned to costate_final at the final time when costate_terminal_constraint
-    is set), and the control-side unknowns are free functions.  All share
-    one TimeMorph whose c_map doubles as the free-final-time decision scalar.
+    Each is a constrained expression over feature rows with its own output
+    weights.  expr_state carries two-point constraints, expr_costate is
+    unconstrained (or pinned to costate_final at the final time when
+    costate_terminal_constraint is set), and the control-side unknowns are
+    unconstrained: the features times the weights.  All share one TimeMorph
+    whose c_map doubles as the free-final-time decision scalar.  The field
+    order is the column order of residual_jacobian.
     """
 
     expr_state: ConstrainedExpression

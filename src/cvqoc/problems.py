@@ -8,9 +8,10 @@ product for sigma and one more for the derivative (none when only values
 are asked for).  Their rows at the collocation nodes and domain endpoints
 are tabulated, and a circuit's column is recomputed only when its version
 changes, so weight-only perturbations never re-run the quantum simulation.
-Both problems share one base, _Collocation, which owns that layout: its
-_sync is the only writer of the weights and the circuit parameters, and it
-refreshes the endpoint values of every expression the base created.
+Every unknown is a tfc.ConstrainedExpression over FeatureCache.features and
+its own weight block, which the expression reads on every call.  Both
+problems share one base, _Collocation, which owns that layout: its _sync is
+the only writer of the weights (in place) and the circuit parameters.
 """
 
 from __future__ import annotations
@@ -75,30 +76,21 @@ class FeatureCache:
         """(sigma, d sigma / d tau), each of shape (L,) for a scalar tau and
         (K, L) for a 1-D array of K points.  With derivative=False the
         derivative is None, and off the table its product is skipped."""
-        if np.ndim(tau) == 0:
-            row = self._row.get(float(tau))
+        if isinstance(tau, float):   # numpy float64 included
+            row = self._row.get(tau)
             if row is None:
-                sig, dsig = self._batch(np.array([tau], dtype=float), derivative)
+                sig, dsig = self._batch(np.array([tau]), derivative)
                 return sig[0], dsig[0] if derivative else None
         else:
             tau = np.asarray(tau, dtype=float)
-            if not np.isin(tau, self._taus).all():
-                return self._batch(tau, derivative)
+            if tau.ndim == 0:
+                return self.features(float(tau), derivative)
             row = np.searchsorted(self._taus, tau)
+            # row == len(table) past the last entry, so test that before indexing
+            if np.any(row == self._taus.size) or np.any(self._taus[row] != tau):
+                return self._batch(tau, derivative)
         self._tabulate()
         return self._sig[row], self._dsig[row] if derivative else None
-
-
-class WeightedFreeFunction:
-    """theta(tau) = sigma(tau)^T xi with xi of shape (L, d), written in place."""
-
-    def __init__(self, cache: FeatureCache, xi: np.ndarray):
-        self.cache = cache
-        self.xi = xi
-
-    def __call__(self, tau, derivative: bool = True):
-        sig, dsig = self.cache.features(tau, derivative)
-        return sig @ self.xi, dsig @ self.xi if derivative else None
 
 
 class _Collocation:
@@ -108,9 +100,8 @@ class _Collocation:
     (L, width) per unknown.  The decision vector lays out the weight blocks
     in the order given, then the flattened circuit parameters (theta), then
     the extra scalars (name -> initial value).  _sync is the only writer of
-    the weights and the circuit parameters; it rebuilds circuits only when
-    theta changed and refreshes the endpoint values of every expression made
-    by _expression.
+    the weights, which it overwrites in place, and of the circuit
+    parameters; it rebuilds circuits only when theta changed.
     """
 
     def __init__(self, bank: cvqnn.QnnBank, morph: TimeMorph, n_nodes: int,
@@ -120,7 +111,6 @@ class _Collocation:
         self.nodes = chebyshev_lobatto_nodes(n_nodes, morph)
         self.cache = FeatureCache(bank, np.append(self.nodes, [morph.tau0, morph.tauf]))
         self._xi = {name: np.zeros((bank.n_features, w)) for name, w in widths.items()}
-        self._exprs = []
         theta = bank.get_flat()
         sizes = ([(name, arr.size) for name, arr in self._xi.items()]
                  + [("theta", theta.size)] + [(name, 1) for name in scalars])
@@ -138,10 +128,8 @@ class _Collocation:
 
     def _expression(self, name: str, constraints: list) -> ConstrainedExpression:
         """Constrained expression over the features, weighted by block name."""
-        expr = ConstrainedExpression(WeightedFreeFunction(self.cache, self._xi[name]),
+        return ConstrainedExpression(self.cache.features, self._xi[name],
                                      constraints, self.morph)
-        self._exprs.append(expr)
-        return expr
 
     def bounds(self):
         return []
@@ -155,8 +143,6 @@ class _Collocation:
         if not np.array_equal(theta, self._theta_current):
             self.bank.set_flat(theta)
             self._theta_current = theta.copy()
-        for expr in self._exprs:
-            expr.refresh()
 
     def _eval_grid(self, expr, t_grid):
         self._sync(self.decision.values)
@@ -227,27 +213,20 @@ class QocProblem(_Collocation):
 
     def jacobian(self, values: np.ndarray) -> np.ndarray:
         """Closed-form Jacobian of residual(values) on the xi_mask coordinates
-        (the weight blocks in UnknownSet order, then c_map), built from the
-        tabulated feature rows; no residual is evaluated.  c_map enters as
-        its clipped value, so on a bound the c_map column is the one-sided
-        derivative from inside."""
+        (the weight blocks in UnknownSet order, then c_map), built from each
+        expression's affine map at the nodes; no residual is evaluated.
+        c_map enters as its clipped value, so on a bound the c_map column is
+        the one-sided derivative from inside."""
         self._sync(values)
-        m = self.morph
-        n = self.nodes.shape[0]
-        sig, dsig = self.cache.features(np.append(self.nodes, [m.tau0, m.tauf]))
-        # expressions and weight blocks were both made in UnknownSet order
-        maps = [e.affine(self.nodes, sig[:n], dsig[:n], sig[n], sig[n + 1])
-                for e in self._exprs]
-        return pmp.residual_jacobian(maps, list(self._xi.values()), m.c_map,
+        exprs = vars(self.unknowns).values()   # in UnknownSet field order
+        return pmp.residual_jacobian([e.affine(self.nodes) for e in exprs],
+                                     [e.weights for e in exprs], self.morph.c_map,
                                      self.cfg, self.model)
 
     # --- trained-solution accessors -------------------------------------
 
     def state_trajectory(self, t_grid):
         return self._eval_grid(self.unknowns.expr_state, t_grid)
-
-    def costate_trajectory(self, t_grid):
-        return self._eval_grid(self.unknowns.expr_costate, t_grid)
 
     def control_trajectory(self, t_grid):
         return self._eval_grid(self.unknowns.expr_control, t_grid)

@@ -1,9 +1,11 @@
 """Constrained expressions with cubic switching functions.
 
-An approximant y_hat(tau) combines a free function theta(tau) with up to two
-boundary constraints so that the boundary values are met exactly no matter
-what the free function does.  Physical time t and the internal coordinate
-tau are related by tau = tau0 + c_map * (t - t0).
+An approximant y_hat(tau) combines a weighted sum of features phi(tau)^T xi
+with up to two boundary constraints so that the boundary values are met
+exactly whatever the weights.  It is affine in the weights, y = psi xi + b
+(the X-TFC form), and that map is the only place the switching functions
+are applied.  Physical time t and the internal coordinate tau are related
+by tau = tau0 + c_map * (t - t0).
 """
 
 from __future__ import annotations
@@ -67,8 +69,8 @@ def _check_domain(tau, morph: TimeMorph) -> None:
 def _unit_coord(tau, morph: TimeMorph):
     """(s, tauf - tau0) with s = (tau - tau0) / (tauf - tau0) in [0, 1]."""
     dtf = morph.tauf - morph.tau0
-    if not isinstance(tau, float):
-        tau = np.asarray(tau, dtype=float)
+    # a plain float for a scalar: the per-node path does float arithmetic
+    tau = float(tau) if isinstance(tau, float) else np.asarray(tau, dtype=float)
     return (tau - morph.tau0) / dtf, dtf
 
 
@@ -116,10 +118,11 @@ class BoundaryConstraint:
 
 
 class AffineMap(NamedTuple):
-    """A constrained expression over features, as an affine map of its
-    weights xi (shape (L, d)) at K points: y = psi @ xi + b and
-    d y / d tau = dpsi @ xi + db.  psi and dpsi have shape (K, L); b and db
-    have shape (K, d), or (K, 1) zeros when nothing is constrained."""
+    """A constrained expression as an affine map of its weights xi (shape
+    (L, d)): y = psi @ xi + b and d y / d tau = dpsi @ xi + db.  At a scalar
+    tau psi and dpsi have shape (L,) and b, db shape (d,); at a 1-D array of
+    K points they gain a leading axis of K.  b and db are 0.0 when nothing
+    is constrained; dpsi and db are None when no derivative was asked for."""
 
     psi: np.ndarray
     dpsi: np.ndarray
@@ -128,41 +131,53 @@ class AffineMap(NamedTuple):
 
 
 class ConstrainedExpression:
-    """Boundary-exact approximant built from a free function.
+    """Boundary-exact approximant over feature rows, affine in its weights.
 
-    free_function(tau) must return (theta, dtheta_dtau): each of shape (d,)
-    for a scalar tau and (K, d) for a 1-D array of K points.  eval with
-    derivative=False calls free_function(tau, derivative=False), which may
-    skip the derivative and return None for it; a feature-bank free function
-    then skips the exact tangent product of its features.  Endpoint values
-    of theta are cached at construction; call refresh() whenever the free
-    function changes.
+    features(tau, derivative) returns the feature rows (phi, d phi / d tau):
+    each of shape (L,) for a scalar tau and (K, L) for a 1-D array of K
+    points; with derivative=False the second item may be None.  weights is
+    the (L, d) output-weight array; it is read on every call, so writing it
+    in place changes the expression with no further call.
     """
 
-    def __init__(self, free_function: Callable, constraints: list, morph: TimeMorph):
-        self.free_function = free_function
+    def __init__(self, features: Callable, weights: np.ndarray, constraints: list,
+                 morph: TimeMorph):
+        self.features = features
+        self.weights = weights
         self.morph = morph
-        self.initial = None
-        self.final = None
+        targets = {}
         for c in constraints:
-            if c.location == "initial":
-                if self.initial is not None:
-                    raise ValueError("duplicate initial constraint")
-                self.initial = c.value
-            else:
-                if self.final is not None:
-                    raise ValueError("duplicate final constraint")
-                self.final = c.value
-        self._theta0 = None
-        self._thetaf = None
-        self.refresh()
+            if c.location in targets:
+                raise ValueError(f"duplicate {c.location} constraint")
+            targets[c.location] = c.value
+        # switching index k of each constrained end, and its target rows
+        self._sides = [k for k, loc in ((1, "initial"), (2, "final")) if loc in targets]
+        self._targets = np.array([targets[loc] for loc in ("initial", "final")
+                                  if loc in targets])
 
-    def refresh(self) -> None:
-        """Recompute the cached endpoint values of the free function."""
-        if self.initial is not None:
-            self._theta0 = np.atleast_1d(self.free_function(self.morph.tau0)[0])
-        if self.final is not None:
-            self._thetaf = np.atleast_1d(self.free_function(self.morph.tauf)[0])
+    def affine(self, tau, derivative: bool = True) -> AffineMap:
+        """The expression at tau as an affine map of the weights:
+        psi = phi - omega1 phi(tau0)^T - omega2 phi(tauf)^T and
+        b = omega1 y0^T + omega2 yf^T, with only the constrained ends taken.
+        Derivatives are in tau; d/dt is c_map times them."""
+        _check_domain(tau, self.morph)
+        psi, dpsi = self.features(tau, derivative)
+        if not self._sides:
+            return AffineMap(psi, dpsi, 0.0, 0.0 if derivative else None)
+        m = self.morph
+        s, dtf = _unit_coord(tau, m)
+        ends = np.array([self.features(m.tau0 if k == 1 else m.tauf, False)[0]
+                         for k in self._sides])                       # (ends, L)
+        # switching weights, (ends,) for a scalar tau and (K, ends) for K points
+        w = np.array([_omega(k, s) for k in self._sides]).T
+        psi = psi - w.dot(ends)
+        b = w.dot(self._targets)
+        db = None
+        if derivative:
+            dw = np.array([_omega_prime(k, s, dtf) for k in self._sides]).T
+            dpsi = dpsi - dw.dot(ends)
+            db = dw.dot(self._targets)
+        return AffineMap(psi, dpsi, b, db)
 
     def eval(self, tau, derivative: bool = True):
         """(y_hat(tau), d y_hat / dt), with d/dt = c_map * d/dtau.
@@ -170,51 +185,16 @@ class ConstrainedExpression:
         tau is a scalar (each item of shape (d,)) or a 1-D array of K points
         (each of shape (K, d)).  With derivative=False the second item is None.
         """
-        _check_domain(tau, self.morph)
-        if derivative:
-            theta, dtheta = self.free_function(tau)
-            dvalue = np.array(dtheta, dtype=float, ndmin=1)
-        else:
-            theta, _ = self.free_function(tau, derivative=False)
-            dvalue = None
-        value = np.array(theta, dtype=float, ndmin=1)
-        if self.initial is not None or self.final is not None:
-            s, dtf = _unit_coord(tau, self.morph)
-            if np.ndim(s):
-                s = s[:, None]   # one row per point
-            for k, target, end in ((1, self.initial, self._theta0),
-                                   (2, self.final, self._thetaf)):
-                if target is None:
-                    continue
-                value += _omega(k, s) * (target - end)
-                if derivative:
-                    dvalue += _omega_prime(k, s, dtf) * (target - end)
-        if dvalue is None:
+        psi, dpsi, b, db = self.affine(tau, derivative)
+        value = psi.dot(self.weights)
+        if self._sides:   # b and db are 0.0 otherwise: skip the per-node add
+            value += b
+        if not derivative:
             return value, None
+        dvalue = dpsi.dot(self.weights)
+        if self._sides:
+            dvalue += db
         return value, self.morph.c_map * dvalue
-
-    def affine(self, tau: np.ndarray, sig: np.ndarray, dsig: np.ndarray,
-               sig0: np.ndarray, sigf: np.ndarray) -> AffineMap:
-        """The expression over the free function sigma(tau)^T xi as an affine
-        map of xi at the 1-D array tau: psi = sig - omega1 sig0^T - omega2 sigf^T
-        and b = omega1 y0^T + omega2 yf^T, with only the constrained ends
-        taken.  sig and dsig are the feature rows sigma and d sigma / d tau at
-        tau, shape (K, L); sig0 and sigf are sigma(tau0) and sigma(tauf).
-        Derivatives are in tau; d/dt is c_map times them."""
-        _check_domain(tau, self.morph)
-        s, dtf = _unit_coord(tau, self.morph)
-        s = s[:, None]
-        psi, dpsi = sig, dsig
-        b = db = np.zeros((s.shape[0], 1))
-        for k, target, end in ((1, self.initial, sig0), (2, self.final, sigf)):
-            if target is None:
-                continue
-            w, dw = _omega(k, s), _omega_prime(k, s, dtf)
-            psi = psi - w * end
-            dpsi = dpsi - dw * end
-            b = b + w * target
-            db = db + dw * target
-        return AffineMap(psi, dpsi, b, db)
 
 
 def chebyshev_lobatto_nodes(n: int, morph: TimeMorph) -> np.ndarray:

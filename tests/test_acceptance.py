@@ -111,12 +111,12 @@ def test_03_boundary_exactness():
         coeffs = rng.normal(size=4)
         deriv = np.polyder(coeffs)
 
-        def free(tau):
+        def features(tau, derivative=True):
             return (np.atleast_1d(np.polyval(coeffs, tau)),
                     np.atleast_1d(np.polyval(deriv, tau)))
 
         y0, yf = rng.normal(size=2)
-        expr = ConstrainedExpression(free,
+        expr = ConstrainedExpression(features, np.eye(1),
                                      [BoundaryConstraint("initial", [y0]),
                                       BoundaryConstraint("final", [yf])], morph)
         worst = max(worst, abs(expr.eval(morph.tau0)[0][0] - y0),

@@ -129,6 +129,21 @@ def test_solve_nonfinite_jacobian_exits_3(tmp_path, monkeypatch, capsys):
     assert "non-finite Jacobian" in capsys.readouterr().err
 
 
+def test_solve_nonfinite_terminal_row_exits_3(tmp_path, monkeypatch, capsys):
+    # a non-finite loss at the starting point, with the closed-form Jacobian finite
+    orig = problems.QocProblem.residual
+
+    def residual(self, values):
+        r = orig(self, values)
+        r[-1] = np.nan
+        return r
+
+    monkeypatch.setattr(problems.QocProblem, "residual", residual)
+    assert run(["solve", "--preset", "two_level_ground_to_excited",
+                "--output", str(tmp_path / "out")]) == 3
+    assert "non-finite loss at the starting point" in capsys.readouterr().err
+
+
 def test_solve_qoc_reports_jacobian_conditioning(tmp_path):
     cfg = cli.load_config(cli.preset_path("two_level_ground_to_excited"))
     cfg["train"]["gn_max_iter"] = 2

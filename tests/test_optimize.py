@@ -137,6 +137,17 @@ def test_gauss_newton_raises_on_nonfinite_supplied_jacobian():
         gauss_newton(lambda z: np.array([1.0 + z[0]]), np.zeros(2), jac_fn=jac)
 
 
+def nan_at_start(z):
+    """Non-finite only at the exact starting point z = 0, finite nearby."""
+    return np.array([np.nan]) if not np.any(z) else np.array([1.0 + z[0]])
+
+
+@pytest.mark.parametrize("jac_fn", [None, lambda z: np.array([[1.0, 0.0]])])
+def test_gauss_newton_raises_on_nonfinite_starting_loss(jac_fn):
+    with pytest.raises(FloatingPointError, match="non-finite loss at the starting point"):
+        gauss_newton(nan_at_start, np.zeros(2), jac_fn=jac_fn)
+
+
 def test_adam_quadratic_bowl():
     rng = np.random.default_rng(2)
     z_star = rng.normal(size=3)
@@ -171,6 +182,22 @@ def test_adam_raises_on_nonfinite_loss():
 
     with pytest.raises(FloatingPointError, match="coordinate 1"):
         adam(loss, np.zeros(2), max_epochs=3)
+
+
+def test_adam_raises_on_nonfinite_starting_loss():
+    with pytest.raises(FloatingPointError, match="non-finite loss at the starting point"):
+        adam(lambda z: float(nan_at_start(z)[0]), np.zeros(2), max_epochs=3)
+
+
+@pytest.mark.parametrize("max_epochs", [1, 3])
+def test_adam_raises_on_nonfinite_loss_after_update(max_epochs):
+    # finite at the start and at every difference point; the first update
+    # moves each coordinate by about -lr, into the non-finite region
+    def loss(z):
+        return np.nan if z[0] < -1e-3 else float(np.sum(3.0 * z))
+
+    with pytest.raises(FloatingPointError, match="non-finite loss after epoch 1"):
+        adam(loss, np.zeros(2), lr=0.01, max_epochs=max_epochs)
 
 
 def test_gradient_order_of_accuracy():

@@ -14,29 +14,32 @@ def make_cfg(**over):
     return pmp.OcpConfig(**base)
 
 
-def const_free(values):
+def const_features(values):
+    """One-row feature function of constant rows; with identity weights the
+    expression's free part is the constant."""
     values = np.atleast_1d(np.asarray(values, dtype=float))
 
-    def f(tau):
+    def f(tau, derivative=True):
         return values.copy(), np.zeros_like(values)
 
     return f
 
 
 def make_unknowns(cfg, morph, u_val=0.0, nu_val=0.0, beta_val=0.0,
-                  state_free=None, costate_free=None):
+                  state_features=None, costate_features=None):
     dim = cfg.rho_init.shape[0]
     return pmp.UnknownSet(
         expr_state=ConstrainedExpression(
-            state_free or const_free(np.zeros(dim)),
+            state_features or const_features(np.zeros(dim)), np.eye(dim),
             [BoundaryConstraint("initial", cfg.rho_init),
              BoundaryConstraint("final", cfg.rho_target)], morph),
         expr_costate=ConstrainedExpression(
-            costate_free or const_free(np.zeros(dim)),
+            costate_features or const_features(np.zeros(dim)), np.eye(dim),
             [BoundaryConstraint("final", cfg.costate_final)], morph),
-        expr_control=ConstrainedExpression(const_free([u_val]), [], morph),
-        expr_sat_input=ConstrainedExpression(const_free([nu_val]), [], morph),
-        expr_multiplier=ConstrainedExpression(const_free([beta_val]), [], morph),
+        expr_control=ConstrainedExpression(const_features([u_val]), np.eye(1), [], morph),
+        expr_sat_input=ConstrainedExpression(const_features([nu_val]), np.eye(1), [], morph),
+        expr_multiplier=ConstrainedExpression(const_features([beta_val]), np.eye(1), [],
+                                              morph),
     )
 
 
@@ -190,14 +193,14 @@ def test_manufactured_solution_residuals():
     ts, xs = lindblad.propagate_rk4(model, cfg.rho_init, lambda t: np.zeros(1),
                                     0.0, morph.tf, 4000)
 
-    def state_free(tau):
+    def state_features(tau, derivative=True):
         t = float(morph.to_time(tau))
         x = np.array([np.interp(t, ts, xs[:, i]) for i in range(4)])
         return x, (model.generator(np.zeros(1)) @ x) / morph.c_map
 
     target = np.array([np.interp(morph.tf, ts, xs[:, i]) for i in range(4)])
     cfg_end = make_cfg(rho_target=target / target[:2].sum())
-    unknowns = make_unknowns(cfg_end, morph, nu_val=0.0, state_free=state_free)
+    unknowns = make_unknowns(cfg_end, morph, nu_val=0.0, state_features=state_features)
     nodes = chebyshev_lobatto_nodes(10, morph)
     rv = pmp.residuals(unknowns, cfg_end, model, nodes)
     assert np.max(np.abs(rv.state)) < 1e-4

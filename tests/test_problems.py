@@ -42,7 +42,7 @@ def test_feature_cache_reuses_unitaries(monkeypatch):
         return orig(self)
 
     monkeypatch.setattr(cvqnn.QnnCircuit, "unitary", counting)
-    # construction tabulates the node features (the endpoint refresh)
+    # the first residual tabulates the node features
     prob = ode_problem()
     values = prob.decision.values.copy()
     prob.residual(values)
@@ -177,6 +177,32 @@ def test_feature_cache_batch_matches_scalar_oracles():
     assert np.allclose(drows, dsig[:5], rtol=0, atol=1e-14)
 
 
+def test_feature_cache_partial_and_past_table_arrays_match_batch(monkeypatch):
+    bank = small_bank()
+    table_taus = np.linspace(-0.8, 0.4, 7)
+    table = problems.FeatureCache(bank, table_taus)
+    batch = problems.FeatureCache(bank)
+    mixed = np.array([table_taus[2], 0.05, table_taus[0], -0.77, table_taus[6]])
+    above = np.array([table_taus[3], 0.6])   # 0.6 sorts past the last entry
+    assert np.searchsorted(table_taus, 0.6) == table_taus.size
+    for taus in (mixed, above, np.array([0.7])):
+        sig, dsig = table.features(taus)
+        ref, dref = batch.features(taus)
+        assert sig.shape == dsig.shape == (taus.size, bank.n_features)
+        assert np.allclose(sig, ref, rtol=0, atol=1e-12)
+        assert np.allclose(dsig, dref, rtol=0, atol=1e-12)
+        values, none = table.features(taus, derivative=False)
+        assert none is None
+        assert np.allclose(values, ref, rtol=0, atol=1e-12)
+    # tabulated tau, a float64 or a plain float, alone or in an array, are lookups
+    monkeypatch.setattr(table, "_batch", None)
+    for taus in (table_taus[3], float(table_taus[0]), table_taus[[6, 1, 4]]):
+        sig, dsig = table.features(taus)
+        ref, dref = batch.features(taus)
+        assert np.allclose(sig, ref, rtol=0, atol=1e-12)
+        assert np.allclose(dsig, dref, rtol=0, atol=1e-12)
+
+
 def test_array_eval_matches_scalar_calls_and_boundaries():
     prob = qoc_problem(costate_terminal_constraint=True)
     rng = np.random.default_rng(2)
@@ -295,13 +321,12 @@ def test_affine_map_reproduces_expression_values():
     values[prob.xi_mask] = np.random.default_rng(9).normal(0.0, 0.5, int(prob.xi_mask.sum()))
     prob._sync(values)
     m = prob.morph
-    n = prob.nodes.shape[0]
-    sig, dsig = prob.cache.features(np.append(prob.nodes, [m.tau0, m.tauf]))
     u = prob.unknowns
     for expr, name in ((u.expr_state, "xi_state"), (u.expr_costate, "xi_costate"),
                        (u.expr_control, "xi_u")):
-        amap = expr.affine(prob.nodes, sig[:n], dsig[:n], sig[n], sig[n + 1])
+        amap = expr.affine(prob.nodes)
         y, ydot = expr.eval(prob.nodes)
         xi = prob._xi[name]
+        assert expr.weights is xi
         assert np.allclose(amap.psi @ xi + amap.b, y, rtol=0, atol=1e-12)
         assert np.allclose(m.c_map * (amap.dpsi @ xi + amap.db), ydot, rtol=0, atol=1e-12)

@@ -58,15 +58,24 @@ def test_omega_rejects_bad_index_and_domain():
         omega(1, 0.9, MORPH)
 
 
-def poly_free(coeffs):
-    """Free function theta(tau) = polynomial, with analytic tau-derivative."""
+def poly_features(coeffs):
+    """One-row feature function phi(tau) = polynomial, with analytic
+    tau-derivative; with identity weights the expression's free part is phi."""
     c = np.asarray(coeffs, dtype=float)
     d = np.polyder(c)
 
-    def f(tau):
+    def f(tau, derivative=True):
         return np.atleast_1d(np.polyval(c, tau)), np.atleast_1d(np.polyval(d, tau))
 
     return f
+
+
+def monomial_features(tau, derivative=True):
+    """Rows (1, tau, tau^2) and their tau-derivatives, for a scalar or an array."""
+    tau = np.asarray(tau, dtype=float)
+    phi = np.stack([np.ones_like(tau), tau, tau**2], axis=-1)
+    dphi = np.stack([np.zeros_like(tau), np.ones_like(tau), 2.0 * tau], axis=-1)
+    return phi, dphi if derivative else None
 
 
 def test_two_point_boundaries_exact():
@@ -74,7 +83,7 @@ def test_two_point_boundaries_exact():
     for _ in range(100):
         y0, yf = rng.normal(size=2)
         expr = ConstrainedExpression(
-            poly_free(rng.normal(size=4)),
+            poly_features(rng.normal(size=4)), np.eye(1),
             [BoundaryConstraint("initial", [y0]), BoundaryConstraint("final", [yf])],
             MORPH)
         assert abs(expr.eval(MORPH.tau0)[0][0] - y0) < 1e-12
@@ -82,17 +91,17 @@ def test_two_point_boundaries_exact():
 
 
 def test_single_point_constraints():
-    expr_i = ConstrainedExpression(poly_free([1.0, 0.5]),
+    expr_i = ConstrainedExpression(poly_features([1.0, 0.5]), np.eye(1),
                                    [BoundaryConstraint("initial", [2.0])], MORPH)
     assert abs(expr_i.eval(MORPH.tau0)[0][0] - 2.0) < 1e-12
-    expr_f = ConstrainedExpression(poly_free([1.0, 0.5]),
+    expr_f = ConstrainedExpression(poly_features([1.0, 0.5]), np.eye(1),
                                    [BoundaryConstraint("final", [-1.0])], MORPH)
     assert abs(expr_f.eval(MORPH.tauf)[0][0] + 1.0) < 1e-12
 
 
 def test_free_expression_is_free_function():
-    f = poly_free([2.0, -1.0, 0.3])
-    expr = ConstrainedExpression(f, [], MORPH)
+    f = poly_features([2.0, -1.0, 0.3])
+    expr = ConstrainedExpression(f, np.eye(1), [], MORPH)
     for tau in (-0.8, -0.1, 0.44, 0.8):
         val, dval = expr.eval(tau)
         ft, dft = f(tau)
@@ -103,7 +112,7 @@ def test_free_expression_is_free_function():
 def test_time_derivative_channel():
     # d/dt of the constrained expression equals a finite difference in t
     expr = ConstrainedExpression(
-        poly_free([1.5, 0.2, -0.7]),
+        poly_features([1.5, 0.2, -0.7]), np.eye(1),
         [BoundaryConstraint("initial", [0.3]), BoundaryConstraint("final", [1.1])],
         MORPH)
     h = 1e-6
@@ -116,14 +125,14 @@ def test_time_derivative_channel():
 def test_vector_valued_constraints():
     y0 = np.array([1.0, -2.0, 0.5])
     yf = np.array([0.0, 3.0, 1.0])
-    f = poly_free([0.4, 0.1])
+    f = poly_features([0.4, 0.1])
 
-    def vec_free(tau):
+    def vec_features(tau, derivative=True):
         v, d = f(tau)
         return np.repeat(v, 3), np.repeat(d, 3)
 
     expr = ConstrainedExpression(
-        vec_free, [BoundaryConstraint("initial", y0), BoundaryConstraint("final", yf)],
+        vec_features, np.eye(3), [BoundaryConstraint("initial", y0), BoundaryConstraint("final", yf)],
         MORPH)
     assert np.max(np.abs(expr.eval(MORPH.tau0)[0] - y0)) < 1e-12
     assert np.max(np.abs(expr.eval(MORPH.tauf)[0] - yf)) < 1e-12
@@ -131,25 +140,28 @@ def test_vector_valued_constraints():
 
 def test_duplicate_constraint_rejected():
     with pytest.raises(ValueError):
-        ConstrainedExpression(poly_free([1.0]),
+        ConstrainedExpression(poly_features([1.0]), np.eye(1),
                               [BoundaryConstraint("initial", [0.0]),
                                BoundaryConstraint("initial", [1.0])], MORPH)
 
 
-def test_refresh_updates_endpoint_cache():
-    state = {"offset": 0.0}
-
-    def free(tau):
-        return np.atleast_1d(state["offset"]), np.atleast_1d(0.0)
-
-    expr = ConstrainedExpression(free, [BoundaryConstraint("initial", [1.0])], MORPH)
-    assert expr.eval(MORPH.tau0)[0][0] == pytest.approx(1.0, abs=1e-14)
-    state["offset"] = 5.0
-    # the cached endpoint is stale until refresh() ...
-    assert expr.eval(MORPH.tau0)[0][0] == pytest.approx(6.0, abs=1e-14)
-    # ... which restores the exact boundary
-    expr.refresh()
-    assert expr.eval(MORPH.tau0)[0][0] == pytest.approx(1.0, abs=1e-14)
+def test_in_place_weight_write_is_seen_by_next_eval():
+    y0, yf = np.array([1.0, -0.5]), np.array([0.25, 2.0])
+    constraints = [BoundaryConstraint("initial", y0), BoundaryConstraint("final", yf)]
+    weights = np.zeros((3, 2))
+    expr = ConstrainedExpression(monomial_features, weights, constraints, MORPH)
+    taus = np.linspace(MORPH.tau0, MORPH.tauf, 9)
+    before = expr.eval(taus)
+    weights[...] = np.random.default_rng(4).normal(size=weights.shape)
+    # no call between the write and the eval
+    after = expr.eval(taus)
+    fresh = ConstrainedExpression(monomial_features, weights.copy(), constraints, MORPH).eval(taus)
+    assert np.max(np.abs(after[0][1:-1] - before[0][1:-1])) > 1e-3
+    assert np.array_equal(after[0], fresh[0]) and np.array_equal(after[1], fresh[1])
+    for y, at in ((y0, MORPH.tau0), (yf, MORPH.tauf)):
+        assert np.max(np.abs(expr.eval(at)[0] - y)) < 1e-12
+    assert np.max(np.abs(after[0][0] - y0)) < 1e-12
+    assert np.max(np.abs(after[0][-1] - yf)) < 1e-12
 
 
 @settings(max_examples=50, deadline=None)
@@ -157,7 +169,7 @@ def test_refresh_updates_endpoint_cache():
        c0=st.floats(-2, 2), c1=st.floats(-2, 2))
 def test_boundaries_exact_property(y0, yf, c0, c1):
     expr = ConstrainedExpression(
-        poly_free([c1, c0]),
+        poly_features([c1, c0]), np.eye(1),
         [BoundaryConstraint("initial", [y0]), BoundaryConstraint("final", [yf])],
         MORPH)
     assert abs(expr.eval(MORPH.tau0)[0][0] - y0) < 1e-12
