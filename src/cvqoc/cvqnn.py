@@ -6,10 +6,16 @@ and the Kerr gate are diagonal in the Fock basis, so they act as phase
 vectors; squeeze and displacement are truncated matrix exponentials.  A bank
 of L independent circuits maps a scalar input tau (encoded as a displacement
 of the vacuum) to the feature vector sigma(tau) in R^L via <x> measurements.
+
+QnnCircuit.unitary_derivatives gives the exact derivative of the circuit
+matrix in each gate parameter, for training the circuits by gradient: every
+slot of a unit has a closed form (see _unit_derivatives), and units chain
+by the product rule.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -86,6 +92,20 @@ class QnnCircuit:
         self._unitary_cache = (self.version, mat)
         return mat
 
+    def unitary_derivatives(self) -> np.ndarray:
+        """d U / d theta_p for every flat parameter p, shape (6 depth, D, D).
+
+        Units chain as U = U_depth ... U_1, so a parameter of unit m gives
+        (U_depth ... U_{m+1}) dU_m (U_{m-1} ... U_1)."""
+        mats, dmats = zip(*(_unit_derivatives(u, self.cutoff) for u in self.units))
+        eye = np.eye(self.cutoff, dtype=complex)
+
+        def product(units):   # units in the order they act, so the last is leftmost
+            return functools.reduce(np.matmul, units[::-1], eye)
+
+        return np.concatenate([product(mats[m + 1:]) @ dmat @ product(mats[:m])
+                               for m, dmat in enumerate(dmats)])
+
 
 def _unit_matrix(u: QnnUnitParams, cutoff: int) -> np.ndarray:
     """K D R2 S R1, with the diagonal gates applied as phase vectors."""
@@ -98,6 +118,29 @@ def _unit_matrix(u: QnnUnitParams, cutoff: int) -> np.ndarray:
     mat = np.exp(1j * u.rot2 * n)[:, None] * mat
     mat = fock.gate_matrix(Displacement(u.disp), cutoff).entries @ mat
     return np.exp(1j * u.kerr * n**2)[:, None] * mat
+
+
+def _unit_derivatives(u: QnnUnitParams, cutoff: int):
+    """(U, dU) for U = K D R2 S R1, dU of shape (6, D, D) in flat slot order.
+
+    Every slot has a closed form: rotations and Kerr differentiate their
+    phase vectors (i n and i n^2), the squeeze is expm(r A) so dS/dr = A S,
+    and the displacement's two derivatives come from one block expm
+    (fock.displacement_derivatives)."""
+    if not np.all(np.isfinite([u.rot1, u.rot2, u.kerr])):
+        raise ValueError("non-finite rotation angle or Kerr strength")
+    n = np.arange(cutoff)
+    r1 = np.exp(1j * u.rot1 * n)
+    r2 = np.exp(1j * u.rot2 * n)[:, None]
+    kerr = np.exp(1j * u.kerr * n**2)[:, None]
+    sq = fock.gate_matrix(Squeeze(u.squeeze), cutoff).entries
+    disp, d_re, d_im = fock.displacement_derivatives(u.disp, cutoff)
+    inner = r2 * (sq * r1)                       # R2 S R1
+    mat = kerr * (disp @ inner)
+    d_sq = kerr * (disp @ (r2 * ((fock.squeeze_generator(cutoff) @ sq) * r1)))
+    d_rot2 = kerr * (disp @ (1j * n[:, None] * inner))
+    return mat, np.array([mat * (1j * n), d_sq, d_rot2, kerr * (d_re @ inner),
+                          kerr * (d_im @ inner), 1j * (n**2)[:, None] * mat])
 
 
 def encode_input(tau: float, cutoff: int) -> FockVector:

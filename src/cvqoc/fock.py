@@ -150,9 +150,38 @@ def gate_matrix(spec: GateSpec, cutoff: int) -> FockOperator:
     if isinstance(spec, Squeeze):
         if not _finite(spec.r):
             raise ValueError("non-finite squeeze parameter")
-        gen = 0.5 * spec.r * (a.entries @ a.entries - adag.entries @ adag.entries)
-        return FockOperator(expm(gen), cutoff)
+        return FockOperator(expm(spec.r * squeeze_generator(cutoff)), cutoff)
     raise TypeError(f"unknown gate spec {spec!r}")
+
+
+def squeeze_generator(cutoff: int) -> np.ndarray:
+    """A = (a^2 - a^dag^2) / 2, so the squeeze gate is expm(r A)."""
+    a, adag = ladder(cutoff)
+    return 0.5 * (a.entries @ a.entries - adag.entries @ adag.entries)
+
+
+def displacement_derivatives(alpha: complex, cutoff: int):
+    """(D, dD / d Re alpha, dD / d Im alpha) for D = expm(alpha a^dag - conj(alpha) a).
+
+    The two derivatives are Frechet derivatives of expm at the generator G in
+    the directions a^dag - a and i (a^dag + a).  One expm of the block
+    upper-triangular [[G, E_re, E_im], [0, G, 0], [0, 0, G]] holds D and
+    both of them in its first block row (Al-Mohy & Higham, SIAM J. Matrix
+    Anal. Appl. 30(4), 2009).
+    """
+    if not _finite(alpha):
+        raise ValueError("non-finite displacement amplitude")
+    a, adag = ladder(cutoff)
+    alpha = complex(alpha)
+    d = cutoff
+    block = np.zeros((3 * d, 3 * d), dtype=complex)
+    gen = alpha * adag.entries - np.conj(alpha) * a.entries
+    for k in range(3):
+        block[k * d:(k + 1) * d, k * d:(k + 1) * d] = gen
+    block[:d, d:2 * d] = adag.entries - a.entries
+    block[:d, 2 * d:] = 1j * (adag.entries + a.entries)
+    top = expm(block)[:d]
+    return top[:, :d], top[:, d:2 * d], top[:, 2 * d:]
 
 
 def apply(op: FockOperator, state: FockVector) -> FockVector:

@@ -1,10 +1,12 @@
 """Nonlinear least-squares and stochastic training loops.
 
 Gauss-Newton with Levenberg-Marquardt damping handles the output-weight
-(and morph-rate) coordinates; Adam with finite-difference gradients handles
-the circuit parameters; joint training alternates the two.  Gauss-Newton
-takes a supplied Jacobian when the problem has one (QocProblem.jacobian,
-closed form) and a central difference (jacobian_fd) otherwise.
+(and morph-rate) coordinates; Adam handles the circuit parameters; joint
+training alternates the two.  When the problem has a Jacobian
+(QocProblem.jacobian, closed form in both the weights and the circuit
+parameters), Gauss-Newton uses it and Adam takes the exact gradient J^T r
+of its loss from it; otherwise both take central differences (jacobian_fd,
+and a per-coordinate loss difference in Adam).
 """
 
 from __future__ import annotations
@@ -178,12 +180,33 @@ def gauss_newton(res_fn, z0: np.ndarray, tol: float = 1e-6, max_iter: int = 50,
     return z, report
 
 
+def _gradient_fd(loss_fn, z: np.ndarray, h: float) -> np.ndarray:
+    """Central-difference gradient of a scalar loss, step fd_step(z, h)."""
+    steps = fd_step(z, h)
+    grad = np.empty_like(z)
+    for k in range(z.shape[0]):
+        zp = z.copy()
+        zp[k] += steps[k]
+        zm = z.copy()
+        zm[k] -= steps[k]
+        lp, lm = loss_fn(zp), loss_fn(zm)
+        if not (np.isfinite(lp) and np.isfinite(lm)):
+            raise FloatingPointError(f"non-finite loss while perturbing coordinate {k}")
+        grad[k] = (lp - lm) / (2.0 * steps[k])
+    return grad
+
+
 def adam(loss_fn, z0: np.ndarray, lr: float = 0.01, max_epochs: int = 200,
          tol: float = 0.0, beta1: float = 0.9, beta2: float = 0.999,
-         eps: float = 1e-8, fd_h: float = 1e-6, callback=None):
-    """Adam with bias correction on a scalar loss; gradients by central
-    finite differences.  A non-finite loss, at the starting point, in the
-    gradient or after an update, raises FloatingPointError.  Returns
+         eps: float = 1e-8, fd_h: float = 1e-6, callback=None, grad_fn=None):
+    """Adam with bias correction on a scalar loss.
+
+    grad_fn(z), when given, returns the gradient of loss_fn at z (train
+    supplies the exact one from the problem's Jacobian); otherwise central
+    finite differences with step fd_h estimate it.  Each epoch takes the
+    gradient at the current point, updates, and evaluates the loss there.
+    A non-finite loss (at the starting point, while differencing or after
+    an update) or gradient entry raises FloatingPointError.  Returns
     (z, SolveReport)."""
     if lr <= 0:
         raise ValueError("learning rate must be positive")
@@ -195,17 +218,12 @@ def adam(loss_fn, z0: np.ndarray, lr: float = 0.01, max_epochs: int = 200,
     converged = history[0] < tol
     epoch = 0
     while not converged and epoch < max_epochs:
-        steps = fd_step(z, fd_h)
-        grad = np.empty_like(z)
-        for k in range(z.shape[0]):
-            zp = z.copy()
-            zp[k] += steps[k]
-            zm = z.copy()
-            zm[k] -= steps[k]
-            lp, lm = loss_fn(zp), loss_fn(zm)
-            if not (np.isfinite(lp) and np.isfinite(lm)):
-                raise FloatingPointError(f"non-finite loss while perturbing coordinate {k}")
-            grad[k] = (lp - lm) / (2.0 * steps[k])
+        if grad_fn is None:
+            grad = _gradient_fd(loss_fn, z, fd_h)
+        else:
+            grad = np.asarray(grad_fn(z), dtype=float)
+            if not np.all(np.isfinite(grad)):
+                raise FloatingPointError(f"non-finite gradient entry in epoch {epoch + 1}")
         epoch += 1
         m = beta1 * m + (1 - beta1) * grad
         v = beta2 * v + (1 - beta2) * grad**2
@@ -253,23 +271,27 @@ def train(problem, schedule: TrainSchedule, callback=None):
     The problem must expose: decision (DecisionVector), xi_mask, theta_mask
     (boolean coordinate masks), residual(values) -> array, and bounds()
     giving box constraints as (index, lo, hi) in full coordinates.  When it
-    also has jacobian(values), the residual's Jacobian on the xi_mask
-    coordinates, Gauss-Newton uses it instead of finite differences.
-    callback, when given, is invoked as callback(epoch, full_values, loss)
-    after every accepted optimizer step.  The report's stop_reason is the
-    Gauss-Newton one in xi mode; theta and joint runs that end above the
-    tolerance stop at their epoch or round budget (max_iter).
+    also has jacobian(values, mask), the residual's Jacobian on the mask
+    coordinates, each solver is handed the one on the mask it fits:
+    Gauss-Newton uses it instead of finite differences, and Adam takes the
+    exact gradient of its loss from it, (2/n) J^T r for the mean square of
+    theta mode and J^T r / ||r|| for the norm of joint mode.  Without it
+    both difference with step fd_h.  callback, when given, is invoked as
+    callback(epoch, full_values, loss) after every accepted optimizer step.
+    The report's stop_reason is the Gauss-Newton one in xi mode; theta and
+    joint runs that end above the tolerance stop at their epoch or round
+    budget (max_iter).
     """
     start = time.perf_counter()
     bounds = problem.bounds()
-    xi_jacobian = getattr(problem, "jacobian", None)
+    jacobian = getattr(problem, "jacobian", None)
 
-    def fit(mask, offset, solve, jac=None):
+    def fit(mask, offset, solve):
         """solve(res, jac, z0, bounds, callback) on the masked coordinates, the
         rest held at their current values; writes the result back and returns
-        the solver's report.  jac, a Jacobian on the masked coordinates taken
-        at full values, reaches solve as a function of the masked ones (or as
-        None).  Callback epochs are shifted by offset."""
+        the solver's report.  jac is the problem's Jacobian on the masked
+        coordinates as a function of them, or None.  Callback epochs are
+        shifted by offset."""
         base = problem.decision.values.copy()
         idx = np.flatnonzero(mask)
         pos = {j: i for i, j in enumerate(idx)}
@@ -283,8 +305,8 @@ def train(problem, schedule: TrainSchedule, callback=None):
             callback(offset + k, lift(sub), loss)
 
         z, report = solve(lambda sub: problem.residual(lift(sub)),
-                          None if jac is None else (lambda sub: jac(lift(sub))), base[idx],
-                          [(pos[j], lo, hi) for j, lo, hi in bounds if j in pos],
+                          None if jacobian is None else (lambda sub: jacobian(lift(sub), mask)),
+                          base[idx], [(pos[j], lo, hi) for j, lo, hi in bounds if j in pos],
                           lifted if callback else None)
         problem.decision.replace(lift(z))
         return report
@@ -295,14 +317,16 @@ def train(problem, schedule: TrainSchedule, callback=None):
             damping=schedule.gn_damping, fd_h=schedule.fd_h,
             bounds=sub_bounds, callback=cb, jac_fn=jac)
 
-    def descent(loss, max_epochs, tol):
-        return lambda res, _jac, z0, _, cb: adam(
+    def descent(loss, grad, max_epochs, tol):
+        """Adam on loss(r); grad(r, J) is its gradient given the Jacobian."""
+        return lambda res, jac, z0, _, cb: adam(
             lambda sub: loss(res(sub)), z0, lr=schedule.adam_lr,
-            max_epochs=max_epochs, tol=tol, fd_h=schedule.fd_h, callback=cb)
+            max_epochs=max_epochs, tol=tol, fd_h=schedule.fd_h, callback=cb,
+            grad_fn=None if jac is None else (lambda sub: grad(res(sub), jac(sub))))
 
     # a joint schedule without Adam steps is exactly xi-only training
     if schedule.mode == "xi" or (schedule.mode == "joint" and schedule.joint_adam_steps == 0):
-        report = fit(problem.xi_mask, 0, newton(schedule.gn_max_iter), xi_jacobian)
+        report = fit(problem.xi_mask, 0, newton(schedule.gn_max_iter))
         report.wall_time = time.perf_counter() - start
         return report
 
@@ -310,8 +334,9 @@ def train(problem, schedule: TrainSchedule, callback=None):
         n_res = len(problem.residual(problem.decision.values))
         # mean(r^2) < tolerance^2 / n  <=>  ||r|| < tolerance
         report = fit(problem.theta_mask, 0,
-                     descent(lambda r: float(np.mean(r**2)), schedule.adam_epochs,
-                             schedule.tolerance**2 / n_res))
+                     descent(lambda r: float(np.mean(r**2)),
+                             lambda r, jac: (2.0 / n_res) * (jac.T @ r),
+                             schedule.adam_epochs, schedule.tolerance**2 / n_res))
         # report L2 norms for comparability with the least-squares modes
         history = [float(np.linalg.norm(problem.residual(problem.decision.values)))]
         converged = history[-1] < schedule.tolerance
@@ -325,18 +350,18 @@ def train(problem, schedule: TrainSchedule, callback=None):
         )
 
     # joint: alternate short Gauss-Newton bursts on xi with Adam bursts on theta
-    bursts = ((problem.xi_mask, newton(schedule.joint_gn_steps), xi_jacobian),
+    bursts = ((problem.xi_mask, newton(schedule.joint_gn_steps)),
               (problem.theta_mask, descent(lambda r: float(np.linalg.norm(r)),
-                                           schedule.joint_adam_steps, schedule.tolerance),
-               None))
+                                           lambda r, jac: (jac.T @ r) / np.linalg.norm(r),
+                                           schedule.joint_adam_steps, schedule.tolerance)))
     history = [float(np.linalg.norm(problem.residual(problem.decision.values)))]
     iters = 0
     converged = history[0] < schedule.tolerance
     for _ in range(schedule.joint_rounds):
-        for mask, solve, jac in bursts:
+        for mask, solve in bursts:
             if converged:
                 break
-            report = fit(mask, iters, solve, jac)
+            report = fit(mask, iters, solve)
             iters += report.iterations
             history.extend(report.loss_history[1:])
             converged = history[-1] < schedule.tolerance

@@ -21,13 +21,17 @@ unknown's output weights, plus the boundary terms.  residuals evaluates them
 node by node.  residual_jacobian is the closed-form Jacobian of the
 concatenated residual with respect to those weights and the morph rate.
 Each expression is affine in its weights (tfc.AffineMap) and the generator
-is affine in the control, so each block is a batched einsum over the nodes.  QocProblem hands it to Gauss-Newton; the linear ODE
-benchmark and bare residual functions still use optimize.jacobian_fd.
+is affine in the control, so each block is a batched einsum over the nodes.
+residual_tangents applies the same linearisation to arbitrary changes of
+the unknowns at the nodes; QocProblem uses it for the circuit-parameter
+columns.  The linear ODE benchmark and bare residual functions still use
+optimize.jacobian_fd.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -221,6 +225,38 @@ def _diagonal(coef: np.ndarray, psi: np.ndarray) -> np.ndarray:
     return np.einsum("iw,il,wv->iwlv", coef, psi, np.eye(coef.shape[1]))
 
 
+class _Point(NamedTuple):
+    """The pieces of the residual's linearisation at the nodes that every
+    derivative shares."""
+
+    x: np.ndarray         # state, (N, dim)
+    u: np.ndarray         # control, (N, nc)
+    xdot: np.ndarray      # d/dtau
+    lamdot: np.ndarray    # d/dtau
+    gen: np.ndarray       # G(u) per node, (N, dim, dim)
+    g_x: np.ndarray       # G_c x, (N, nc, dim)
+    gt_lam: np.ndarray    # G_c^T lambda, (N, nc, dim)
+    phi_d: np.ndarray     # phi'(nu)
+    sat_coef: np.ndarray  # d/dnu of the saturation row, 2 w_R - beta phi''(nu)
+    partials: tuple       # dH/dy of the terminal row, per unknown
+
+
+def _point(maps: list, weights: list, cfg: OcpConfig, model: SuperOperatorModel) -> _Point:
+    x, lam, u, nu, beta = (m.psi @ w + m.b for m, w in zip(maps, weights))
+    xdot, lamdot = (m.dpsi @ w + m.db for m, w in zip(maps[:2], weights[:2]))
+    gdu = np.array(model.generator_du)                                   # (nc, dim, dim)
+    gen = model.generator(np.zeros(u.shape[1])) + np.einsum("ic,cab->iab", u, gdu)
+    g_x = np.einsum("cab,ib->ica", gdu, x)
+    gt_lam = np.einsum("cba,ib->ica", gdu, lam)
+    phi_d = saturation_dnu(nu, cfg)
+    partials = (gen[-1].T @ lam[-1], gen[-1] @ x[-1],
+                2.0 * cfg.energy_weight * u[-1] + g_x[-1] @ lam[-1] + beta[-1],
+                2.0 * cfg.reg_weight * nu[-1] - beta[-1] * phi_d[-1],
+                u[-1] - saturation(nu[-1], cfg))
+    return _Point(x, u, xdot, lamdot, gen, g_x, gt_lam, phi_d,
+                  2.0 * cfg.reg_weight - beta * saturation_d2nu(nu, cfg), partials)
+
+
 def residual_jacobian(maps: list, weights: list, c_map: float, cfg: OcpConfig,
                       model: SuperOperatorModel) -> np.ndarray:
     """Closed-form Jacobian of residuals(...).concat().
@@ -233,15 +269,9 @@ def residual_jacobian(maps: list, weights: list, c_map: float, cfg: OcpConfig,
     be affine in u: G(u) = G(0) + sum_c u_c G_c.
     """
     px, pl, pu, pn, pb = (m.psi for m in maps)
-    x, lam, u, nu, beta = (m.psi @ w + m.b for m, w in zip(maps, weights))
-    xdot, lamdot = (m.dpsi @ w + m.db for m, w in zip(maps[:2], weights[:2]))  # d/dtau
-    n, dim = x.shape
-    nc = u.shape[1]
-    gdu = np.array(model.generator_du)                                   # (nc, dim, dim)
-    gen = model.generator(np.zeros(nc)) + np.einsum("ic,cab->iab", u, gdu)
-    g_x = np.einsum("cab,ib->ica", gdu, x)        # G_c x
-    gt_lam = np.einsum("cba,ib->ica", gdu, lam)   # G_c^T lambda
-    phi_d = saturation_dnu(nu, cfg)
+    pt = _point(maps, weights, cfg, model)
+    n, dim = pt.x.shape
+    nc = pt.u.shape[1]
     ones = np.ones((n, nc))
     rate = np.full((n, dim), c_map)
 
@@ -255,29 +285,51 @@ def residual_jacobian(maps: list, weights: list, c_map: float, cfg: OcpConfig,
             block.reshape(row[family + 1] - row[family], -1))
 
     # state: c xdot - G(u) x
-    put(0, 0, _diagonal(rate, maps[0].dpsi) - np.einsum("il,iaj->ialj", px, gen))
-    put(0, 2, -np.einsum("il,ica->ialc", pu, g_x))
+    put(0, 0, _diagonal(rate, maps[0].dpsi) - np.einsum("il,iaj->ialj", px, pt.gen))
+    put(0, 2, -np.einsum("il,ica->ialc", pu, pt.g_x))
     # costate: c lamdot + G(u)^T lambda
-    put(1, 1, _diagonal(rate, maps[1].dpsi) + np.einsum("il,ija->ialj", pl, gen))
-    put(1, 2, np.einsum("il,ica->ialc", pu, gt_lam))
+    put(1, 1, _diagonal(rate, maps[1].dpsi) + np.einsum("il,ija->ialj", pl, pt.gen))
+    put(1, 2, np.einsum("il,ica->ialc", pu, pt.gt_lam))
     # control: lambda^T G_c x + 2 w_E u + beta
-    put(2, 0, np.einsum("icj,il->iclj", gt_lam, px))
-    put(2, 1, np.einsum("icj,il->iclj", g_x, pl))
+    put(2, 0, np.einsum("icj,il->iclj", pt.gt_lam, px))
+    put(2, 1, np.einsum("icj,il->iclj", pt.g_x, pl))
     put(2, 2, _diagonal(2.0 * cfg.energy_weight * ones, pu))
     put(2, 4, _diagonal(ones, pb))
     # saturation: 2 w_R nu - beta phi'(nu)
-    put(3, 3, _diagonal(2.0 * cfg.reg_weight - beta * saturation_d2nu(nu, cfg), pn))
-    put(3, 4, _diagonal(-phi_d, pb))
+    put(3, 3, _diagonal(pt.sat_coef, pn))
+    put(3, 4, _diagonal(-pt.phi_d, pb))
     # constraint: u - phi(nu)
     put(4, 2, _diagonal(ones, pu))
-    put(4, 3, _diagonal(-phi_d, pn))
+    put(4, 3, _diagonal(-pt.phi_d, pn))
     # terminal H at the last node
-    partials = (gen[-1].T @ lam[-1], gen[-1] @ x[-1],
-                2.0 * cfg.energy_weight * u[-1] + g_x[-1] @ lam[-1] + beta[-1],
-                2.0 * cfg.reg_weight * nu[-1] - beta[-1] * phi_d[-1],
-                u[-1] - saturation(nu[-1], cfg))
-    for k, (m, dh) in enumerate(zip(maps, partials)):
+    for k, (m, dh) in enumerate(zip(maps, pt.partials)):
         jac[-1, col[k]:col[k + 1]] = np.outer(m.psi[-1], dh).ravel()
     # c_map enters only through xdot = c dx/dtau and lamdot = c dlam/dtau
-    jac[:row[2], -1] = np.concatenate([xdot.ravel(), lamdot.ravel()])
+    jac[:row[2], -1] = np.concatenate([pt.xdot.ravel(), pt.lamdot.ravel()])
     return jac
+
+
+def residual_tangents(maps: list, weights: list, c_map: float, cfg: OcpConfig,
+                      model: SuperOperatorModel, dy: list, dydot: list) -> np.ndarray:
+    """The linearisation of residuals(...).concat() applied to P directions.
+
+    maps, weights and c_map are as in residual_jacobian and fix the point.
+    dy holds, per unknown in UnknownSet order, the change of its values at
+    the nodes along each direction, shape (P, N, width); dydot the change of
+    the tau-derivatives of the state and costate, shape (P, N, dim).
+    Returns one column per direction, shape (rows, P).
+    """
+    pt = _point(maps, weights, cfg, model)
+    dx, dlam, du, dnu, dbeta = dy
+    dxdot, dlamdot = dydot
+    state = (c_map * dxdot - np.einsum("iab,pib->pia", pt.gen, dx)
+             - np.einsum("pic,ica->pia", du, pt.g_x))
+    costate = (c_map * dlamdot + np.einsum("iba,pib->pia", pt.gen, dlam)
+               + np.einsum("pic,ica->pia", du, pt.gt_lam))
+    control = (np.einsum("pia,ica->pic", dlam, pt.g_x) + np.einsum("pia,ica->pic", dx, pt.gt_lam)
+               + 2.0 * cfg.energy_weight * du + dbeta)
+    sat_input = pt.sat_coef * dnu - pt.phi_d * dbeta
+    constraint = du - pt.phi_d * dnu
+    terminal = sum(d[:, -1] @ dh for d, dh in zip(dy, pt.partials))
+    families = (state, costate, control, sat_input, constraint)
+    return np.column_stack([f.reshape(f.shape[0], -1) for f in families] + [terminal]).T

@@ -12,6 +12,16 @@ Every unknown is a tfc.ConstrainedExpression over FeatureCache.features and
 its own weight block, which the expression reads on every call.  Both
 problems share one base, _Collocation, which owns that layout: its _sync is
 the only writer of the weights (in place) and the circuit parameters.
+
+QocProblem.jacobian is closed form in every coordinate.  The weight and
+morph-rate columns come from the expressions' affine maps.  The circuit
+parameter columns come from the exact feature derivatives d sigma / d theta
+and d sigma' / d theta, which the cache tabulates at the nodes per circuit
+version; a parameter moves only its own circuit's feature column, so each
+column is the residual's linearisation along one rank-one change of the
+unknowns.  QocProblem.residual_vector keeps its last evaluation, so a point
+evaluated twice in a row (Gauss-Newton's accepted trial, then the training
+callback and the next iteration) costs one evaluation.
 """
 
 from __future__ import annotations
@@ -47,6 +57,12 @@ class FeatureCache:
         self._sig = np.empty((self._taus.shape[0], bank.n_features))
         self._dsig = np.empty_like(self._sig)
         self._versions = [None] * bank.n_features
+        sizes = [cvqnn.PARAMS_PER_UNIT * c.depth for c in bank.circuits]
+        # theta_owner[p]: the circuit, and so the feature, that theta_p moves
+        self.theta_owner = np.repeat(np.arange(bank.n_features), sizes)
+        self._sig_theta = np.empty((self._taus.shape[0], self.theta_owner.size))
+        self._dsig_theta = np.empty_like(self._sig_theta)
+        self._theta_versions = [None] * bank.n_features
 
     def _column(self, circ: cvqnn.QnnCircuit, amps: np.ndarray, derivative: bool):
         """(<x>, d<x>/dtau) of one circuit on every encoded input (rows of
@@ -66,6 +82,41 @@ class FeatureCache:
                 self._sig[:, l], self._dsig[:, l] = self._column(
                     circ, self._table_amps, True)
                 self._versions[l] = circ.version
+
+    def _theta_column(self, circ: cvqnn.QnnCircuit):
+        """d<x>/d theta and d^2<x>/(d tau d theta) of one circuit at the table,
+        one column per parameter of the circuit: with dU = dU/d theta,
+        2 Re <psi|X|dU enc> and 2 Re (<dU G enc|X|psi> + <U G enc|X|dU enc>)."""
+        u = circ.unitary()
+        du = circ.unitary_derivatives()                   # (P, D, D)
+        amps = self._table_amps
+        g_amps = amps @ self._encode.generator.T          # G enc
+        x_psi = (amps @ u.T) @ self._x_op
+        x_tangent = (g_amps @ u.T) @ self._x_op
+        d_psi = np.einsum("ke,pde->kpd", amps, du)
+        d_tangent = np.einsum("ke,pde->kpd", g_amps, du)
+        sig = 2.0 * np.einsum("kd,kpd->kp", x_psi.conj(), d_psi).real
+        dsig = 2.0 * (np.einsum("kpd,kd->kp", d_tangent.conj(), x_psi)
+                      + np.einsum("kd,kpd->kp", x_tangent.conj(), d_psi)).real
+        return sig, dsig
+
+    def theta_features(self, tau, derivative: bool = True):
+        """(d sigma / d theta, d^2 sigma / (d tau d theta)) at tabulated points,
+        each of shape (P,) for a scalar tau and (K, P) for an array, P the
+        number of circuit parameters.  Column p is the derivative of feature
+        theta_owner[p], the only one theta_p moves.  The rows follow
+        `features`' convention, so a ConstrainedExpression can take this in
+        place of `features`; they are tabulated per circuit version, and a tau
+        off the table raises ValueError."""
+        row = np.searchsorted(self._taus, tau)
+        if not np.array_equal(self._taus.take(row, mode="clip"), tau):
+            raise ValueError("theta derivatives exist only at the nodes and domain endpoints")
+        for l, circ in enumerate(self.bank.circuits):
+            if self._theta_versions[l] != circ.version:
+                cols = self.theta_owner == l
+                self._sig_theta[:, cols], self._dsig_theta[:, cols] = self._theta_column(circ)
+                self._theta_versions[l] = circ.version
+        return self._sig_theta[row], self._dsig_theta[row] if derivative else None
 
     def _batch(self, taus: np.ndarray, derivative: bool):
         amps = self._encode(taus)
@@ -195,6 +246,7 @@ class QocProblem(_Collocation):
             expr_sat_input=self._expression("xi_nu", []),
             expr_multiplier=self._expression("xi_beta", []),
         )
+        self._last = None   # (values, ResidualVector) of the last evaluation
 
     def bounds(self):
         return [(self.decision.blocks["c_map"].start, *self.c_map_bounds)]
@@ -205,23 +257,52 @@ class QocProblem(_Collocation):
         super()._sync(values)
 
     def residual_vector(self, values: np.ndarray) -> pmp.ResidualVector:
+        """The residual families at values.  The last evaluation is kept with a
+        copy of its values and returned again for equal values: _sync derives
+        all problem state from the values, so it cannot go stale."""
         self._sync(values)
-        return pmp.residuals(self.unknowns, self.cfg, self.model, self.nodes)
+        if self._last is None or not np.array_equal(values, self._last[0]):
+            self._last = (np.array(values, dtype=float),
+                          pmp.residuals(self.unknowns, self.cfg, self.model, self.nodes))
+        return self._last[1]
 
     def residual(self, values: np.ndarray) -> np.ndarray:
         return self.residual_vector(values).concat()
 
-    def jacobian(self, values: np.ndarray) -> np.ndarray:
-        """Closed-form Jacobian of residual(values) on the xi_mask coordinates
-        (the weight blocks in UnknownSet order, then c_map), built from each
-        expression's affine map at the nodes; no residual is evaluated.
-        c_map enters as its clipped value, so on a bound the c_map column is
-        the one-sided derivative from inside."""
+    def jacobian(self, values: np.ndarray, mask: np.ndarray = None) -> np.ndarray:
+        """Closed-form Jacobian of residual(values) on the mask coordinates
+        (xi_mask by default), in decision-vector order; no residual is
+        evaluated.  The xi_mask columns (the weight blocks in UnknownSet
+        order, then c_map) come from each expression's affine map at the
+        nodes.  c_map enters as its clipped value, so on a bound the c_map
+        column is the one-sided derivative from inside.  A theta_p moves
+        only the feature column theta_owner[p], so its column is the
+        residual's linearisation along dy = dpsi[:, p] xi[owner, :] per
+        unknown, where dpsi is the expression's affine map over the feature
+        derivative rows (FeatureCache.theta_features)."""
+        mask = self.xi_mask if mask is None else mask
         self._sync(values)
-        exprs = vars(self.unknowns).values()   # in UnknownSet field order
-        return pmp.residual_jacobian([e.affine(self.nodes) for e in exprs],
-                                     [e.weights for e in exprs], self.morph.c_map,
-                                     self.cfg, self.model)
+        exprs = list(vars(self.unknowns).values())   # in UnknownSet field order
+        maps = [e.affine(self.nodes) for e in exprs]
+        weights = [e.weights for e in exprs]
+        point = (maps, weights, self.morph.c_map, self.cfg, self.model)
+        blocks = []
+        if np.any(mask & self.xi_mask):
+            blocks.append((self.xi_mask, pmp.residual_jacobian(*point)))
+        if np.any(mask & self.theta_mask):
+            owner = self.cache.theta_owner
+            tangents = [e.affine(self.nodes, features=self.cache.theta_features)
+                        for e in exprs]
+            dy = [np.einsum("ip,pw->piw", t.psi, w[owner]) for t, w in zip(tangents, weights)]
+            dydot = [np.einsum("ip,pw->piw", t.dpsi, w[owner])
+                     for t, w in zip(tangents[:2], weights[:2])]
+            blocks.append((self.theta_mask, pmp.residual_tangents(*point, dy, dydot)))
+        jac = np.zeros((blocks[0][1].shape[0], mask.size))
+        for cols, block in blocks:
+            jac[:, cols] = block
+        # row-major, as residual_jacobian returns it: the layout picks the BLAS
+        # path of J^T J, so it keeps Gauss-Newton's steps bit for bit
+        return jac.compress(mask, axis=1)
 
     # --- trained-solution accessors -------------------------------------
 

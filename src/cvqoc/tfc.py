@@ -155,18 +155,24 @@ class ConstrainedExpression:
         self._targets = np.array([targets[loc] for loc in ("initial", "final")
                                   if loc in targets])
 
-    def affine(self, tau, derivative: bool = True) -> AffineMap:
+    def affine(self, tau, derivative: bool = True, features: Callable = None) -> AffineMap:
         """The expression at tau as an affine map of the weights:
         psi = phi - omega1 phi(tau0)^T - omega2 phi(tauf)^T and
         b = omega1 y0^T + omega2 yf^T, with only the constrained ends taken.
-        Derivatives are in tau; d/dt is c_map times them."""
+        Derivatives are in tau; d/dt is c_map times them.
+
+        features, when given, replaces the expression's own feature function
+        (same convention, any number of columns).  Passing the derivative of
+        the feature rows along some parameter gives the derivative of psi and
+        dpsi along it; b and db do not depend on the features."""
         _check_domain(tau, self.morph)
-        psi, dpsi = self.features(tau, derivative)
+        features = features or self.features
+        psi, dpsi = features(tau, derivative)
         if not self._sides:
             return AffineMap(psi, dpsi, 0.0, 0.0 if derivative else None)
         m = self.morph
         s, dtf = _unit_coord(tau, m)
-        ends = np.array([self.features(m.tau0 if k == 1 else m.tauf, False)[0]
+        ends = np.array([features(m.tau0 if k == 1 else m.tauf, False)[0]
                          for k in self._sides])                       # (ends, L)
         # switching weights, (ends,) for a scalar tau and (K, ends) for K points
         w = np.array([_omega(k, s) for k in self._sides]).T

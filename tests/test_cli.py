@@ -4,7 +4,7 @@ import os
 import numpy as np
 import pytest
 
-from cvqoc import cli, lindblad, problems
+from cvqoc import cli, lindblad, pmp, problems
 
 
 def run(argv):
@@ -120,13 +120,26 @@ def test_solve_nonfinite_residual_exits_3(tmp_path, monkeypatch, capsys):
 
 
 def test_solve_nonfinite_jacobian_exits_3(tmp_path, monkeypatch, capsys):
-    def jacobian(self, values):
+    def jacobian(self, values, mask=None):
         return np.full((1, int(self.xi_mask.sum())), np.nan)
 
     monkeypatch.setattr(problems.QocProblem, "jacobian", jacobian)
     assert run(["solve", "--preset", "two_level_ground_to_excited",
                 "--output", str(tmp_path / "out")]) == 3
     assert "non-finite Jacobian" in capsys.readouterr().err
+
+
+def test_solve_nonfinite_theta_jacobian_exits_3(tmp_path, monkeypatch, capsys):
+    # the xi columns stay finite, so joint training fails in its first Adam epoch
+    orig = pmp.residual_tangents
+
+    def residual_tangents(*args):
+        return np.full_like(orig(*args), np.nan)
+
+    monkeypatch.setattr(pmp, "residual_tangents", residual_tangents)
+    assert run(["solve", "--preset", "two_level_ground_to_excited", "--mode", "joint",
+                "--output", str(tmp_path / "out")]) == 3
+    assert "non-finite gradient entry in epoch 1" in capsys.readouterr().err
 
 
 def test_solve_nonfinite_terminal_row_exits_3(tmp_path, monkeypatch, capsys):

@@ -44,6 +44,30 @@ def test_unit_matrix_is_gate_product():
         assert np.max(np.abs(got - expect)) < 1e-12
 
 
+@pytest.mark.parametrize("slot", range(cvqnn.PARAMS_PER_UNIT))
+def test_unitary_derivatives_match_richardson_differences(slot):
+    # flat layout per unit: rot1, squeeze, rot2, Re disp, Im disp, kerr; a
+    # depth-2 circuit, so each slot is checked in both chain positions
+    circ = cvqnn.random_bank(1, 2, 10, np.random.default_rng(21), squeeze_scale=0.1,
+                             disp_scale=0.3, kerr_scale=0.15).circuits[0]
+    theta = circ.get_flat()
+    exact = circ.unitary_derivatives()
+    assert exact.shape == (theta.size, 10, 10)
+
+    def central(p, h):
+        step = np.zeros_like(theta)
+        step[p] = h
+        circ.set_flat(theta + step)
+        plus = circ.unitary()
+        circ.set_flat(theta - step)
+        return (plus - circ.unitary()) / (2.0 * h)
+
+    h = 1e-4
+    for p in (slot, cvqnn.PARAMS_PER_UNIT + slot):
+        richardson = (4.0 * central(p, h / 2) - central(p, h)) / 3.0
+        assert np.max(np.abs(exact[p] - richardson)) <= 1e-9
+
+
 @pytest.mark.parametrize("index", range(cvqnn.PARAMS_PER_UNIT))
 def test_nonfinite_flat_parameter_rejected_at_unitary(index):
     # flat layout per unit: rot1, squeeze, rot2, Re disp, Im disp, kerr

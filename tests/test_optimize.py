@@ -200,6 +200,36 @@ def test_adam_raises_on_nonfinite_loss_after_update(max_epochs):
         adam(loss, np.zeros(2), lr=0.01, max_epochs=max_epochs)
 
 
+def test_adam_with_gradient_evaluates_the_loss_once_per_epoch():
+    rng = np.random.default_rng(2)
+    z_star = rng.normal(size=3)
+    d = np.array([1.0, 4.0, 0.5])
+    calls = {"n": 0}
+
+    def loss(z):
+        calls["n"] += 1
+        return float((z - z_star) @ (d * (z - z_star)))
+
+    z, rep = adam(loss, np.zeros(3), lr=0.05, max_epochs=2000, tol=1e-12,
+                  grad_fn=lambda z: 2.0 * d * (z - z_star))
+    assert np.max(np.abs(z - z_star)) < 1e-3
+    assert calls["n"] == rep.iterations + 1
+    # the same first step as the difference gradient
+    z_fd, _ = adam(loss, np.zeros(3), lr=0.05, max_epochs=1)
+    z_exact, _ = adam(loss, np.zeros(3), lr=0.05, max_epochs=1,
+                      grad_fn=lambda z: 2.0 * d * (z - z_star))
+    assert np.allclose(z_fd, z_exact, rtol=0, atol=1e-9)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_adam_raises_on_nonfinite_gradient(bad):
+    def grad(z):
+        return np.array([1.0, bad])
+
+    with pytest.raises(FloatingPointError, match="non-finite gradient entry in epoch 1"):
+        adam(lambda z: float(z @ z) + 1.0, np.zeros(2), max_epochs=3, grad_fn=grad)
+
+
 def test_gradient_order_of_accuracy():
     rng = np.random.default_rng(3)
     z0 = rng.normal(size=4)

@@ -330,3 +330,172 @@ def test_affine_map_reproduces_expression_values():
         assert expr.weights is xi
         assert np.allclose(amap.psi @ xi + amap.b, y, rtol=0, atol=1e-12)
         assert np.allclose(m.c_map * (amap.dpsi @ xi + amap.db), ydot, rtol=0, atol=1e-12)
+
+
+def test_feature_cache_theta_rows_match_differences_of_forward():
+    bank = small_bank()
+    taus = np.array([-0.8, -0.31, 0.0, 0.55, 0.8])
+    cache = problems.FeatureCache(bank, taus)
+    dsig, ddsig = cache.theta_features(taus)
+    theta = bank.get_flat()
+    assert dsig.shape == ddsig.shape == (taus.size, theta.size)
+    assert np.array_equal(cache.theta_owner, np.repeat(np.arange(4), 12))
+    # scalar lookups give the same rows; a tau off the table has none
+    row, drow = cache.theta_features(float(taus[3]))
+    assert np.array_equal(row, dsig[3]) and np.array_equal(drow, ddsig[3])
+    with pytest.raises(ValueError):
+        cache.theta_features(0.1)
+
+    def central(fn, p, h):
+        step = np.zeros_like(theta)
+        step[p] = h
+        bank.set_flat(theta + step)
+        plus = np.array([fn(t) for t in taus])
+        bank.set_flat(theta - step)
+        minus = np.array([fn(t) for t in taus])
+        bank.set_flat(theta)
+        return (plus - minus)[:, cache.theta_owner[p]] / (2.0 * h)
+
+    def richardson(fn, p, h):
+        return (4.0 * central(fn, p, h / 2) - central(fn, p, h)) / 3.0
+
+    for p in range(theta.size):
+        assert np.allclose(dsig[:, p], richardson(lambda t: cvqnn.forward(bank, t), p, 1e-4),
+                           rtol=0, atol=1e-9)
+        assert np.allclose(ddsig[:, p], richardson(lambda t: dsigma_oracle(bank, t), p, 1e-3),
+                           rtol=0, atol=1e-7)
+    # a new circuit version refills the rows of that circuit only
+    theta[0] += 0.1
+    bank.set_flat(theta)
+    moved, _ = cache.theta_features(taus)
+    assert not np.array_equal(moved[:, :12], dsig[:, :12])
+    assert np.array_equal(moved[:, 12:], dsig[:, 12:])
+
+
+def _fd_on(prob, values, mask):
+    idx = np.flatnonzero(mask)
+
+    def res(sub):
+        full = values.copy()
+        full[idx] = sub
+        return prob.residual(full)
+
+    return optimize.jacobian_fd(res, values[idx])
+
+
+@pytest.mark.parametrize("preset", ["two_level_ground_to_excited",
+                                    "two_level_to_superposition",
+                                    "three_level_pop_inversion"])
+def test_closed_form_theta_columns_match_finite_differences(preset):
+    prob = _preset_problem(preset)
+    rng = np.random.default_rng(23)
+    values = prob.decision.values.copy()
+    values[prob.xi_mask] += rng.normal(0.0, 0.3, int(prob.xi_mask.sum()))
+    values[prob.theta_mask] += rng.normal(0.0, 0.05, int(prob.theta_mask.sum()))
+    r = prob.residual(values)
+    jac = prob.jacobian(values, prob.theta_mask)
+    assert np.array_equal(prob.residual(values), r)
+    fd = _fd_on(prob, values, prob.theta_mask)
+    assert jac.shape == fd.shape == (r.shape[0], int(prob.theta_mask.sum()))
+    assert np.max(np.abs(jac - fd)) <= 1e-6 * np.max(np.abs(fd))
+    # asking for every coordinate stacks the same columns in decision order
+    full = prob.jacobian(values, np.ones_like(prob.xi_mask))
+    assert np.array_equal(full[:, prob.theta_mask], jac)
+    assert np.array_equal(full[:, prob.xi_mask], prob.jacobian(values))
+
+
+def _counting(monkeypatch, owner, name):
+    calls = {"n": 0}
+    orig = getattr(owner, name)
+
+    def counted(*args, **kwargs):
+        calls["n"] += 1
+        return orig(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, counted)
+    return calls
+
+
+def _two_level(**train):
+    from cvqoc import cli
+    cfg = cli.load_config(cli.preset_path("two_level_ground_to_excited"))
+    cfg["train"].update(train)
+    prob, schedule, _ = cli.build_problem(cfg)
+    return prob, schedule
+
+
+def test_xi_training_evaluates_each_point_once_and_builds_no_circuit(monkeypatch):
+    prob, schedule = _two_level(mode="xi", gn_max_iter=6)
+    prob.cache.features(prob.nodes)   # set-up: tabulate the features
+    direct = {"n": 0}
+    residual = prob.residual
+
+    def counted_residual(values):
+        direct["n"] += 1
+        return residual(values)
+
+    prob.residual = counted_residual
+    evaluations = _counting(monkeypatch, pmp, "residuals")
+    units = _counting(monkeypatch, cvqnn, "_unit_matrix")
+    derivatives = _counting(monkeypatch, cvqnn, "_unit_derivatives")
+    # the CLI's train.jsonl callback reads the residual at each accepted point
+    seen = []
+    report = optimize.train(prob, schedule, callback=lambda k, values, loss: seen.append(
+        prob.residual_vector(values).breakdown()["L2_total"] == loss))
+    assert report.iterations == 6 and all(seen) and len(seen) == 6
+    # Gauss-Newton calls the residual at the start, at the top of each
+    # iteration and at each trial step; only the start and the trials are new
+    trials = direct["n"] - 1 - report.iterations
+    assert evaluations["n"] == 1 + trials
+    assert units["n"] == derivatives["n"] == 0
+
+
+def test_joint_training_costs_one_residual_and_one_jacobian_per_adam_epoch(monkeypatch):
+    prob, schedule = _two_level(mode="joint", joint_rounds=1, joint_gn_steps=2,
+                                joint_adam_steps=3, adam_lr=1e-3)
+    evaluations = _counting(monkeypatch, pmp, "residuals")
+    masks = []
+    jacobian = prob.jacobian
+
+    def recorded(values, mask=None):
+        masks.append("theta" if mask is prob.theta_mask else "xi")
+        return jacobian(values, mask)
+
+    prob.jacobian = recorded
+    bursts = []
+    adam = optimize.adam
+
+    def counted_adam(*args, **kwargs):
+        before = (evaluations["n"], len(masks))
+        z, report = adam(*args, **kwargs)
+        bursts.append((report.iterations, evaluations["n"] - before[0],
+                       masks[before[1]:]))
+        return z, report
+
+    monkeypatch.setattr(optimize, "adam", counted_adam)
+    report = optimize.train(prob, schedule, callback=lambda k, values, loss: prob.residual_vector(values))
+    assert report.iterations == 5
+    # the Gauss-Newton burst ends on an accepted point, where Adam starts
+    assert report.loss_history[2] < report.loss_history[1] < report.loss_history[0]
+    assert bursts == [(3, 3, ["theta"] * 3)]
+
+
+@pytest.mark.parametrize("mode", ["theta", "joint"])
+def test_train_hands_adam_the_gradient_of_its_loss(mode, monkeypatch):
+    # Adam's steps barely depend on the gradient's scale, so compare the
+    # gradient itself with differences of the loss Adam is given
+    prob, schedule = _two_level(mode=mode, adam_epochs=1, joint_rounds=1,
+                                joint_gn_steps=0, joint_adam_steps=1)
+    xi = prob.xi_mask
+    prob.decision.values[xi] = np.random.default_rng(29).normal(0.0, 0.3, int(xi.sum()))
+    seen = []
+    adam = optimize.adam
+
+    def checked(loss_fn, z0, **kwargs):
+        seen.append((kwargs["grad_fn"](z0), optimize._gradient_fd(loss_fn, z0, 1e-6)))
+        return adam(loss_fn, z0, **kwargs)
+
+    monkeypatch.setattr(optimize, "adam", checked)
+    optimize.train(prob, schedule)
+    (exact, diff), = seen
+    assert np.max(np.abs(exact - diff)) <= 1e-6 * np.max(np.abs(diff))
