@@ -56,19 +56,19 @@ def preset_path(name: str) -> str:
 
 
 @contextlib.contextmanager
-def _building(section: str):
+def _building(what: str):
     """Report a ValueError or TypeError raised while building objects from a
-    config section as a ConfigError naming that section."""
+    config section or command-line arguments as a ConfigError naming them."""
     try:
         yield
     except (TypeError, ValueError) as exc:
-        raise ConfigError(f"bad {section} section: {exc}")
+        raise ConfigError(f"bad {what}: {exc}")
 
 
 def _build_bank(qnn: dict) -> cvqnn.QnnBank:
     _check_keys(qnn, "qnn", ["n_features", "depth", "cutoff", "seed"],
                 ["passive_high", "squeeze_scale", "disp_scale", "kerr_scale"])
-    with _building("qnn"):
+    with _building("qnn section"):
         rng = np.random.default_rng(int(qnn["seed"]))
         kwargs = {k: float(qnn[k]) for k in
                   ("passive_high", "squeeze_scale", "disp_scale", "kerr_scale")
@@ -82,10 +82,10 @@ def _build_model(system: str, params: dict) -> lindblad.SuperOperatorModel:
     if system == "two-level":
         _check_keys(params, "system_params", [],
                     ["gamma_eg", "gamma_ge", "omega_x", "omega_z"])
-        with _building("system_params"):
+        with _building("system_params section"):
             return lindblad.two_level_model(lindblad.TwoLevelParams(**params))
     _check_keys(params, "system_params", [], ["delta", "delta1"])
-    with _building("system_params"):
+    with _building("system_params section"):
         return lindblad.three_level_model(lindblad.ThreeLevelParams(**params))
 
 
@@ -93,8 +93,8 @@ def _build_schedule(train: dict) -> optimize.TrainSchedule:
     _check_keys(train, "train", ["mode"],
                 ["tolerance", "gn_max_iter", "gn_damping", "adam_lr",
                  "adam_epochs", "joint_rounds", "joint_gn_steps",
-                 "joint_adam_steps", "fd_h"])
-    with _building("train"):
+                 "joint_adam_steps"])
+    with _building("train section"):
         return optimize.TrainSchedule(**train)
 
 
@@ -110,9 +110,9 @@ def build_problem(cfg: dict):
     if system == "linear-ode-benchmark":
         _check_keys(tfc_cfg, "tfc", ["n_nodes", "tau0", "tauf", "t0", "t_final"])
         _check_keys(cfg.get("benchmark", {}), "benchmark", ["rate", "y0"])
-        with _building("benchmark"):
+        with _building("benchmark section"):
             rate, y0 = float(cfg["benchmark"]["rate"]), float(cfg["benchmark"]["y0"])
-        with _building("tfc"):
+        with _building("tfc section"):
             morph = tfc.TimeMorph.from_times(float(tfc_cfg["t0"]), float(tfc_cfg["t_final"]),
                                              float(tfc_cfg["tau0"]), float(tfc_cfg["tauf"]))
             problem = problems.OdeBenchmarkProblem(bank, morph, int(tfc_cfg["n_nodes"]),
@@ -125,7 +125,7 @@ def build_problem(cfg: dict):
                     ["time_weight", "energy_weight", "reg_weight",
                      "u_min", "u_max", "sat_steepness", "rho_init", "rho_target"],
                     ["costate_terminal_constraint"])
-        with _building("ocp"):
+        with _building("ocp section"):
             ocp["rho_init"] = np.asarray(ocp["rho_init"], dtype=float)
             ocp["rho_target"] = np.asarray(ocp["rho_target"], dtype=float)
             if ocp["rho_init"].shape != (model.dim,) or ocp["rho_target"].shape != (model.dim,):
@@ -133,7 +133,7 @@ def build_problem(cfg: dict):
             lindblad.RealDensityVector(ocp["rho_init"])
             lindblad.RealDensityVector(ocp["rho_target"])
             cfg_ocp = pmp.OcpConfig(t0=float(tfc_cfg["t0"]), **ocp)
-        with _building("tfc"):
+        with _building("tfc section"):
             morph = tfc.TimeMorph(float(tfc_cfg["t0"]), float(tfc_cfg["tau0"]),
                                   float(tfc_cfg["tauf"]), float(tfc_cfg["c_map_init"]))
             problem = problems.QocProblem(bank, cfg_ocp, model, morph,
@@ -191,7 +191,8 @@ def cmd_gates(args) -> int:
         gate = make(args.param)
     except ValueError:
         raise ConfigError(f"cannot parse parameter {args.param!r} for {args.kind}")
-    mat = fock.gate_matrix(gate, args.cutoff).entries
+    with _building("gate arguments"):
+        mat = fock.gate_matrix(gate, args.cutoff).entries
     out = sys.stdout if args.output is None else open(args.output, "w")
     try:
         for row in mat:
@@ -209,7 +210,8 @@ def cmd_qnn_eval(args) -> int:
     cfg = load_config(args.config)
     _check_keys(cfg, "<top level>", ["qnn"])
     bank = _build_bank(cfg["qnn"])
-    sigma = cvqnn.forward(bank, args.tau)
+    with _building("--tau"):
+        sigma = cvqnn.forward(bank, args.tau)
     print(",".join(f"{v:.12e}" for v in sigma))
     return 0
 
@@ -233,7 +235,7 @@ def cmd_propagate(args) -> int:
         return np.column_stack([np.interp(t, t_ctrl, data[:, 1 + c])
                                 for c in range(model.n_controls)])
 
-    with _building("propagate"):
+    with _building("propagate section"):
         ts, xs = lindblad.propagate_rk4(model, x0, u_of_t,
                                         float(prop["t0"]), float(prop["tf"]),
                                         int(prop["steps"]))

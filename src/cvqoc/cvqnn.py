@@ -241,7 +241,11 @@ def random_bank(n_features: int, depth: int, cutoff: int, rng: np.random.Generat
                 passive_high: float = 2 * np.pi, squeeze_scale: float = 0.05,
                 disp_scale: float = 0.05, kerr_scale: float = 0.05) -> QnnBank:
     """Bank with passive angles uniform in [0, passive_high) and active
-    parameters drawn normal with the given standard deviations."""
+    parameters drawn normal with the given standard deviations.  depth must
+    be at least 1: a circuit without units has no parameters, and all its
+    features are the same sqrt(2) tau."""
+    if depth < 1:
+        raise ValueError(f"depth must be at least 1, got {depth}")
     circuits = []
     for _ in range(n_features):
         units = [QnnUnitParams(rot1=rng.uniform(0.0, passive_high),

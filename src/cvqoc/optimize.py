@@ -2,11 +2,10 @@
 
 Gauss-Newton with Levenberg-Marquardt damping handles the output-weight
 (and morph-rate) coordinates; Adam handles the circuit parameters; joint
-training alternates the two.  When the problem has a Jacobian
-(QocProblem.jacobian, closed form in both the weights and the circuit
-parameters), Gauss-Newton uses it and Adam takes the exact gradient J^T r
-of its loss from it; otherwise both take central differences (jacobian_fd,
-and a per-coordinate loss difference in Adam).
+training alternates the two.  Both solvers take exact derivatives: every
+problem supplies the closed-form Jacobian of its residual, Gauss-Newton
+uses it and Adam takes the gradient J^T r / ||r|| of the residual norm from
+it.
 """
 
 from __future__ import annotations
@@ -76,7 +75,9 @@ def fd_step(z: np.ndarray, base: float = 1e-6) -> np.ndarray:
 
 
 def jacobian_fd(res_fn, z: np.ndarray, h: float = 1e-6) -> np.ndarray:
-    """Central-difference Jacobian of a residual vector, column per coordinate."""
+    """Central-difference Jacobian of a residual vector, column per coordinate.
+    No solver uses it: it is the oracle the closed-form Jacobians are
+    tested against."""
     if h <= 0:
         raise ValueError("step must be positive")
     z = np.asarray(z, dtype=float)
@@ -102,22 +103,20 @@ def _finite_loss(loss, where: str) -> float:
     return loss
 
 
-def gauss_newton(res_fn, z0: np.ndarray, tol: float = 1e-6, max_iter: int = 50,
-                 damping: float = 1e-8, fd_h: float = 1e-6,
-                 bounds=None, callback=None, jac_fn=None):
+def gauss_newton(res_fn, z0: np.ndarray, *, jac_fn, tol: float = 1e-6,
+                 max_iter: int = 50, damping: float = 1e-8, bounds=None, callback=None):
     """Damped Gauss-Newton iteration on the residual L2 norm.
 
-    jac_fn(z), when given, returns the Jacobian of res_fn at z; otherwise
-    jacobian_fd takes central differences with step fd_h.  Rejected steps
-    are halved up to 8 times while the damping escalates tenfold; accepted
+    jac_fn(z) returns the Jacobian of res_fn at z.  Rejected steps are
+    halved up to 8 times while the damping escalates tenfold; accepted
     steps relax it.  bounds, when given, is a list of (index, lo, hi) box
     constraints applied by projection after each step.  A non-finite loss
-    at the starting point, a non-finite Jacobian entry, or a non-finite
-    residual while differencing raises FloatingPointError; a trial step
-    with a non-finite loss is rejected, so every accepted point has a
-    finite loss.  The iteration stops when the loss is under tol, after
-    max_iter iterations, when all 9 trial steps fail to lower the loss
-    (no_descent), or when the damped system cannot be solved (singular).
+    at the starting point or a non-finite Jacobian entry raises
+    FloatingPointError; a trial step with a non-finite loss is rejected, so
+    every accepted point has a finite loss.  The iteration stops when the
+    loss is under tol, after max_iter iterations, when all 9 trial steps
+    fail to lower the loss (no_descent), or when the damped system cannot be
+    solved (singular).
     Returns (z, SolveReport).
     """
     if tol <= 0:
@@ -131,10 +130,7 @@ def gauss_newton(res_fn, z0: np.ndarray, tol: float = 1e-6, max_iter: int = 50,
     iters = 0
     while not converged and iters < max_iter:
         r = np.asarray(res_fn(z))
-        if jac_fn is None:
-            jac = jacobian_fd(res_fn, z, fd_h)
-        else:
-            jac = np.asarray(jac_fn(z), dtype=float)
+        jac = np.asarray(jac_fn(z), dtype=float)
         if not np.all(np.isfinite(jac)):
             raise FloatingPointError("non-finite Jacobian entry")
         jtj = jac.T @ jac
@@ -180,34 +176,15 @@ def gauss_newton(res_fn, z0: np.ndarray, tol: float = 1e-6, max_iter: int = 50,
     return z, report
 
 
-def _gradient_fd(loss_fn, z: np.ndarray, h: float) -> np.ndarray:
-    """Central-difference gradient of a scalar loss, step fd_step(z, h)."""
-    steps = fd_step(z, h)
-    grad = np.empty_like(z)
-    for k in range(z.shape[0]):
-        zp = z.copy()
-        zp[k] += steps[k]
-        zm = z.copy()
-        zm[k] -= steps[k]
-        lp, lm = loss_fn(zp), loss_fn(zm)
-        if not (np.isfinite(lp) and np.isfinite(lm)):
-            raise FloatingPointError(f"non-finite loss while perturbing coordinate {k}")
-        grad[k] = (lp - lm) / (2.0 * steps[k])
-    return grad
-
-
-def adam(loss_fn, z0: np.ndarray, lr: float = 0.01, max_epochs: int = 200,
+def adam(loss_fn, z0: np.ndarray, *, grad_fn, lr: float = 0.01, max_epochs: int = 200,
          tol: float = 0.0, beta1: float = 0.9, beta2: float = 0.999,
-         eps: float = 1e-8, fd_h: float = 1e-6, callback=None, grad_fn=None):
+         eps: float = 1e-8, callback=None):
     """Adam with bias correction on a scalar loss.
 
-    grad_fn(z), when given, returns the gradient of loss_fn at z (train
-    supplies the exact one from the problem's Jacobian); otherwise central
-    finite differences with step fd_h estimate it.  Each epoch takes the
+    grad_fn(z) returns the gradient of loss_fn at z.  Each epoch takes the
     gradient at the current point, updates, and evaluates the loss there.
-    A non-finite loss (at the starting point, while differencing or after
-    an update) or gradient entry raises FloatingPointError.  Returns
-    (z, SolveReport)."""
+    A non-finite loss (at the starting point or after an update) or
+    gradient entry raises FloatingPointError.  Returns (z, SolveReport)."""
     if lr <= 0:
         raise ValueError("learning rate must be positive")
     start = time.perf_counter()
@@ -218,12 +195,9 @@ def adam(loss_fn, z0: np.ndarray, lr: float = 0.01, max_epochs: int = 200,
     converged = history[0] < tol
     epoch = 0
     while not converged and epoch < max_epochs:
-        if grad_fn is None:
-            grad = _gradient_fd(loss_fn, z, fd_h)
-        else:
-            grad = np.asarray(grad_fn(z), dtype=float)
-            if not np.all(np.isfinite(grad)):
-                raise FloatingPointError(f"non-finite gradient entry in epoch {epoch + 1}")
+        grad = np.asarray(grad_fn(z), dtype=float)
+        if not np.all(np.isfinite(grad)):
+            raise FloatingPointError(f"non-finite gradient entry in epoch {epoch + 1}")
         epoch += 1
         m = beta1 * m + (1 - beta1) * grad
         v = beta2 * v + (1 - beta2) * grad**2
@@ -256,42 +230,44 @@ class TrainSchedule:
     joint_rounds: int = 5
     joint_gn_steps: int = 3
     joint_adam_steps: int = 25
-    fd_h: float = 1e-6
 
     def __post_init__(self):
         if self.mode not in ("xi", "theta", "joint"):
             raise ValueError(f"unknown training mode {self.mode!r}")
         if not self.tolerance > 0:
             raise ValueError("tolerance must be positive")
+        if not self.adam_lr > 0:
+            raise ValueError("adam_lr must be positive")
+        for name in ("gn_max_iter", "adam_epochs", "joint_rounds",
+                     "joint_gn_steps", "joint_adam_steps"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must not be negative")
 
 
 def train(problem, schedule: TrainSchedule, callback=None):
     """Run the selected training mode on a collocation problem.
 
     The problem must expose: decision (DecisionVector), xi_mask, theta_mask
-    (boolean coordinate masks), residual(values) -> array, and bounds()
-    giving box constraints as (index, lo, hi) in full coordinates.  When it
-    also has jacobian(values, mask), the residual's Jacobian on the mask
-    coordinates, each solver is handed the one on the mask it fits:
-    Gauss-Newton uses it instead of finite differences, and Adam takes the
-    exact gradient of its loss from it, (2/n) J^T r for the mean square of
-    theta mode and J^T r / ||r|| for the norm of joint mode.  Without it
-    both difference with step fd_h.  callback, when given, is invoked as
-    callback(epoch, full_values, loss) after every accepted optimizer step.
-    The report's stop_reason is the Gauss-Newton one in xi mode; theta and
-    joint runs that end above the tolerance stop at their epoch or round
-    budget (max_iter).
+    (boolean coordinate masks), residual(values) -> array,
+    jacobian(values, mask) -> the residual's Jacobian on the mask
+    coordinates, and bounds() giving box constraints as (index, lo, hi) in
+    full coordinates.  Each solver is handed the Jacobian on the mask it
+    fits.  Every mode minimises the residual norm ||r||: Gauss-Newton on the
+    weights, Adam on the circuit parameters with the gradient J^T r / ||r||.
+    callback, when given, is invoked as callback(epoch, full_values, loss)
+    after every accepted optimizer step.  The report's stop_reason is the
+    solver's in xi and theta mode; joint runs that end above the tolerance
+    stop at their round budget (max_iter).
     """
     start = time.perf_counter()
     bounds = problem.bounds()
-    jacobian = getattr(problem, "jacobian", None)
 
     def fit(mask, offset, solve):
         """solve(res, jac, z0, bounds, callback) on the masked coordinates, the
         rest held at their current values; writes the result back and returns
         the solver's report.  jac is the problem's Jacobian on the masked
-        coordinates as a function of them, or None.  Callback epochs are
-        shifted by offset."""
+        coordinates as a function of them.  Callback epochs are shifted by
+        offset."""
         base = problem.decision.values.copy()
         idx = np.flatnonzero(mask)
         pos = {j: i for i, j in enumerate(idx)}
@@ -305,7 +281,7 @@ def train(problem, schedule: TrainSchedule, callback=None):
             callback(offset + k, lift(sub), loss)
 
         z, report = solve(lambda sub: problem.residual(lift(sub)),
-                          None if jacobian is None else (lambda sub: jacobian(lift(sub), mask)),
+                          lambda sub: problem.jacobian(lift(sub), mask),
                           base[idx], [(pos[j], lo, hi) for j, lo, hi in bounds if j in pos],
                           lifted if callback else None)
         problem.decision.replace(lift(z))
@@ -313,16 +289,20 @@ def train(problem, schedule: TrainSchedule, callback=None):
 
     def newton(max_iter):
         return lambda res, jac, z0, sub_bounds, cb: gauss_newton(
-            res, z0, tol=schedule.tolerance, max_iter=max_iter,
-            damping=schedule.gn_damping, fd_h=schedule.fd_h,
-            bounds=sub_bounds, callback=cb, jac_fn=jac)
+            res, z0, jac_fn=jac, tol=schedule.tolerance, max_iter=max_iter,
+            damping=schedule.gn_damping, bounds=sub_bounds, callback=cb)
 
-    def descent(loss, grad, max_epochs, tol):
-        """Adam on loss(r); grad(r, J) is its gradient given the Jacobian."""
-        return lambda res, jac, z0, _, cb: adam(
-            lambda sub: loss(res(sub)), z0, lr=schedule.adam_lr,
-            max_epochs=max_epochs, tol=tol, fd_h=schedule.fd_h, callback=cb,
-            grad_fn=None if jac is None else (lambda sub: grad(res(sub), jac(sub))))
+    def descent(max_epochs):
+        def solve(res, jac, z0, _, cb):
+            def gradient(sub):
+                r = res(sub)
+                return (jac(sub).T @ r) / np.linalg.norm(r)
+
+            return adam(lambda sub: float(np.linalg.norm(res(sub))), z0, grad_fn=gradient,
+                        lr=schedule.adam_lr, max_epochs=max_epochs,
+                        tol=schedule.tolerance, callback=cb)
+
+        return solve
 
     # a joint schedule without Adam steps is exactly xi-only training
     if schedule.mode == "xi" or (schedule.mode == "joint" and schedule.joint_adam_steps == 0):
@@ -331,29 +311,13 @@ def train(problem, schedule: TrainSchedule, callback=None):
         return report
 
     if schedule.mode == "theta":
-        n_res = len(problem.residual(problem.decision.values))
-        # mean(r^2) < tolerance^2 / n  <=>  ||r|| < tolerance
-        report = fit(problem.theta_mask, 0,
-                     descent(lambda r: float(np.mean(r**2)),
-                             lambda r, jac: (2.0 / n_res) * (jac.T @ r),
-                             schedule.adam_epochs, schedule.tolerance**2 / n_res))
-        # report L2 norms for comparability with the least-squares modes
-        history = [float(np.linalg.norm(problem.residual(problem.decision.values)))]
-        converged = history[-1] < schedule.tolerance
-        return SolveReport(
-            iterations=report.iterations, final_loss=history[-1],
-            loss_history=[np.sqrt(max(h, 0.0) * n_res) for h in report.loss_history[:-1]] + history,
-            converged=converged,
-            tolerance_used=schedule.tolerance,
-            wall_time=time.perf_counter() - start,
-            stop_reason="converged" if converged else "max_iter",
-        )
+        report = fit(problem.theta_mask, 0, descent(schedule.adam_epochs))
+        report.wall_time = time.perf_counter() - start
+        return report
 
     # joint: alternate short Gauss-Newton bursts on xi with Adam bursts on theta
     bursts = ((problem.xi_mask, newton(schedule.joint_gn_steps)),
-              (problem.theta_mask, descent(lambda r: float(np.linalg.norm(r)),
-                                           lambda r, jac: (jac.T @ r) / np.linalg.norm(r),
-                                           schedule.joint_adam_steps, schedule.tolerance)))
+              (problem.theta_mask, descent(schedule.joint_adam_steps)))
     history = [float(np.linalg.norm(problem.residual(problem.decision.values)))]
     iters = 0
     converged = history[0] < schedule.tolerance

@@ -24,8 +24,7 @@ Each expression is affine in its weights (tfc.AffineMap) and the generator
 is affine in the control, so each block is a batched einsum over the nodes.
 residual_tangents applies the same linearisation to arbitrary changes of
 the unknowns at the nodes; QocProblem uses it for the circuit-parameter
-columns.  The linear ODE benchmark and bare residual functions still use
-optimize.jacobian_fd.
+columns.
 """
 
 from __future__ import annotations

@@ -13,15 +13,16 @@ its own weight block, which the expression reads on every call.  Both
 problems share one base, _Collocation, which owns that layout: its _sync is
 the only writer of the weights (in place) and the circuit parameters.
 
-QocProblem.jacobian is closed form in every coordinate.  The weight and
-morph-rate columns come from the expressions' affine maps.  The circuit
-parameter columns come from the exact feature derivatives d sigma / d theta
-and d sigma' / d theta, which the cache tabulates at the nodes per circuit
-version; a parameter moves only its own circuit's feature column, so each
-column is the residual's linearisation along one rank-one change of the
-unknowns.  QocProblem.residual_vector keeps its last evaluation, so a point
-evaluated twice in a row (Gauss-Newton's accepted trial, then the training
-callback and the next iteration) costs one evaluation.
+Every problem's jacobian is closed form in every coordinate.  The weight
+(and morph-rate) columns come from the expressions' affine maps.  The
+circuit parameter columns come from the exact feature derivatives
+d sigma / d theta and d sigma' / d theta, which the cache tabulates at the
+nodes per circuit version; a parameter moves only its own circuit's feature
+column, so each column is the residual's linearisation along one rank-one
+change of the unknowns (_Collocation._theta_tangents).
+QocProblem.residual_vector keeps its last evaluation, so a point evaluated
+twice in a row (Gauss-Newton's accepted trial, then the training callback
+and the next iteration) costs one evaluation.
 """
 
 from __future__ import annotations
@@ -195,6 +196,34 @@ class _Collocation:
             self.bank.set_flat(theta)
             self._theta_current = theta.copy()
 
+    def jacobian(self, values: np.ndarray, mask: np.ndarray = None) -> np.ndarray:
+        """Closed-form Jacobian of residual(values) on the mask coordinates
+        (xi_mask by default), in decision-vector order; no residual is
+        evaluated.  The subclass gives the xi_mask block (_xi_columns) and
+        the theta_mask block (_theta_columns) at the synced point; only the
+        blocks the mask touches are built."""
+        mask = self.xi_mask if mask is None else mask
+        self._sync(values)
+        blocks = [(cols, columns()) for cols, columns in
+                  ((self.xi_mask, self._xi_columns), (self.theta_mask, self._theta_columns))
+                  if np.any(mask & cols)]
+        jac = np.zeros((blocks[0][1].shape[0], mask.size))
+        for cols, block in blocks:
+            jac[:, cols] = block
+        # row-major, as the blocks come: the layout picks the BLAS path of
+        # J^T J, so it keeps Gauss-Newton's steps bit for bit
+        return jac.compress(mask, axis=1)
+
+    def _theta_tangents(self, expr):
+        """(dy, dydot): the change of expr's values and tau-derivatives at the
+        nodes along each circuit parameter, each of shape (P, N, width).
+        theta_p moves only feature theta_owner[p], so dy[p] is
+        dpsi[:, p] xi[owner(p), :] with dpsi the expression's affine map over
+        the feature derivative rows (FeatureCache.theta_features)."""
+        t = expr.affine(self.nodes, features=self.cache.theta_features)
+        w = expr.weights[self.cache.theta_owner]
+        return np.einsum("ip,pw->piw", t.psi, w), np.einsum("ip,pw->piw", t.dpsi, w)
+
     def _eval_grid(self, expr, t_grid):
         self._sync(self.decision.values)
         taus = self.morph.to_tau(np.asarray(t_grid, dtype=float))
@@ -214,6 +243,15 @@ class OdeBenchmarkProblem(_Collocation):
         self._sync(values)
         y, ydot = self.expr.eval(self.nodes)
         return ydot[:, 0] - self.rate * y[:, 0]
+
+    def _xi_columns(self) -> np.ndarray:
+        # r = c (dpsi xi + db) - rate (psi xi + b)
+        amap = self.expr.affine(self.nodes)
+        return self.morph.c_map * amap.dpsi - self.rate * amap.psi
+
+    def _theta_columns(self) -> np.ndarray:
+        dy, dydot = self._theta_tangents(self.expr)
+        return (self.morph.c_map * dydot - self.rate * dy)[:, :, 0].T
 
     def solution(self, t_grid: np.ndarray) -> np.ndarray:
         return self._eval_grid(self.expr, t_grid)[:, 0]
@@ -269,40 +307,23 @@ class QocProblem(_Collocation):
     def residual(self, values: np.ndarray) -> np.ndarray:
         return self.residual_vector(values).concat()
 
-    def jacobian(self, values: np.ndarray, mask: np.ndarray = None) -> np.ndarray:
-        """Closed-form Jacobian of residual(values) on the mask coordinates
-        (xi_mask by default), in decision-vector order; no residual is
-        evaluated.  The xi_mask columns (the weight blocks in UnknownSet
-        order, then c_map) come from each expression's affine map at the
-        nodes.  c_map enters as its clipped value, so on a bound the c_map
-        column is the one-sided derivative from inside.  A theta_p moves
-        only the feature column theta_owner[p], so its column is the
-        residual's linearisation along dy = dpsi[:, p] xi[owner, :] per
-        unknown, where dpsi is the expression's affine map over the feature
-        derivative rows (FeatureCache.theta_features)."""
-        mask = self.xi_mask if mask is None else mask
-        self._sync(values)
-        exprs = list(vars(self.unknowns).values())   # in UnknownSet field order
+    def _point(self) -> tuple:
+        """The expressions in UnknownSet order, and the point (maps, weights,
+        c_map, cfg, model) of pmp's linearisation at the nodes."""
+        exprs = list(vars(self.unknowns).values())
         maps = [e.affine(self.nodes) for e in exprs]
-        weights = [e.weights for e in exprs]
-        point = (maps, weights, self.morph.c_map, self.cfg, self.model)
-        blocks = []
-        if np.any(mask & self.xi_mask):
-            blocks.append((self.xi_mask, pmp.residual_jacobian(*point)))
-        if np.any(mask & self.theta_mask):
-            owner = self.cache.theta_owner
-            tangents = [e.affine(self.nodes, features=self.cache.theta_features)
-                        for e in exprs]
-            dy = [np.einsum("ip,pw->piw", t.psi, w[owner]) for t, w in zip(tangents, weights)]
-            dydot = [np.einsum("ip,pw->piw", t.dpsi, w[owner])
-                     for t, w in zip(tangents[:2], weights[:2])]
-            blocks.append((self.theta_mask, pmp.residual_tangents(*point, dy, dydot)))
-        jac = np.zeros((blocks[0][1].shape[0], mask.size))
-        for cols, block in blocks:
-            jac[:, cols] = block
-        # row-major, as residual_jacobian returns it: the layout picks the BLAS
-        # path of J^T J, so it keeps Gauss-Newton's steps bit for bit
-        return jac.compress(mask, axis=1)
+        return exprs, (maps, [e.weights for e in exprs], self.morph.c_map, self.cfg, self.model)
+
+    def _xi_columns(self) -> np.ndarray:
+        """The weight blocks in UnknownSet order, then c_map.  c_map enters as
+        its clipped value, so on a bound its column is the one-sided
+        derivative from inside."""
+        return pmp.residual_jacobian(*self._point()[1])
+
+    def _theta_columns(self) -> np.ndarray:
+        exprs, point = self._point()
+        dy, dydot = zip(*(self._theta_tangents(e) for e in exprs))
+        return pmp.residual_tangents(*point, dy, dydot[:2])
 
     # --- trained-solution accessors -------------------------------------
 

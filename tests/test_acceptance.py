@@ -236,14 +236,15 @@ def test_09_optimizer_unit_oracles():
     a = rng.normal(size=(9, 5))
     b = rng.normal(size=9)
     z_star, *_ = np.linalg.lstsq(a, b, rcond=None)
-    z, rep = optimize.gauss_newton(lambda z: a @ z - b, np.zeros(5),
+    z, rep = optimize.gauss_newton(lambda z: a @ z - b, np.zeros(5), jac_fn=lambda z: a,
                                    tol=1e-12, damping=0.0)
     gn_ok = (np.max(np.abs(z - z_star)) < 1e-10
              and rep.loss_history[1] == pytest.approx(
                  float(np.linalg.norm(a @ z_star - b)), abs=1e-10))
     target = rng.normal(size=3)
-    z2, rep2 = optimize.adam(lambda z: float(np.sum((z - target) ** 2)),
-                             np.zeros(3), lr=0.05, max_epochs=2000, tol=1e-10)
+    z2, rep2 = optimize.adam(lambda z: float(np.sum((z - target) ** 2)), np.zeros(3),
+                             grad_fn=lambda z: 2 * (z - target),
+                             lr=0.05, max_epochs=2000, tol=1e-10)
     adam_ok = np.max(np.abs(z2 - target)) < 1e-3 and rep2.iterations <= 2000
     assert report("09 optimizer-unit-oracles", gn_ok and adam_ok,
                   f"gn={gn_ok}, adam={adam_ok}")

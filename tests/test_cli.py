@@ -36,6 +36,23 @@ def test_gates_bad_kind_and_param(capsys):
     assert run(["gates", "--kind", "squeeze", "--param", "abc", "--cutoff", "4"]) == 2
 
 
+@pytest.mark.parametrize("argv, word", [
+    (["gates", "--kind", "kerr", "--param", "0.1", "--cutoff", "1"], "cutoff"),
+    (["gates", "--kind", "squeeze", "--param", "nan", "--cutoff", "4"], "non-finite"),
+    (["qnn-eval", "--tau", "nan"], "non-finite"),
+])
+def test_bad_argument_value_exits_2(argv, word, tmp_path, capsys):
+    # a value the gate or circuit code rejects is a config error, not a traceback
+    if argv[0] == "qnn-eval":
+        cfg = tmp_path / "qnn.json"
+        cfg.write_text(json.dumps({"qnn": {"n_features": 3, "depth": 1,
+                                           "cutoff": 8, "seed": 1}}))
+        argv = argv + ["--config", str(cfg)]
+    assert run(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: bad ") and word in err
+
+
 def test_qnn_eval(tmp_path, capsys):
     cfg = tmp_path / "qnn.json"
     cfg.write_text(json.dumps({"qnn": {"n_features": 3, "depth": 1,
@@ -106,14 +123,14 @@ def test_solve_benchmark_artifacts(tmp_path):
 
 
 def test_solve_nonfinite_residual_exits_3(tmp_path, monkeypatch, capsys):
-    # finite at the initial weights, non-finite once the Jacobian perturbs them
-    orig = problems.OdeBenchmarkProblem.residual
+    # the residual is finite at the initial weights; Gauss-Newton rejects a
+    # non-finite trial step, so the NaN comes through the ODE's Jacobian
+    orig = problems.OdeBenchmarkProblem.jacobian
 
-    def residual(self, values):
-        r = orig(self, values)
-        return r if np.all(values[self.xi_mask] == 0.0) else np.full_like(r, np.nan)
+    def jacobian(self, values, mask=None):
+        return np.full_like(orig(self, values, mask), np.nan)
 
-    monkeypatch.setattr(problems.OdeBenchmarkProblem, "residual", residual)
+    monkeypatch.setattr(problems.OdeBenchmarkProblem, "jacobian", jacobian)
     assert run(["solve", "--preset", "linear_ode_benchmark",
                 "--output", str(tmp_path / "out")]) == 3
     assert "numerical failure" in capsys.readouterr().err
@@ -169,6 +186,20 @@ def test_solve_qoc_reports_jacobian_conditioning(tmp_path):
     assert np.isfinite([largest, smallest, report["jacobian_cond"]]).all()
     assert largest >= smallest > 0
     assert report["jacobian_cond"] == pytest.approx(largest / smallest)
+
+
+@pytest.mark.parametrize("mode", ["theta", "joint"])
+def test_solve_benchmark_log_matches_report(mode, tmp_path):
+    # every mode logs the loss it reports: the residual norm
+    out = tmp_path / mode
+    assert run(["solve", "--preset", "linear_ode_benchmark", "--mode", mode,
+                "--output", str(out)]) == 0
+    history = json.loads((out / "report.json").read_text())["report"]["loss_history"]
+    with open(out / "train.jsonl") as fh:
+        entries = [json.loads(ln) for ln in fh]
+    assert entries
+    for entry in entries:
+        assert entry["L2_total"] == history[entry["epoch"]]
 
 
 def test_solve_benchmark_deterministic(tmp_path):
@@ -301,6 +332,7 @@ def test_costate_terminal_constraint_key(pin):
 # (section, key, bad value) on the two-level preset
 BAD_SOLVE_CONFIGS = {
     "no_features": ("qnn", "n_features", 0),
+    "no_units": ("qnn", "depth", 0),
     "cutoff_1": ("qnn", "cutoff", 1),
     "negative_gamma": ("system_params", "gamma_eg", -0.1),
     "one_node": ("tfc", "n_nodes", 1),
@@ -310,6 +342,14 @@ BAD_SOLVE_CONFIGS = {
     "negative_c_map": ("tfc", "c_map_init", -0.4),
     "zero_tolerance": ("train", "tolerance", 0.0),
     "negative_tolerance": ("train", "tolerance", -1e-3),
+    "zero_adam_lr": ("train", "adam_lr", 0.0),
+    "negative_adam_lr": ("train", "adam_lr", -0.01),
+    "negative_gn_max_iter": ("train", "gn_max_iter", -1),
+    "negative_adam_epochs": ("train", "adam_epochs", -1),
+    "negative_joint_rounds": ("train", "joint_rounds", -1),
+    "negative_joint_gn_steps": ("train", "joint_gn_steps", -1),
+    "negative_joint_adam_steps": ("train", "joint_adam_steps", -1),
+    "removed_fd_h": ("train", "fd_h", 1e-6),
 }
 
 

@@ -276,7 +276,8 @@ def _jacobian_fd_on_xi(prob, values):
 
 @pytest.mark.parametrize("preset", ["two_level_ground_to_excited",
                                     "two_level_to_superposition",
-                                    "three_level_pop_inversion"])
+                                    "three_level_pop_inversion",
+                                    "linear_ode_benchmark"])
 def test_closed_form_jacobian_matches_finite_differences(preset):
     prob = _preset_problem(preset)
     values = prob.decision.values.copy()
@@ -385,7 +386,8 @@ def _fd_on(prob, values, mask):
 
 @pytest.mark.parametrize("preset", ["two_level_ground_to_excited",
                                     "two_level_to_superposition",
-                                    "three_level_pop_inversion"])
+                                    "three_level_pop_inversion",
+                                    "linear_ode_benchmark"])
 def test_closed_form_theta_columns_match_finite_differences(preset):
     prob = _preset_problem(preset)
     rng = np.random.default_rng(23)
@@ -488,14 +490,21 @@ def test_train_hands_adam_the_gradient_of_its_loss(mode, monkeypatch):
                                 joint_gn_steps=0, joint_adam_steps=1)
     xi = prob.xi_mask
     prob.decision.values[xi] = np.random.default_rng(29).normal(0.0, 0.3, int(xi.sum()))
+    values = prob.decision.values.copy()
     seen = []
     adam = optimize.adam
 
     def checked(loss_fn, z0, **kwargs):
-        seen.append((kwargs["grad_fn"](z0), optimize._gradient_fd(loss_fn, z0, 1e-6)))
+        diff = optimize.jacobian_fd(lambda z: np.array([loss_fn(z)]), z0)[0]
+        seen.append((loss_fn(z0), kwargs["grad_fn"](z0), diff))
         return adam(loss_fn, z0, **kwargs)
 
     monkeypatch.setattr(optimize, "adam", checked)
     optimize.train(prob, schedule)
-    (exact, diff), = seen
+    (loss, exact, diff), = seen
     assert np.max(np.abs(exact - diff)) <= 1e-6 * np.max(np.abs(diff))
+    # in both modes Adam descends the residual norm: J^T r / ||r||
+    r = prob.residual(values)
+    assert loss == np.linalg.norm(r)
+    jac = prob.jacobian(values, prob.theta_mask)
+    assert np.allclose(exact, jac.T @ r / np.linalg.norm(r), rtol=1e-12, atol=0)
