@@ -3,7 +3,7 @@
 A unit is the layer of Killoran et al. (PRR 1, 033063, 2019) on one qumode:
 K(kappa) D(alpha) R(phi2) S(r) R(phi1), applied right to left.  Rotations
 and the Kerr gate are diagonal in the Fock basis, so they act as phase
-vectors; squeeze and displacement are truncated matrix exponentials.  A bank
+vectors; squeeze and displacement come from fock's spectral kernel.  A bank
 of L independent circuits maps a scalar input tau (encoded as a displacement
 of the vacuum) to the feature vector sigma(tau) in R^L via <x> measurements.
 
@@ -124,20 +124,21 @@ def _unit_derivatives(u: QnnUnitParams, cutoff: int):
     """(U, dU) for U = K D R2 S R1, dU of shape (6, D, D) in flat slot order.
 
     Every slot has a closed form: rotations and Kerr differentiate their
-    phase vectors (i n and i n^2), the squeeze is expm(r A) so dS/dr = A S,
-    and the displacement's two derivatives come from one block expm
-    (fock.displacement_derivatives)."""
-    if not np.all(np.isfinite([u.rot1, u.rot2, u.kerr])):
-        raise ValueError("non-finite rotation angle or Kerr strength")
+    phase vectors (i n and i n^2), the squeeze is exp(r A) so dS/dr = A S,
+    and the displacement's two derivatives are Frechet derivatives of its
+    exponential (fock.displacement_derivatives)."""
+    if not np.all(np.isfinite([u.rot1, u.squeeze, u.rot2, u.kerr])):
+        raise ValueError("non-finite rotation angle, squeeze or Kerr strength")
     n = np.arange(cutoff)
     r1 = np.exp(1j * u.rot1 * n)
     r2 = np.exp(1j * u.rot2 * n)[:, None]
     kerr = np.exp(1j * u.kerr * n**2)[:, None]
-    sq = fock.gate_matrix(Squeeze(u.squeeze), cutoff).entries
+    squeeze = fock.basis(cutoff).squeeze
+    sq, d_sq = fock.expm(squeeze, u.squeeze, [squeeze.gen])   # S, A S
     disp, d_re, d_im = fock.displacement_derivatives(u.disp, cutoff)
     inner = r2 * (sq * r1)                       # R2 S R1
     mat = kerr * (disp @ inner)
-    d_sq = kerr * (disp @ (r2 * ((fock.squeeze_generator(cutoff) @ sq) * r1)))
+    d_sq = kerr * (disp @ (r2 * (d_sq * r1)))
     d_rot2 = kerr * (disp @ (1j * n[:, None] * inner))
     return mat, np.array([mat * (1j * n), d_sq, d_rot2, kerr * (d_re @ inner),
                           kerr * (d_im @ inner), 1j * (n**2)[:, None] * mat])
@@ -152,20 +153,16 @@ def encode_input(tau: float, cutoff: int) -> FockVector:
 
 
 class InputEncoder:
-    """encode_input for a batch of real inputs, without an expm per input.
+    """encode_input for a batch of real inputs, without a gate per input.
 
-    For real tau the displacement generator is tau G with G = a^dag - a, a
-    real skew-symmetric matrix.  One eigendecomposition i G = V diag(w) V^dag
-    gives D(tau)|0> = V (exp(-i tau w) * conj(V[0])), so a batch costs one
-    table of phases and one matrix product.  d/dtau D(tau)|0> = G D(tau)|0>
-    exactly in the truncated basis; `generator` holds G.
+    For real tau, fock's cached eigenbasis i G = V diag(w) V^dag of the
+    generator G = a^dag - a gives D(tau)|0> = V (exp(-i tau w) * conj(V[0])):
+    one table of phases and one matrix product per batch.  d/dtau D(tau)|0>
+    = G D(tau)|0> exactly in the truncated basis; `generator` holds G.
     """
 
     def __init__(self, cutoff: int):
-        a, adag = fock.ladder(cutoff)
-        gen = adag.entries - a.entries
-        self.generator = gen.real
-        self._w, self._v = np.linalg.eigh(1j * gen)
+        self.generator, self._w, self._v = fock.basis(cutoff).displace
         self._v0 = self._v[0].conj()   # V^dag |0>
 
     def __call__(self, taus) -> np.ndarray:

@@ -6,21 +6,22 @@ Conventions (fixed once so every oracle value is unambiguous):
   x = (a + a^dag) / sqrt(2),  p = i (a^dag - a) / sqrt(2)
 so a coherent state D(alpha)|0> has <x> = sqrt(2) Re(alpha).
 
-Gates with a non-diagonal generator (displacement, squeeze) are built as
-the matrix exponential of the truncated generator.  The truncated generator
-is exactly anti-Hermitian, so the resulting matrix is exactly unitary; it
-differs from the untruncated gate only in its action on high photon-number
-sectors.  States are never renormalized after a gate so truncation loss
-stays observable.
+The non-diagonal gates are S(r) = exp(r A) and D(alpha) = R(phi) exp(|alpha| G)
+R(-phi), exact in the truncated basis for alpha = |alpha| e^{i phi} and
+R(phi) = diag(e^{i phi n}); G = a^dag - a and A = (a^2 - a^dag^2) / 2 are
+real antisymmetric.  `basis` diagonalises both once per cutoff, and `expm`
+builds every gate and its Frechet derivatives from those eigenbases.  Gates
+are unitary; truncation alters only high photon-number sectors.  States are
+never renormalized after a gate so truncation loss stays observable.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
-from typing import Union
+from typing import NamedTuple, Union
 
 import numpy as np
-from scipy.linalg import expm
 
 NORM_TOL = 1e-12
 
@@ -35,16 +36,11 @@ class FockVector:
     def __post_init__(self):
         self.amplitudes = np.asarray(self.amplitudes, dtype=complex)
         if self.amplitudes.shape != (self.cutoff,):
-            raise ValueError(
-                f"amplitude vector has shape {self.amplitudes.shape}, "
-                f"expected ({self.cutoff},)"
-            )
+            raise ValueError(f"amplitude vector has shape {self.amplitudes.shape}, "
+                             f"expected ({self.cutoff},)")
         n2 = float(np.vdot(self.amplitudes, self.amplitudes).real)
         if n2 > 1.0 + NORM_TOL:
             raise ValueError(f"squared norm {n2} exceeds 1 (not a truncated state)")
-
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.amplitudes))
 
 
 @dataclass
@@ -57,14 +53,8 @@ class FockOperator:
     def __post_init__(self):
         self.entries = np.asarray(self.entries, dtype=complex)
         if self.entries.shape != (self.cutoff, self.cutoff):
-            raise ValueError(
-                f"operator matrix has shape {self.entries.shape}, "
-                f"expected ({self.cutoff}, {self.cutoff})"
-            )
-
-    @property
-    def dim(self) -> int:
-        return self.entries.shape[0]
+            raise ValueError(f"operator matrix has shape {self.entries.shape}, "
+                             f"expected ({self.cutoff}, {self.cutoff})")
 
 
 @dataclass(frozen=True)
@@ -95,13 +85,60 @@ def _check_cutoff(cutoff: int) -> None:
         raise ValueError(f"cutoff must be an integer >= 2, got {cutoff!r}")
 
 
+class Spectrum(NamedTuple):   # real antisymmetric X, i X = vecs diag(vals) vecs^dag
+    gen: np.ndarray
+    vals: np.ndarray
+    vecs: np.ndarray
+
+
+class FockBasis(NamedTuple):
+    a: np.ndarray          # annihilation operator, a[n-1, n] = sqrt(n)
+    displace: Spectrum     # G = a^dag - a
+    squeeze: Spectrum      # A = (a^2 - a^dag^2) / 2
+
+
+@functools.cache
+def basis(cutoff: int) -> FockBasis:
+    """Ladder operator and generator eigenbases at one cutoff, built once.
+    Every array is read-only, since all callers at this cutoff share it."""
+    _check_cutoff(cutoff)
+    a = np.diag(np.sqrt(np.arange(1.0, cutoff)), 1)
+    spectra = []
+    for gen in (a.T - a, 0.5 * (a @ a - a.T @ a.T)):
+        vals, vecs = np.linalg.eigh(1j * gen)
+        # one Newton-Schulz step: vecs unitary to working precision
+        vecs = vecs + 0.5 * vecs @ (np.eye(cutoff) - vecs.conj().T @ vecs)
+        spectra.append(Spectrum(gen, vals, vecs))
+    for arr in (a, *spectra[0], *spectra[1]):
+        arr.flags.writeable = False
+    return FockBasis(a, *spectra)
+
+
+def expm(spec: Spectrum, t: float, directions=(), phi: float = 0.0) -> list:
+    """R(phi) M R(-phi) for M = exp(t X), then for M = the Frechet derivative
+    of exp at t X along each real E in directions.  With i X = V diag(w) V^dag
+    and l = t w, exp(t X) = V diag(e^{-i l}) V^dag and the derivative is
+    V (F o V^dag E V) V^dag, F_jk = e^{-i (l_j + l_k) / 2} sinc((l_j - l_k) / 2)
+    (Daleckii-Krein; Higham, Functions of Matrices, SIAM 2008, Thm 3.11).  Both
+    are real and accumulated onto I and E, so t = 0 gives them exactly."""
+    lam = t * spec.vals
+    v, vh = spec.vecs, spec.vecs.conj().T
+    out = [np.eye(lam.size) + ((v * np.expm1(-1j * lam)) @ vh).real]
+    if len(directions):
+        f = (np.exp(-0.5j * np.add.outer(lam, lam))
+             * np.sinc(np.subtract.outer(lam, lam) / (2.0 * np.pi)) - 1.0)
+        out += [e + (v @ (f * (vh @ e @ v)) @ vh).real for e in directions]
+    if phi:   # R(phi) M R(-phi) multiplies entry (j, k) by e^{i phi (j - k)}
+        n = np.arange(lam.size)
+        rot = np.exp(1j * phi * np.subtract.outer(n, n))
+        out = [rot * m for m in out]
+    return out
+
+
 def ladder(cutoff: int) -> tuple[FockOperator, FockOperator]:
     """Annihilation operator a (a[n-1, n] = sqrt(n)) and its adjoint."""
-    _check_cutoff(cutoff)
-    a = np.zeros((cutoff, cutoff), dtype=complex)
-    ns = np.arange(1, cutoff)
-    a[ns - 1, ns] = np.sqrt(ns)
-    return FockOperator(a, cutoff), FockOperator(a.conj().T, cutoff)
+    a = basis(cutoff).a
+    return FockOperator(a, cutoff), FockOperator(a.T, cutoff)
 
 
 def quadrature_x(cutoff: int) -> FockOperator:
@@ -111,92 +148,58 @@ def quadrature_x(cutoff: int) -> FockOperator:
 
 def vacuum(cutoff: int) -> FockVector:
     _check_cutoff(cutoff)
-    amps = np.zeros(cutoff, dtype=complex)
-    amps[0] = 1.0
-    return FockVector(amps, cutoff)
-
-
-def _finite(*values) -> bool:
-    for v in values:
-        arr = np.asarray(v, dtype=complex)
-        if not (np.all(np.isfinite(arr.real)) and np.all(np.isfinite(arr.imag))):
-            return False
-    return True
+    return FockVector(np.eye(1, cutoff)[0], cutoff)
 
 
 def gate_matrix(spec: GateSpec, cutoff: int) -> FockOperator:
     """Gate matrix at the given cutoff.
 
     Diagonal gates (rotation, Kerr) are exact at any cutoff.  The rest are
-    matrix exponentials of the truncated generator.
+    exponentials of the truncated generator (see `expm`).
     """
-    _check_cutoff(cutoff)
+    b = basis(cutoff)
+    if not isinstance(spec, (Displacement, Rotation, Squeeze, Kerr)):
+        raise TypeError(f"unknown gate spec {spec!r}")
+    (value,) = vars(spec).values()
+    if not np.isfinite(np.asarray(value, dtype=complex)).all():
+        raise ValueError(f"non-finite {type(spec).__name__.lower()} parameter")
     n = np.arange(cutoff)
     if isinstance(spec, Rotation):
-        if not _finite(spec.phi):
-            raise ValueError("non-finite rotation angle")
-        return FockOperator(np.diag(np.exp(1j * spec.phi * n)), cutoff)
+        return FockOperator(np.diag(np.exp(1j * value * n)), cutoff)
     if isinstance(spec, Kerr):
-        if not _finite(spec.kappa):
-            raise ValueError("non-finite Kerr strength")
-        return FockOperator(np.diag(np.exp(1j * spec.kappa * n**2)), cutoff)
-    a, adag = ladder(cutoff)
-    if isinstance(spec, Displacement):
-        if not _finite(spec.alpha):
-            raise ValueError("non-finite displacement amplitude")
-        alpha = complex(spec.alpha)
-        gen = alpha * adag.entries - np.conj(alpha) * a.entries
-        return FockOperator(expm(gen), cutoff)
+        return FockOperator(np.diag(np.exp(1j * value * n**2)), cutoff)
     if isinstance(spec, Squeeze):
-        if not _finite(spec.r):
-            raise ValueError("non-finite squeeze parameter")
-        return FockOperator(expm(spec.r * squeeze_generator(cutoff)), cutoff)
-    raise TypeError(f"unknown gate spec {spec!r}")
-
-
-def squeeze_generator(cutoff: int) -> np.ndarray:
-    """A = (a^2 - a^dag^2) / 2, so the squeeze gate is expm(r A)."""
-    a, adag = ladder(cutoff)
-    return 0.5 * (a.entries @ a.entries - adag.entries @ adag.entries)
+        return FockOperator(expm(b.squeeze, value)[0], cutoff)
+    return FockOperator(expm(b.displace, abs(value), phi=np.angle(value))[0], cutoff)
 
 
 def displacement_derivatives(alpha: complex, cutoff: int):
-    """(D, dD / d Re alpha, dD / d Im alpha) for D = expm(alpha a^dag - conj(alpha) a).
+    """(D, dD / d Re alpha, dD / d Im alpha) for D = exp(alpha a^dag - conj(alpha) a).
 
-    The two derivatives are Frechet derivatives of expm at the generator G in
-    the directions a^dag - a and i (a^dag + a).  One expm of the block
-    upper-triangular [[G, E_re, E_im], [0, G, 0], [0, 0, G]] holds D and
-    both of them in its first block row (Al-Mohy & Higham, SIAM J. Matrix
-    Anal. Appl. 30(4), 2009).
-    """
-    if not _finite(alpha):
+    D = R(phi) exp(|alpha| G) R(-phi), and the directions a^dag - a and
+    i (a^dag + a) counter-rotate to cos(phi) G - i sin(phi) Y and
+    sin(phi) G + i cos(phi) Y, Y = a^dag + a: both mix the derivatives along
+    G and Y."""
+    if not np.isfinite(np.asarray(alpha, dtype=complex)).all():
         raise ValueError("non-finite displacement amplitude")
-    a, adag = ladder(cutoff)
-    alpha = complex(alpha)
-    d = cutoff
-    block = np.zeros((3 * d, 3 * d), dtype=complex)
-    gen = alpha * adag.entries - np.conj(alpha) * a.entries
-    for k in range(3):
-        block[k * d:(k + 1) * d, k * d:(k + 1) * d] = gen
-    block[:d, d:2 * d] = adag.entries - a.entries
-    block[:d, 2 * d:] = 1j * (adag.entries + a.entries)
-    top = expm(block)[:d]
-    return top[:, :d], top[:, d:2 * d], top[:, 2 * d:]
+    b = basis(cutoff)
+    phi = np.angle(alpha)
+    d, d_g, d_y = expm(b.displace, abs(alpha), [b.displace.gen, b.a + b.a.T], phi)
+    c, s = np.cos(phi), np.sin(phi)
+    return d, c * d_g - 1j * s * d_y, s * d_g + 1j * c * d_y
 
 
 def apply(op: FockOperator, state: FockVector) -> FockVector:
     """op @ state, without renormalization."""
-    if op.dim != state.amplitudes.shape[0]:
-        raise ValueError(
-            f"operator dimension {op.dim} does not match state length "
-            f"{state.amplitudes.shape[0]}"
-        )
+    if op.cutoff != state.cutoff:
+        raise ValueError(f"operator dimension {op.cutoff} does not match state "
+                         f"length {state.cutoff}")
     return FockVector(op.entries @ state.amplitudes, state.cutoff)
 
 
 def expectation(op: FockOperator, state: FockVector) -> float:
     """Re <state| op |state> for a Hermitian op."""
-    if op.dim != state.amplitudes.shape[0]:
+    if op.cutoff != state.cutoff:
         raise ValueError("operator/state dimension mismatch")
     herm_err = np.max(np.abs(op.entries - op.entries.conj().T))
     if herm_err > 1e-10:

@@ -240,8 +240,8 @@ class TrainSchedule:
             raise ValueError("adam_lr must be positive")
         for name in ("gn_max_iter", "adam_epochs", "joint_rounds",
                      "joint_gn_steps", "joint_adam_steps"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must not be negative")
+            if type(value := getattr(self, name)) is not int or value < 0:   # bool too
+                raise ValueError(f"{name} must be a non-negative integer, got {value!r}")
 
 
 def train(problem, schedule: TrainSchedule, callback=None):

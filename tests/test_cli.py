@@ -345,6 +345,8 @@ BAD_SOLVE_CONFIGS = {
     "zero_adam_lr": ("train", "adam_lr", 0.0),
     "negative_adam_lr": ("train", "adam_lr", -0.01),
     "negative_gn_max_iter": ("train", "gn_max_iter", -1),
+    "fractional_gn_max_iter": ("train", "gn_max_iter", 2.5),
+    "fractional_joint_rounds": ("train", "joint_rounds", 1.5),
     "negative_adam_epochs": ("train", "adam_epochs", -1),
     "negative_joint_rounds": ("train", "joint_rounds", -1),
     "negative_joint_gn_steps": ("train", "joint_gn_steps", -1),

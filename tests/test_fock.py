@@ -4,6 +4,74 @@ import pytest
 from cvqoc import fock
 
 
+def taylor_expm(m):
+    """exp(m) by scaling and squaring around a Taylor polynomial: numpy only,
+    and independent of the spectral kernel under test."""
+    s = 0
+    while np.abs(m).sum(axis=0).max() > 0.5 * 2**s:
+        s += 1
+    x = m / 2**s
+    term = out = np.eye(len(m), dtype=complex)
+    for k in range(1, 25):
+        term = term @ x / k
+        out = out + term
+    for _ in range(s):
+        out = out @ out
+    return out
+
+
+def taylor_frechet(x, e):
+    """(exp(x), Frechet derivative of exp at x along e), read off the top
+    block row of exp([[x, e], [0, x]])."""
+    d = len(x)
+    top = taylor_expm(np.block([[x, e], [np.zeros_like(x), x]]))[:d]
+    return top[:, :d], top[:, d:]
+
+
+_rng = np.random.default_rng(17)
+# (alpha, r): the zero gates, a tiny amplitude, then random gates
+ORACLE_GATES = [(0j, 0.0), (1e-12 * np.exp(0.7j), 1e-12)] + [
+    (complex(*_rng.normal(0.0, 0.5, 2)), _rng.normal(0.0, 0.2)) for _ in range(20)]
+
+
+@pytest.mark.parametrize("cutoff", [10, 40])
+def test_gates_and_derivatives_match_taylor_oracle(cutoff):
+    a = fock.ladder(cutoff)[0].entries
+    g, y = a.T - a, 1j * (a.T + a)
+    sq_gen = 0.5 * (a @ a - a.T @ a.T)
+    squeeze = fock.basis(cutoff).squeeze
+    for alpha, r in ORACLE_GATES:
+        gen = alpha * a.T - np.conj(alpha) * a
+        disp, d_re, d_im = fock.displacement_derivatives(alpha, cutoff)
+        want_disp, want_re = taylor_frechet(gen, g)
+        want_im = taylor_frechet(gen, y)[1]
+        sq, d_sq = fock.expm(squeeze, r, [sq_gen])
+        want_sq, want_dsq = taylor_frechet(r * sq_gen, sq_gen)
+        gates = (fock.gate_matrix(fock.Displacement(alpha), cutoff).entries,
+                 fock.gate_matrix(fock.Squeeze(r), cutoff).entries)
+        for got, want in [(disp, want_disp), (gates[0], want_disp), (d_re, want_re),
+                          (d_im, want_im), (sq, want_sq), (gates[1], want_sq),
+                          (d_sq, want_dsq)]:
+            assert np.max(np.abs(got - want)) < 1e-12, (alpha, r)
+    # at zero amplitude the kernel returns the identity and the directions themselves
+    disp, d_re, d_im = fock.displacement_derivatives(0j, cutoff)
+    sq, d_sq = fock.expm(squeeze, 0.0, [sq_gen])
+    eye = np.eye(cutoff)
+    assert np.array_equal(disp, eye) and np.array_equal(sq, eye)
+    assert np.array_equal(d_re, g) and np.array_equal(d_im, y)
+    assert np.array_equal(d_sq, sq_gen)
+
+
+def test_cached_basis_is_read_only():
+    b = fock.basis(6)
+    for arr in (b.a, *b.displace, *b.squeeze):
+        with pytest.raises(ValueError):
+            arr[0] = 1.0
+    gate = fock.gate_matrix(fock.Squeeze(0.2), 6).entries
+    gate[0, 0] = 0.0   # a gate is the caller's own array
+    assert fock.gate_matrix(fock.Squeeze(0.2), 6).entries[0, 0] != 0.0
+
+
 def test_ladder_matrix_elements():
     a, adag = fock.ladder(4)
     expect = np.zeros((4, 4))
