@@ -65,16 +65,23 @@ def _building(what: str):
         raise ConfigError(f"bad {what}: {exc}")
 
 
+def _count(section: dict, key: str) -> int:
+    """An int config value; a float, even a whole one, or a bool is an error."""
+    if type(value := section[key]) is not int:
+        raise ValueError(f"{key} must be an integer, got {value!r}")
+    return value
+
+
 def _build_bank(qnn: dict) -> cvqnn.QnnBank:
     _check_keys(qnn, "qnn", ["n_features", "depth", "cutoff", "seed"],
                 ["passive_high", "squeeze_scale", "disp_scale", "kerr_scale"])
     with _building("qnn section"):
-        rng = np.random.default_rng(int(qnn["seed"]))
+        rng = np.random.default_rng(_count(qnn, "seed"))
         kwargs = {k: float(qnn[k]) for k in
                   ("passive_high", "squeeze_scale", "disp_scale", "kerr_scale")
                   if k in qnn}
-        return cvqnn.random_bank(int(qnn["n_features"]), int(qnn["depth"]),
-                                 int(qnn["cutoff"]), rng, **kwargs)
+        return cvqnn.random_bank(_count(qnn, "n_features"), _count(qnn, "depth"),
+                                 _count(qnn, "cutoff"), rng, **kwargs)
 
 
 def _build_model(system: str, params: dict) -> lindblad.SuperOperatorModel:
@@ -115,7 +122,7 @@ def build_problem(cfg: dict):
         with _building("tfc section"):
             morph = tfc.TimeMorph.from_times(float(tfc_cfg["t0"]), float(tfc_cfg["t_final"]),
                                              float(tfc_cfg["tau0"]), float(tfc_cfg["tauf"]))
-            problem = problems.OdeBenchmarkProblem(bank, morph, int(tfc_cfg["n_nodes"]),
+            problem = problems.OdeBenchmarkProblem(bank, morph, _count(tfc_cfg, "n_nodes"),
                                                    rate=rate, y0=y0)
     elif system in ("two-level", "three-level"):
         _check_keys(tfc_cfg, "tfc", ["n_nodes", "tau0", "tauf", "t0", "c_map_init"])
@@ -137,7 +144,7 @@ def build_problem(cfg: dict):
             morph = tfc.TimeMorph(float(tfc_cfg["t0"]), float(tfc_cfg["tau0"]),
                                   float(tfc_cfg["tauf"]), float(tfc_cfg["c_map_init"]))
             problem = problems.QocProblem(bank, cfg_ocp, model, morph,
-                                          int(tfc_cfg["n_nodes"]))
+                                          _count(tfc_cfg, "n_nodes"))
     else:
         raise ConfigError(f"unknown system {system!r}; expected two-level, "
                           "three-level, or linear-ode-benchmark")

@@ -7,10 +7,11 @@ vectors; squeeze and displacement come from fock's spectral kernel.  A bank
 of L independent circuits maps a scalar input tau (encoded as a displacement
 of the vacuum) to the feature vector sigma(tau) in R^L via <x> measurements.
 
-QnnCircuit.unitary_derivatives gives the exact derivative of the circuit
-matrix in each gate parameter, for training the circuits by gradient: every
-slot of a unit has a closed form (see _unit_derivatives), and units chain
-by the product rule.
+The bank holds every gate parameter once, in one flat array theta, of which
+each circuit's params is a (depth, 6) view; QnnBank.set_flat is its only
+writer.  One kernel, _unit, builds a unit's matrix and, when asked, its exact
+derivative in each slot; QnnCircuit.unitary_derivatives chains them by the
+product rule, for training the circuits by gradient.
 """
 
 from __future__ import annotations
@@ -21,83 +22,52 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import fock
-from .fock import Displacement, FockVector, Squeeze
+from .fock import Displacement, FockVector
 
-# flat layout per unit: rot1, squeeze, rot2, Re disp, Im disp, kerr
+# slot order of a unit's parameter row: rot1, squeeze, rot2, Re disp, Im disp, kerr
 PARAMS_PER_UNIT = 6
-
-
-@dataclass
-class QnnUnitParams:
-    """Gate parameters of one single-mode unit."""
-
-    rot1: float      # first rotation angle
-    squeeze: float   # real squeeze parameter
-    rot2: float      # second rotation angle
-    disp: complex    # displacement amplitude
-    kerr: float      # Kerr strength
-
-    def __post_init__(self):
-        self.rot1 = float(self.rot1)
-        self.squeeze = float(self.squeeze)
-        self.rot2 = float(self.rot2)
-        self.disp = complex(self.disp)
-        self.kerr = float(self.kerr)
-        if not np.all(np.isfinite([self.rot1, self.squeeze, self.rot2,
-                                   self.disp.real, self.disp.imag, self.kerr])):
-            raise ValueError("unit parameters must be finite")
-
-
-def zero_unit() -> QnnUnitParams:
-    return QnnUnitParams(rot1=0.0, squeeze=0.0, rot2=0.0, disp=0j, kerr=0.0)
 
 
 @dataclass
 class QnnCircuit:
     """Ordered stack of single-mode units at one cutoff.
 
-    The composed unitary is cached and invalidated through a version counter
-    that any parameter write must bump (see set_flat).
+    params holds one row per unit, in PARAMS_PER_UNIT slot order.  Inside a
+    bank it is a view of the bank's theta, written only by QnnBank.set_flat,
+    which bumps version; the composed unitary is cached per version.
     """
 
-    units: list
+    params: np.ndarray
     cutoff: int
     version: int = 0
     _unitary_cache: tuple = field(default=None, repr=False, compare=False)
 
+    def __post_init__(self):
+        self.params = p = np.asarray(self.params, dtype=float)
+        if p.ndim != 2 or p.shape[1] != PARAMS_PER_UNIT or not np.all(np.isfinite(p)):
+            raise ValueError(f"unit parameters must be a finite (depth, 6) array, got {p.shape}")
+
     @property
     def depth(self) -> int:
-        return len(self.units)
-
-    def get_flat(self) -> np.ndarray:
-        return np.array([[u.rot1, u.squeeze, u.rot2, u.disp.real, u.disp.imag, u.kerr]
-                         for u in self.units], dtype=float).reshape(-1)
-
-    def set_flat(self, values: np.ndarray) -> None:
-        values = np.asarray(values, dtype=float)
-        if values.shape != (PARAMS_PER_UNIT * self.depth,):
-            raise ValueError("flat parameter vector has wrong length")
-        for u, row in zip(self.units, values.reshape(-1, PARAMS_PER_UNIT)):
-            u.rot1, u.squeeze, u.rot2, re, im, u.kerr = row
-            u.disp = complex(re, im)
-        self.version += 1
+        return self.params.shape[0]
 
     def unitary(self) -> np.ndarray:
         """Composed circuit matrix (excluding the input encoding)."""
         if self._unitary_cache is not None and self._unitary_cache[0] == self.version:
             return self._unitary_cache[1]
         mat = np.eye(self.cutoff, dtype=complex)
-        for u in self.units:
-            mat = _unit_matrix(u, self.cutoff) @ mat
+        for row in self.params:
+            mat = _unit(row, self.cutoff, False)[0] @ mat
         self._unitary_cache = (self.version, mat)
         return mat
 
     def unitary_derivatives(self) -> np.ndarray:
-        """d U / d theta_p for every flat parameter p, shape (6 depth, D, D).
+        """d U / d theta_p for every parameter p in row-major order, shape
+        (6 depth, D, D).
 
         Units chain as U = U_depth ... U_1, so a parameter of unit m gives
         (U_depth ... U_{m+1}) dU_m (U_{m-1} ... U_1)."""
-        mats, dmats = zip(*(_unit_derivatives(u, self.cutoff) for u in self.units))
+        mats, dmats = zip(*(_unit(row, self.cutoff, True) for row in self.params))
         eye = np.eye(self.cutoff, dtype=complex)
 
         def product(units):   # units in the order they act, so the last is leftmost
@@ -107,38 +77,35 @@ class QnnCircuit:
                                for m, dmat in enumerate(dmats)])
 
 
-def _unit_matrix(u: QnnUnitParams, cutoff: int) -> np.ndarray:
-    """K D R2 S R1, with the diagonal gates applied as phase vectors."""
-    # set_flat writes without validation; squeeze and displacement are
-    # checked by fock.gate_matrix
-    if not np.all(np.isfinite([u.rot1, u.rot2, u.kerr])):
-        raise ValueError("non-finite rotation angle or Kerr strength")
+def _unit(row: np.ndarray, cutoff: int, derivatives: bool):
+    """(U, dU) for U = K D R2 S R1 with the parameters of one row; dU, of
+    shape (6, D, D) in slot order, is None unless derivatives is set.
+
+    The diagonal gates act as phase vectors, and each slot's derivative has a
+    closed form: rotations and Kerr differentiate their phases (i n and
+    i n^2), the squeeze is exp(r A) so dS/dr = A S, and the displacement's two
+    derivatives are Frechet derivatives of its exponential
+    (fock.displacement_derivatives)."""
+    # QnnBank.set_flat writes without validation; a non-finite slot stops here
+    if not np.all(np.isfinite(row)):
+        raise ValueError("non-finite unit parameter")
+    rot1, squeeze, rot2, re, im, kappa = row.tolist()
+    alpha = complex(re, im)
+    b = fock.basis(cutoff)
     n = np.arange(cutoff)
-    mat = fock.gate_matrix(Squeeze(u.squeeze), cutoff).entries * np.exp(1j * u.rot1 * n)
-    mat = np.exp(1j * u.rot2 * n)[:, None] * mat
-    mat = fock.gate_matrix(Displacement(u.disp), cutoff).entries @ mat
-    return np.exp(1j * u.kerr * n**2)[:, None] * mat
-
-
-def _unit_derivatives(u: QnnUnitParams, cutoff: int):
-    """(U, dU) for U = K D R2 S R1, dU of shape (6, D, D) in flat slot order.
-
-    Every slot has a closed form: rotations and Kerr differentiate their
-    phase vectors (i n and i n^2), the squeeze is exp(r A) so dS/dr = A S,
-    and the displacement's two derivatives are Frechet derivatives of its
-    exponential (fock.displacement_derivatives)."""
-    if not np.all(np.isfinite([u.rot1, u.squeeze, u.rot2, u.kerr])):
-        raise ValueError("non-finite rotation angle, squeeze or Kerr strength")
-    n = np.arange(cutoff)
-    r1 = np.exp(1j * u.rot1 * n)
-    r2 = np.exp(1j * u.rot2 * n)[:, None]
-    kerr = np.exp(1j * u.kerr * n**2)[:, None]
-    squeeze = fock.basis(cutoff).squeeze
-    sq, d_sq = fock.expm(squeeze, u.squeeze, [squeeze.gen])   # S, A S
-    disp, d_re, d_im = fock.displacement_derivatives(u.disp, cutoff)
+    r1 = np.exp(1j * rot1 * n)
+    r2 = np.exp(1j * rot2 * n)[:, None]
+    kerr = np.exp(1j * kappa * n**2)[:, None]
+    sq, *d_sq = fock.expm(b.squeeze, squeeze, [b.squeeze.gen] if derivatives else [])
+    if derivatives:
+        disp, d_re, d_im = fock.displacement_derivatives(alpha, cutoff)
+    else:
+        disp = fock.expm(b.displace, abs(alpha), phi=np.angle(alpha))[0]
     inner = r2 * (sq * r1)                       # R2 S R1
     mat = kerr * (disp @ inner)
-    d_sq = kerr * (disp @ (r2 * (d_sq * r1)))
+    if not derivatives:
+        return mat, None
+    d_sq = kerr * (disp @ (r2 * (d_sq[0] * r1)))
     d_rot2 = kerr * (disp @ (1j * n[:, None] * inner))
     return mat, np.array([mat * (1j * n), d_sq, d_rot2, kerr * (d_re @ inner),
                           kerr * (d_im @ inner), 1j * (n**2)[:, None] * mat])
@@ -175,7 +142,11 @@ class InputEncoder:
 
 @dataclass
 class QnnBank:
-    """L independent single-mode circuits producing the feature vector."""
+    """L independent single-mode circuits producing the feature vector.
+
+    The bank owns theta, every circuit's parameters in one flat array, and
+    rebinds each circuit's params to a view of its slice; set_flat is the
+    one writer of theta."""
 
     circuits: list
 
@@ -187,6 +158,10 @@ class QnnBank:
         for c in self.circuits:
             if c.cutoff != cut:
                 raise ValueError("all circuits must share one cutoff")
+        self._theta = np.concatenate([c.params.reshape(-1) for c in self.circuits])
+        self._bounds = np.cumsum([c.params.size for c in self.circuits])[:-1]
+        for c, part in zip(self.circuits, np.split(self._theta, self._bounds)):
+            c.params = part.reshape(c.params.shape)
 
     @property
     def n_features(self) -> int:
@@ -201,18 +176,21 @@ class QnnBank:
         return tuple(c.version for c in self.circuits)
 
     def get_flat(self) -> np.ndarray:
-        return np.concatenate([c.get_flat() for c in self.circuits])
+        return self._theta.copy()
 
     def set_flat(self, values: np.ndarray) -> None:
-        """Write the circuits whose slice differs from their parameters, so
-        only those get a new version; a wrong length writes nothing."""
+        """Write theta.  Equal values return after one compare; otherwise
+        each circuit whose slice differs is written in place and gets a new
+        version.  A wrong length writes nothing."""
         values = np.asarray(values, dtype=float)
-        sizes = [PARAMS_PER_UNIT * c.depth for c in self.circuits]
-        if values.shape != (sum(sizes),):
+        if values.shape != self._theta.shape:
             raise ValueError("flat parameter vector has wrong length")
-        for c, part in zip(self.circuits, np.split(values, np.cumsum(sizes)[:-1])):
-            if not np.array_equal(part, c.get_flat()):
-                c.set_flat(part)
+        if np.array_equal(values, self._theta):
+            return
+        for c, part in zip(self.circuits, np.split(values, self._bounds)):
+            if not np.array_equal(part, c.params.ravel()):
+                c.params.flat = part
+                c.version += 1
 
 
 def forward(bank: QnnBank, tau: float) -> np.ndarray:
@@ -243,13 +221,12 @@ def random_bank(n_features: int, depth: int, cutoff: int, rng: np.random.Generat
     features are the same sqrt(2) tau."""
     if depth < 1:
         raise ValueError(f"depth must be at least 1, got {depth}")
-    circuits = []
-    for _ in range(n_features):
-        units = [QnnUnitParams(rot1=rng.uniform(0.0, passive_high),
-                               squeeze=rng.normal(0.0, squeeze_scale),
-                               rot2=rng.uniform(0.0, passive_high),
-                               disp=rng.normal(0.0, disp_scale),
-                               kerr=rng.normal(0.0, kerr_scale))
-                 for _ in range(depth)]
-        circuits.append(QnnCircuit(units=units, cutoff=cutoff))
-    return QnnBank(circuits=circuits)
+    # QnnCircuit rejects what a non-finite normal scale draws
+    if not np.isfinite(passive_high):
+        raise ValueError(f"passive_high must be finite, got {passive_high!r}")
+    theta = np.zeros((n_features, depth, PARAMS_PER_UNIT))   # Im disp stays 0
+    for row in theta.reshape(-1, PARAMS_PER_UNIT):
+        row[[0, 1, 2, 3, 5]] = (rng.uniform(0.0, passive_high), rng.normal(0.0, squeeze_scale),
+                                rng.uniform(0.0, passive_high), rng.normal(0.0, disp_scale),
+                                rng.normal(0.0, kerr_scale))
+    return QnnBank(circuits=[QnnCircuit(params, cutoff) for params in theta])

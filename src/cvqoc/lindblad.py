@@ -21,6 +21,8 @@ class TwoLevelParams:
     omega_z: float = 2.0
 
     def __post_init__(self):
+        if not np.all(np.isfinite([self.gamma_eg, self.gamma_ge, self.omega_x, self.omega_z])):
+            raise ValueError("rates and frequencies must be finite")
         if self.gamma_eg < 0 or self.gamma_ge < 0:
             raise ValueError("damping rates must be non-negative")
 
@@ -46,6 +48,8 @@ class RealDensityVector:
         d = {4: 2, 9: 3}.get(self.x.shape[0])
         if d is None:
             raise ValueError("length must be 4 (qubit) or 9 (qutrit)")
+        if not np.all(np.isfinite(self.x)):
+            raise ValueError("entries must be finite")
         pops = self.x[:d]
         if abs(float(pops.sum()) - 1.0) > 1e-9:
             raise ValueError(f"populations sum to {pops.sum()}, expected 1")

@@ -121,9 +121,11 @@ def gauss_newton(res_fn, z0: np.ndarray, *, jac_fn, tol: float = 1e-6,
     """
     if tol <= 0:
         raise ValueError("tolerance must be positive")
+    if not 0 <= damping < np.inf:
+        raise ValueError(f"damping must be finite and non-negative, got {damping!r}")
     start = time.perf_counter()
     z = np.asarray(z0, dtype=float).copy()
-    lam = max(damping, 0.0)
+    lam = damping
     history = [_finite_loss(np.linalg.norm(res_fn(z)), "at the starting point")]
     converged = history[0] < tol
     reason = "converged" if converged else "max_iter"
@@ -234,10 +236,12 @@ class TrainSchedule:
     def __post_init__(self):
         if self.mode not in ("xi", "theta", "joint"):
             raise ValueError(f"unknown training mode {self.mode!r}")
-        if not self.tolerance > 0:
-            raise ValueError("tolerance must be positive")
-        if not self.adam_lr > 0:
-            raise ValueError("adam_lr must be positive")
+        if not 0 < self.tolerance < np.inf:
+            raise ValueError("tolerance must be positive and finite")
+        if not 0 < self.adam_lr < np.inf:
+            raise ValueError("adam_lr must be positive and finite")
+        if not 0 <= self.gn_damping < np.inf:
+            raise ValueError(f"gn_damping must be finite and non-negative, got {self.gn_damping!r}")
         for name in ("gn_max_iter", "adam_epochs", "joint_rounds",
                      "joint_gn_steps", "joint_adam_steps"):
             if type(value := getattr(self, name)) is not int or value < 0:   # bool too

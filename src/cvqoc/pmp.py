@@ -53,6 +53,10 @@ class OcpConfig:
     costate_terminal_constraint: bool = False   # pin lambda(t_f); free by default
 
     def __post_init__(self):
+        # t0 is the time morph's, checked with it
+        if not np.all(np.isfinite([self.time_weight, self.energy_weight, self.reg_weight,
+                                   self.u_min, self.u_max, self.sat_steepness])):
+            raise ValueError("cost weights, control bounds and steepness must be finite")
         if min(self.time_weight, self.energy_weight, self.reg_weight) <= 0:
             raise ValueError("cost weights must be positive")
         if self.u_max < self.u_min:

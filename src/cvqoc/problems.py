@@ -11,7 +11,8 @@ changes, so weight-only perturbations never re-run the quantum simulation.
 Every unknown is a tfc.ConstrainedExpression over FeatureCache.features and
 its own weight block, which the expression reads on every call.  Both
 problems share one base, _Collocation, which owns that layout: its _sync is
-the only writer of the weights (in place) and the circuit parameters.
+the only writer of the weights (in place) and hands theta to the bank, whose
+set_flat is the only writer of the circuit parameters.
 
 Every problem's jacobian is closed form in every coordinate.  The weight
 (and morph-rate) columns come from the expressions' affine maps.  The
@@ -58,9 +59,9 @@ class FeatureCache:
         self._sig = np.empty((self._taus.shape[0], bank.n_features))
         self._dsig = np.empty_like(self._sig)
         self._versions = [None] * bank.n_features
-        sizes = [cvqnn.PARAMS_PER_UNIT * c.depth for c in bank.circuits]
         # theta_owner[p]: the circuit, and so the feature, that theta_p moves
-        self.theta_owner = np.repeat(np.arange(bank.n_features), sizes)
+        self.theta_owner = np.repeat(np.arange(bank.n_features),
+                                     [c.params.size for c in bank.circuits])
         self._sig_theta = np.empty((self._taus.shape[0], self.theta_owner.size))
         self._dsig_theta = np.empty_like(self._sig_theta)
         self._theta_versions = [None] * bank.n_features
@@ -152,8 +153,8 @@ class _Collocation:
     (L, width) per unknown.  The decision vector lays out the weight blocks
     in the order given, then the flattened circuit parameters (theta), then
     the extra scalars (name -> initial value).  _sync is the only writer of
-    the weights, which it overwrites in place, and of the circuit
-    parameters; it rebuilds circuits only when theta changed.
+    the weights, which it overwrites in place, and forwards theta to
+    QnnBank.set_flat, which re-versions only the circuits whose slice changed.
     """
 
     def __init__(self, bank: cvqnn.QnnBank, morph: TimeMorph, n_nodes: int,
@@ -176,7 +177,6 @@ class _Collocation:
         self.theta_mask = np.zeros(pos, dtype=bool)
         self.theta_mask[blocks["theta"]] = True
         self.xi_mask = ~self.theta_mask
-        self._theta_current = theta
 
     def _expression(self, name: str, constraints: list) -> ConstrainedExpression:
         """Constrained expression over the features, weighted by block name."""
@@ -191,10 +191,7 @@ class _Collocation:
         blocks = self.decision.blocks
         for name, arr in self._xi.items():
             arr[...] = values[blocks[name]].reshape(arr.shape)
-        theta = values[blocks["theta"]]
-        if not np.array_equal(theta, self._theta_current):
-            self.bank.set_flat(theta)
-            self._theta_current = theta.copy()
+        self.bank.set_flat(values[blocks["theta"]])
 
     def jacobian(self, values: np.ndarray, mask: np.ndarray = None) -> np.ndarray:
         """Closed-form Jacobian of residual(values) on the mask coordinates

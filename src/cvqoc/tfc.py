@@ -28,6 +28,8 @@ class TimeMorph:
     c_map: float
 
     def __post_init__(self):
+        if not np.all(np.isfinite([self.t0, self.tau0, self.tauf])):
+            raise ValueError("t0, tau0 and tauf must be finite")
         if self.tauf <= self.tau0:
             raise ValueError("tauf must exceed tau0")
         if not (np.isfinite(self.c_map) and self.c_map > 0):

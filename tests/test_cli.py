@@ -352,6 +352,27 @@ BAD_SOLVE_CONFIGS = {
     "negative_joint_gn_steps": ("train", "joint_gn_steps", -1),
     "negative_joint_adam_steps": ("train", "joint_adam_steps", -1),
     "removed_fd_h": ("train", "fd_h", 1e-6),
+    "infinite_tolerance": ("train", "tolerance", np.inf),
+    "infinite_adam_lr": ("train", "adam_lr", np.inf),
+    "nan_gn_damping": ("train", "gn_damping", np.nan),
+    "negative_gn_damping": ("train", "gn_damping", -1e-3),
+    "nan_t0": ("tfc", "t0", np.nan),
+    "fractional_n_nodes": ("tfc", "n_nodes", 16.5),
+    "infinite_passive_high": ("qnn", "passive_high", np.inf),
+    "nan_squeeze_scale": ("qnn", "squeeze_scale", np.nan),
+    "fractional_seed": ("qnn", "seed", 7.5),
+    "fractional_n_features": ("qnn", "n_features", 6.5),
+    "fractional_depth": ("qnn", "depth", 2.5),
+    "fractional_cutoff": ("qnn", "cutoff", 10.5),
+    "nan_u_min": ("ocp", "u_min", np.nan),
+    "infinite_u_max": ("ocp", "u_max", np.inf),
+    "nan_time_weight": ("ocp", "time_weight", np.nan),
+    "infinite_energy_weight": ("ocp", "energy_weight", np.inf),
+    "nan_sat_steepness": ("ocp", "sat_steepness", np.nan),
+    "nan_rho_target": ("ocp", "rho_target", [0.05, 0.95, np.nan, 0.0]),
+    "nan_omega_x": ("system_params", "omega_x", np.nan),
+    "infinite_omega_z": ("system_params", "omega_z", np.inf),
+    "nan_gamma_eg": ("system_params", "gamma_eg", np.nan),
 }
 
 

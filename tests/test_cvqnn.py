@@ -4,10 +4,15 @@ import pytest
 from cvqoc import cvqnn, fock
 
 
-def bank_of(units_per_circuit, cutoff=12):
-    circuits = [cvqnn.QnnCircuit(units=u, cutoff=cutoff)
-                for u in units_per_circuit]
+def bank_of(params_per_circuit, cutoff=12):
+    # one (depth, 6) parameter array per circuit
+    circuits = [cvqnn.QnnCircuit(np.reshape(p, (-1, cvqnn.PARAMS_PER_UNIT)), cutoff)
+                for p in params_per_circuit]
     return cvqnn.QnnBank(circuits=circuits)
+
+
+def unit_row(rot1=0.0, squeeze=0.0, rot2=0.0, disp=0j, kerr=0.0):
+    return [rot1, squeeze, rot2, complex(disp).real, complex(disp).imag, kerr]
 
 
 def test_encode_input_vacuum_at_zero():
@@ -22,7 +27,7 @@ def test_encode_input_coherent_amplitude():
 
 
 def test_zero_unit_is_identity():
-    mat = cvqnn.QnnCircuit(units=[cvqnn.zero_unit()], cutoff=15).unitary()
+    mat = cvqnn.QnnCircuit(np.zeros((1, cvqnn.PARAMS_PER_UNIT)), 15).unitary()
     assert np.max(np.abs(mat - np.eye(15))) < 1e-12
 
 
@@ -34,13 +39,13 @@ def test_unit_matrix_is_gate_product():
         r1, r2 = rng.uniform(0.0, 2 * np.pi, 2)
         sq, kappa = rng.normal(0.0, 0.3, 2)
         alpha = complex(*rng.normal(0.0, 0.3, 2))
-        unit = cvqnn.QnnUnitParams(rot1=r1, squeeze=sq, rot2=r2, disp=alpha, kerr=kappa)
+        unit = unit_row(rot1=r1, squeeze=sq, rot2=r2, disp=alpha, kerr=kappa)
         gates = [fock.Kerr(kappa), fock.Displacement(alpha), fock.Rotation(r2),
                  fock.Squeeze(sq), fock.Rotation(r1)]
         expect = np.eye(d, dtype=complex)
         for g in gates:
             expect = expect @ fock.gate_matrix(g, d).entries
-        got = cvqnn.QnnCircuit(units=[unit], cutoff=d).unitary()
+        got = cvqnn.QnnCircuit([unit], d).unitary()
         assert np.max(np.abs(got - expect)) < 1e-12
 
 
@@ -48,18 +53,19 @@ def test_unit_matrix_is_gate_product():
 def test_unitary_derivatives_match_richardson_differences(slot):
     # flat layout per unit: rot1, squeeze, rot2, Re disp, Im disp, kerr; a
     # depth-2 circuit, so each slot is checked in both chain positions
-    circ = cvqnn.random_bank(1, 2, 10, np.random.default_rng(21), squeeze_scale=0.1,
-                             disp_scale=0.3, kerr_scale=0.15).circuits[0]
-    theta = circ.get_flat()
+    bank = cvqnn.random_bank(1, 2, 10, np.random.default_rng(21), squeeze_scale=0.1,
+                             disp_scale=0.3, kerr_scale=0.15)
+    circ = bank.circuits[0]
+    theta = bank.get_flat()
     exact = circ.unitary_derivatives()
     assert exact.shape == (theta.size, 10, 10)
 
     def central(p, h):
         step = np.zeros_like(theta)
         step[p] = h
-        circ.set_flat(theta + step)
+        bank.set_flat(theta + step)
         plus = circ.unitary()
-        circ.set_flat(theta - step)
+        bank.set_flat(theta - step)
         return (plus - circ.unitary()) / (2.0 * h)
 
     h = 1e-4
@@ -71,16 +77,16 @@ def test_unitary_derivatives_match_richardson_differences(slot):
 @pytest.mark.parametrize("index", range(cvqnn.PARAMS_PER_UNIT))
 def test_nonfinite_flat_parameter_rejected_at_unitary(index):
     # flat layout per unit: rot1, squeeze, rot2, Re disp, Im disp, kerr
-    circ = cvqnn.random_bank(1, 1, 8, np.random.default_rng(3)).circuits[0]
-    flat = circ.get_flat()
+    bank = cvqnn.random_bank(1, 1, 8, np.random.default_rng(3))
+    flat = bank.get_flat()
     flat[index] = np.nan
-    circ.set_flat(flat)
+    bank.set_flat(flat)
     with pytest.raises(ValueError):
-        circ.unitary()
+        bank.circuits[0].unitary()
 
 
 def test_depth_zero_forward_is_scaled_input():
-    bank = bank_of([[], []], cutoff=30)
+    bank = bank_of([np.zeros((0, cvqnn.PARAMS_PER_UNIT))] * 2, cutoff=30)
     for tau in (-0.5, 0.0, 0.7):
         sigma = cvqnn.forward(bank, tau)
         assert np.max(np.abs(sigma - np.sqrt(2) * tau)) < 1e-6
@@ -89,18 +95,16 @@ def test_depth_zero_forward_is_scaled_input():
 
 
 def test_displacement_only_feature():
-    unit = cvqnn.zero_unit()
-    unit.disp = 0.3 + 0j
-    bank = bank_of([[unit]], cutoff=30)
+    bank = bank_of([unit_row(disp=0.3 + 0j)], cutoff=30)
     assert abs(cvqnn.forward(bank, 0.0)[0] - np.sqrt(2) * 0.3) < 1e-6
 
 
 def test_second_zero_unit_is_noop():
     rng = np.random.default_rng(4)
     base = cvqnn.random_bank(1, 1, 14, rng)
-    unit = base.circuits[0].units[0]
-    one = bank_of([[unit]], cutoff=14)
-    two = bank_of([[unit, cvqnn.zero_unit()]], cutoff=14)
+    unit = base.circuits[0].params[0]
+    one = bank_of([unit], cutoff=14)
+    two = bank_of([[unit, unit_row()]], cutoff=14)
     assert np.allclose(cvqnn.forward(one, 0.4), cvqnn.forward(two, 0.4), atol=1e-12)
 
 
@@ -134,6 +138,23 @@ def test_flat_round_trip_and_version():
             bank.set_flat(bad)
         assert np.array_equal(bank.get_flat(), flat)
         assert bank.version == v1
+
+
+def test_set_flat_is_seen_through_circuit_params_and_get_flat_copies():
+    bank = cvqnn.random_bank(3, 2, 8, np.random.default_rng(7))
+    flat = bank.get_flat()
+    flat[2 * cvqnn.PARAMS_PER_UNIT + 1] += 0.25   # circuit 1, unit 0, squeeze
+    bank.set_flat(flat)
+    for l, circ in enumerate(bank.circuits):
+        part = flat[2 * cvqnn.PARAMS_PER_UNIT * l:2 * cvqnn.PARAMS_PER_UNIT * (l + 1)]
+        assert np.array_equal(circ.params, part.reshape(2, cvqnn.PARAMS_PER_UNIT))
+    assert bank.version == (0, 1, 0)
+    # writing into the returned vector leaves theta as it is
+    copy = bank.get_flat()
+    copy[:] = 0.0
+    assert np.array_equal(bank.get_flat(), flat)
+    assert np.array_equal(bank.circuits[1].params.reshape(-1),
+                          flat[2 * cvqnn.PARAMS_PER_UNIT:4 * cvqnn.PARAMS_PER_UNIT])
 
 
 def test_forward_deterministic():
@@ -175,14 +196,15 @@ def test_parameter_continuity():
 
 def test_unit_shape_validation():
     with pytest.raises(ValueError):
-        cvqnn.QnnUnitParams(rot1=0.0, squeeze=np.nan, rot2=0.0, disp=0j, kerr=0.0)
+        cvqnn.QnnCircuit([unit_row(squeeze=np.nan)], 8)
     with pytest.raises(ValueError):
-        cvqnn.QnnUnitParams(rot1=0.0, squeeze=0.0, rot2=0.0, disp=complex(0, np.inf),
-                            kerr=0.0)
+        cvqnn.QnnCircuit([unit_row(disp=complex(0, np.inf))], 8)
+    with pytest.raises(ValueError):
+        cvqnn.QnnCircuit(np.zeros((1, cvqnn.PARAMS_PER_UNIT - 1)), 8)
 
 
 def test_bank_rejects_mixed_cutoff():
-    c1 = cvqnn.QnnCircuit(units=[cvqnn.zero_unit()], cutoff=8)
-    c2 = cvqnn.QnnCircuit(units=[cvqnn.zero_unit()], cutoff=10)
+    c1 = cvqnn.QnnCircuit([unit_row()], 8)
+    c2 = cvqnn.QnnCircuit([unit_row()], 10)
     with pytest.raises(ValueError):
         cvqnn.QnnBank(circuits=[c1, c2])

@@ -106,6 +106,13 @@ def test_gauss_newton_rejects_bad_tol():
         gauss_newton(lambda z: z, np.zeros(1), jac_fn=lambda z: np.eye(1), tol=0.0)
 
 
+@pytest.mark.parametrize("damping", [-1e-3, np.nan, np.inf])
+def test_gauss_newton_rejects_bad_damping(damping):
+    # a negative damping is an error, not silently zero
+    with pytest.raises(ValueError, match="damping"):
+        gauss_newton(lambda z: z, np.ones(1), jac_fn=lambda z: np.eye(1), damping=damping)
+
+
 def test_gauss_newton_uses_supplied_jacobian():
     rng = np.random.default_rng(3)
     a = rng.normal(size=(8, 5))

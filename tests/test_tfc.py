@@ -27,6 +27,9 @@ def test_morph_validation():
         TimeMorph(0.0, -0.8, 0.8, -1.0)
     with pytest.raises(ValueError):
         TimeMorph.from_times(2.0, 1.0, -0.8, 0.8)
+    for t0, tau0, tauf in ((np.nan, -0.8, 0.8), (0.0, -np.inf, 0.8), (0.0, -0.8, np.nan)):
+        with pytest.raises(ValueError):
+            TimeMorph(t0, tau0, tauf, 1.0)
 
 
 def test_omega_partition_of_unity():
