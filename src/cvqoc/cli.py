@@ -245,7 +245,7 @@ def cmd_propagate(args) -> int:
     with _building("propagate section"):
         ts, xs = lindblad.propagate_rk4(model, x0, u_of_t,
                                         float(prop["t0"]), float(prop["tf"]),
-                                        int(prop["steps"]))
+                                        _count(prop, "steps"))
     n_pop = int(round(np.sqrt(model.dim)))
     head = ["t"] + [f"x{i + 1}" for i in range(model.dim)] + ["trace"]
     rows = (np.concatenate([[t], x, [x[:n_pop].sum()]]) for t, x in zip(ts, xs))

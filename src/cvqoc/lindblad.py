@@ -63,6 +63,9 @@ class SuperOperatorModel:
 
     generator(u) accepts a control vector of length n_controls;
     generator_du[c] is the constant derivative with respect to control c.
+    The model must be affine: generator(u) == generator(0) + sum_c u[c] *
+    generator_du[c] for every u.  The closed-form Jacobian in pmp and the
+    batched propagate_rk4 build G(u) from that form, not from generator(u).
     """
 
     dim: int
@@ -262,6 +265,13 @@ def three_level_model(p: ThreeLevelParams) -> SuperOperatorModel:
                               generator_du=[du_p, du_s])
 
 
+# Steps per batch of generators and step matrices in propagate_rk4: large
+# enough that the NumPy calls of a batch cost little per step, small enough
+# that the batch, a few dim x dim matrices per step, stays far below the rest
+# of a solve's memory whatever the step count.
+_BLOCK_STEPS = 256
+
+
 def propagate_rk4(model: SuperOperatorModel, x0: np.ndarray, u_of_t: callable,
                   t0: float, tf: float, steps: int):
     """Fixed-step RK4 on x_dot = L(u(t)) x; returns (times, states) including
@@ -270,31 +280,47 @@ def propagate_rk4(model: SuperOperatorModel, x0: np.ndarray, u_of_t: callable,
     The control is tabulated up front: u_of_t is called once, on the array of
     the 2 * steps + 1 stage times t0 + k h / 2, and returns one control
     vector per time, shape (2 * steps + 1, n_controls); a constant control of
-    shape (n_controls,) broadcasts.  The generator is built once per stage
-    time.
+    shape (n_controls,) broadcasts.  A non-finite control raises ValueError.
+
+    The model is affine in u, so the generator is built once, as the drift
+    G(0), and G(t) = G(0) + sum_c u_c(t) generator_du[c] at every stage time
+    comes from one einsum.  With A_s, A_m, A_e the generators at a step's
+    start, middle and end, the step is x <- M x with
+
+        P2 = A_m (I + h/2 A_s),  P3 = A_m (I + h/2 P2),  P4 = A_e (I + h P3),
+        M  = I + h/6 (A_s + 2 P2 + 2 P3 + P4),
+
+    which is the classic RK4 step written as a matrix.  Generators and step
+    matrices are formed in batches of _BLOCK_STEPS steps, so memory does not
+    grow with the step count.
     """
     if steps < 10:
         raise ValueError("use at least 10 steps")
     if not tf > t0:
         raise ValueError("tf must exceed t0")
-    x = np.asarray(x0, dtype=float).copy()
+    x = np.asarray(x0, dtype=float)
     if x.shape[0] != model.dim:
         raise ValueError("initial state has wrong dimension")
     h = (tf - t0) / steps
     stages = np.linspace(t0, tf, 2 * steps + 1)
     us = np.broadcast_to(np.asarray(u_of_t(stages), dtype=float),
                          (stages.shape[0], model.n_controls))
+    if not np.all(np.isfinite(us)):
+        raise ValueError("control must be finite")
+    drift = model.generator(np.zeros(model.n_controls))
+    du = np.asarray(model.generator_du, dtype=float)
+    eye = np.eye(model.dim)
     xs = np.empty((steps + 1, model.dim))
     xs[0] = x
-    gen_end = model.generator(us[0])
-    for i in range(steps):
-        gen_start = gen_end
-        gen_mid = model.generator(us[2 * i + 1])
-        gen_end = model.generator(us[2 * i + 2])
-        k1 = gen_start @ x
-        k2 = gen_mid @ (x + 0.5 * h * k1)
-        k3 = gen_mid @ (x + 0.5 * h * k2)
-        k4 = gen_end @ (x + h * k3)
-        x = x + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-        xs[i + 1] = x
+    for first in range(0, steps, _BLOCK_STEPS):
+        last = min(first + _BLOCK_STEPS, steps)
+        gens = drift + np.einsum("kc,cij->kij", us[2 * first:2 * last + 1], du)
+        a_s, a_m, a_e = gens[:-1:2], gens[1::2], gens[2::2]
+        p2 = a_m @ (eye + (0.5 * h) * a_s)
+        p3 = a_m @ (eye + (0.5 * h) * p2)
+        p4 = a_e @ (eye + h * p3)
+        step = eye + (h / 6.0) * (a_s + 2.0 * p2 + 2.0 * p3 + p4)
+        for n in range(first, last):
+            x = step[n - first].dot(x)
+            xs[n + 1] = x
     return stages[::2].copy(), xs

@@ -269,6 +269,22 @@ def test_propagate_bad_control_shape(tmp_path, capsys):
                 "--control", str(ctrl), "--output", str(tmp_path / "o.csv")]) == 2
 
 
+def test_propagate_nonfinite_control_exits_2(tmp_path, capsys):
+    cfg = tmp_path / "sys.json"
+    cfg.write_text(json.dumps({
+        "system_params": {},
+        "propagate": {"x0": [1.0, 0.0, 0.0, 0.0], "t0": 0.0, "tf": 1.0,
+                      "steps": 50},
+    }))
+    ctrl = tmp_path / "u.csv"
+    ctrl.write_text("0.0,0.0\n0.5,nan\n1.0,0.0\n")
+    out = tmp_path / "o.csv"
+    assert run(["propagate", "--system", "two-level", "--config", str(cfg),
+                "--control", str(ctrl), "--output", str(out)]) == 2
+    assert "bad propagate section: control must be finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_verify_self_and_perturbed(tmp_path, capsys):
     traj = tmp_path / "a.csv"
     cli.write_csv(str(traj), ["t", "x1", "x2", "u", "trace"],
@@ -381,6 +397,7 @@ BAD_PROPAGATE_CONFIGS = {
     "propagate_unknown_param": ({"bogus": 1}, {}, "system_params", "bogus"),
     "propagate_few_steps": ({}, {"steps": 5}, "propagate", "steps"),
     "propagate_tf_at_t0": ({}, {"tf": 0.0}, "propagate", "tf"),
+    "propagate_fractional_steps": ({}, {"steps": 20.7}, "propagate", "steps"),
 }
 
 

@@ -140,6 +140,48 @@ def test_rk4_input_validation():
         propagate_rk4(model, np.zeros(3), lambda t: np.zeros(1), 0.0, 1.0, 50)
 
 
+@pytest.mark.parametrize("model", [two_level_model(TwoLevelParams(0.2, 0.05, 0.7, -1.3)),
+                                   three_level_model(ThreeLevelParams(0.3, -0.8))])
+def test_shipped_models_are_affine(model):
+    # propagate_rk4 and the pmp Jacobian build G(u) as G(0) + sum_c u_c G_c
+    rng = np.random.default_rng(3)
+    g0 = model.generator(np.zeros(model.n_controls))
+    for _ in range(5):
+        u = rng.normal(scale=3.0, size=model.n_controls)
+        affine = g0 + sum(uc * gc for uc, gc in zip(u, model.generator_du))
+        assert np.max(np.abs(model.generator(u) - affine)) < 1e-15
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_rk4_rejects_nonfinite_control(bad):
+    model = three_level_model(ThreeLevelParams())
+    x0 = np.array([1.0, 0, 0, 0, 0, 0, 0, 0, 0])
+
+    def u_table(t):
+        u = np.column_stack([np.sin(t), np.cos(t)])
+        u[len(t) // 2, 1] = bad
+        return u
+
+    with pytest.raises(ValueError, match="control must be finite"):
+        propagate_rk4(model, x0, u_table, 0.0, 1.0, 600)
+    with pytest.raises(ValueError, match="control must be finite"):
+        propagate_rk4(two_level_model(P), np.array([1.0, 0.0, 0.0, 0.0]),
+                      lambda t: np.array([bad]), 0.0, 1.0, 50)
+
+
+def test_rk4_builds_the_generator_once_whatever_the_step_count():
+    x0 = np.array([1.0, 0, 0, 0, 0, 0, 0, 0, 0])
+    counts = []
+    for steps in (50, 2000):
+        model = three_level_model(ThreeLevelParams())
+        build, calls = model.generator, []
+        model.generator = lambda u: calls.append(u) or build(u)
+        propagate_rk4(model, x0, lambda t: np.column_stack([np.sin(t), np.cos(t)]),
+                      0.0, 2.0, steps)
+        counts.append(len(calls))
+    assert counts[0] == counts[1] <= 1
+
+
 def test_two_level_params_validation():
     with pytest.raises(ValueError):
         TwoLevelParams(gamma_eg=-0.1)
