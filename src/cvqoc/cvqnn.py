@@ -125,19 +125,25 @@ class InputEncoder:
     For real tau, fock's cached eigenbasis i G = V diag(w) V^dag of the
     generator G = a^dag - a gives D(tau)|0> = V (exp(-i tau w) * conj(V[0])):
     one table of phases and one matrix product per batch.  d/dtau D(tau)|0>
-    = G D(tau)|0> exactly in the truncated basis; `generator` holds G.
+    = G D(tau)|0> exactly in the truncated basis; `generator` holds G and
+    `frequencies` holds w.  Written as D(tau)|0> = B exp(-i tau w), B is
+    `basis()`.
     """
 
     def __init__(self, cutoff: int):
-        self.generator, self._w, self._v = fock.basis(cutoff).displace
+        self.generator, self.frequencies, self._v = fock.basis(cutoff).displace
         self._v0 = self._v[0].conj()   # V^dag |0>
+
+    def basis(self) -> np.ndarray:
+        """B = V diag(conj(V[0])), so D(tau)|0> = B exp(-i tau w)."""
+        return self._v * self._v0
 
     def __call__(self, taus) -> np.ndarray:
         """Amplitudes of D(tau)|0>, one row per entry of the 1-D array taus."""
         taus = np.asarray(taus, dtype=float)
         if not np.all(np.isfinite(taus)):
             raise ValueError("non-finite input")
-        return (np.exp(-1j * np.multiply.outer(taus, self._w)) * self._v0) @ self._v.T
+        return (np.exp(-1j * np.multiply.outer(taus, self.frequencies)) * self._v0) @ self._v.T
 
 
 @dataclass
@@ -146,7 +152,8 @@ class QnnBank:
 
     The bank owns theta, every circuit's parameters in one flat array, and
     rebinds each circuit's params to a view of its slice; set_flat is the
-    one writer of theta."""
+    one writer of theta.  revision counts the writes that changed theta, so
+    one compare tells whether any circuit changed."""
 
     circuits: list
 
@@ -162,6 +169,7 @@ class QnnBank:
         self._bounds = np.cumsum([c.params.size for c in self.circuits])[:-1]
         for c, part in zip(self.circuits, np.split(self._theta, self._bounds)):
             c.params = part.reshape(c.params.shape)
+        self.revision = 0
 
     @property
     def n_features(self) -> int:
@@ -181,12 +189,13 @@ class QnnBank:
     def set_flat(self, values: np.ndarray) -> None:
         """Write theta.  Equal values return after one compare; otherwise
         each circuit whose slice differs is written in place and gets a new
-        version.  A wrong length writes nothing."""
+        version, and the bank a new revision.  A wrong length writes nothing."""
         values = np.asarray(values, dtype=float)
         if values.shape != self._theta.shape:
             raise ValueError("flat parameter vector has wrong length")
         if np.array_equal(values, self._theta):
             return
+        self.revision += 1
         for c, part in zip(self.circuits, np.split(values, self._bounds)):
             if not np.array_equal(part, c.params.ravel()):
                 c.params.flat = part

@@ -280,7 +280,8 @@ def propagate_rk4(model: SuperOperatorModel, x0: np.ndarray, u_of_t: callable,
     The control is tabulated up front: u_of_t is called once, on the array of
     the 2 * steps + 1 stage times t0 + k h / 2, and returns one control
     vector per time, shape (2 * steps + 1, n_controls); a constant control of
-    shape (n_controls,) broadcasts.  A non-finite control raises ValueError.
+    shape (n_controls,) broadcasts.  A non-finite initial state or control
+    raises ValueError.
 
     The model is affine in u, so the generator is built once, as the drift
     G(0), and G(t) = G(0) + sum_c u_c(t) generator_du[c] at every stage time
@@ -301,6 +302,8 @@ def propagate_rk4(model: SuperOperatorModel, x0: np.ndarray, u_of_t: callable,
     x = np.asarray(x0, dtype=float)
     if x.shape[0] != model.dim:
         raise ValueError("initial state has wrong dimension")
+    if not np.all(np.isfinite(x)):
+        raise ValueError("initial state must be finite")
     h = (tf - t0) / steps
     stages = np.linspace(t0, tf, 2 * steps + 1)
     us = np.broadcast_to(np.asarray(u_of_t(stages), dtype=float),

@@ -185,8 +185,9 @@ def adam(loss_fn, z0: np.ndarray, *, grad_fn, lr: float = 0.01, max_epochs: int 
 
     grad_fn(z) returns the gradient of loss_fn at z.  Each epoch takes the
     gradient at the current point, updates, and evaluates the loss there.
-    A non-finite loss (at the starting point or after an update) or
-    gradient entry raises FloatingPointError.  Returns (z, SolveReport)."""
+    A non-finite loss (at the starting point or after an update), gradient
+    entry or updated parameter raises FloatingPointError.  Returns
+    (z, SolveReport)."""
     if lr <= 0:
         raise ValueError("learning rate must be positive")
     start = time.perf_counter()
@@ -205,7 +206,10 @@ def adam(loss_fn, z0: np.ndarray, *, grad_fn, lr: float = 0.01, max_epochs: int 
         v = beta2 * v + (1 - beta2) * grad**2
         m_hat = m / (1 - beta1**epoch)
         v_hat = v / (1 - beta2**epoch)
-        z = z - lr * m_hat / (np.sqrt(v_hat) + eps)
+        with np.errstate(over="ignore"):   # an overflow is reported just below
+            z = z - lr * m_hat / (np.sqrt(v_hat) + eps)
+        if not np.all(np.isfinite(z)):
+            raise FloatingPointError(f"non-finite parameter after epoch {epoch}")
         loss = _finite_loss(loss_fn(z), f"after epoch {epoch}")
         history.append(loss)
         if callback:

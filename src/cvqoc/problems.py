@@ -3,11 +3,14 @@
 The decision vector concatenates the output weights of every unknown, the
 flattened circuit parameters, and (for the free-final-time problem) the
 morph rate.  Features sigma(tau) and their exact tau-derivatives are
-computed in batches: one encoding of all inputs, and per circuit one matrix
-product for sigma and one more for the derivative (none when only values
-are asked for).  Their rows at the collocation nodes and domain endpoints
-are tabulated, and a circuit's column is recomputed only when its version
-changes, so weight-only perturbations never re-run the quantum simulation.
+tabulated at the collocation nodes and domain endpoints from the circuits'
+output amplitudes, and a circuit's column is recomputed only when its
+version changes, so weight-only perturbations never re-run the quantum
+simulation.  Off the table, each feature is a quadratic form in the phases
+exp(-i tau w) of the input encoding, with one Hermitian matrix per circuit;
+output weights fold into those matrices before any per-tau work, so the
+trained solution on a fine grid (trajectories, the RK4 control) costs one
+form per output column, whatever the number of circuits.
 Every unknown is a tfc.ConstrainedExpression over FeatureCache.features and
 its own weight block, which the expression reads on every call.  Both
 problems share one base, _Collocation, which owns that layout: its _sync is
@@ -39,14 +42,23 @@ from .tfc import BoundaryConstraint, ConstrainedExpression, TimeMorph, chebyshev
 class FeatureCache:
     """sigma(tau) and its exact derivative d sigma / d tau for a bank.
 
-    Each tau is encoded once as enc = D(tau)|0> = expm(tau G)|0>, G = a^dag - a
-    in the truncated basis, so d enc / d tau = G enc.  With psi = U enc and the
-    real symmetric quadrature X, sigma = <psi|X|psi> and
-    d sigma / d tau = 2 Re <U G enc|X|psi>: one more matrix product per
-    circuit.  The rows at the fixed points `taus` (the nodes and domain
-    endpoints) are tabulated per circuit version, and a tau, or an array of
-    them, made only of such points is a lookup; any other tau is computed on
-    demand.
+    At the fixed points `taus` (the nodes and domain endpoints) the rows are
+    tabulated per circuit version from amplitudes: each tau is encoded once
+    as enc = D(tau)|0> = expm(tau G)|0>, G = a^dag - a in the truncated
+    basis, so d enc / d tau = G enc.  With psi = U enc and the real symmetric
+    quadrature X, sigma = <psi|X|psi> and d sigma / d tau =
+    2 Re <U G enc|X|psi>: one more matrix product per circuit.  A tau, or an
+    array of them, made only of such points is a lookup.
+
+    Any other tau goes through one kernel, _quadratic, which never forms
+    amplitudes.  The encoder writes enc = B z with z = exp(-i tau w), so
+    sigma_l = z^H O_l z with the Hermitian O_l = (U_l B)^H X (U_l B), and
+    d sigma_l / d tau = z^H O'_l z with O'_l = i (diag(w) O_l - O_l diag(w)).
+    The forms are built once per bank revision, on the first call that
+    needs them.  Output weights W contract into them before any per-tau
+    work, phi(tau) W = z^H (sum_l W_l O_l) z, so `weighted` evaluates a
+    weighted sum of features at the cost of one quadratic form per output
+    column, whatever the number of circuits.
     """
 
     def __init__(self, bank: cvqnn.QnnBank, taus=()):
@@ -59,31 +71,33 @@ class FeatureCache:
         self._sig = np.empty((self._taus.shape[0], bank.n_features))
         self._dsig = np.empty_like(self._sig)
         self._versions = [None] * bank.n_features
+        self._table_revision = None
         # theta_owner[p]: the circuit, and so the feature, that theta_p moves
         self.theta_owner = np.repeat(np.arange(bank.n_features),
                                      [c.params.size for c in bank.circuits])
         self._sig_theta = np.empty((self._taus.shape[0], self.theta_owner.size))
         self._dsig_theta = np.empty_like(self._sig_theta)
         self._theta_versions = [None] * bank.n_features
+        self._theta_revision = None
+        self._forms = None   # (revision, real forms of O, of O'), built on demand
 
-    def _column(self, circ: cvqnn.QnnCircuit, amps: np.ndarray, derivative: bool):
-        """(<x>, d<x>/dtau) of one circuit on every encoded input (rows of
-        amps); the derivative is None unless asked for."""
+    def _column(self, circ: cvqnn.QnnCircuit, amps: np.ndarray):
+        """(<x>, d<x>/dtau) of one circuit on every encoded input (rows of amps)."""
         u = circ.unitary()
         psi = amps @ u.T
         x_psi = psi @ self._x_op
         sig = np.einsum("kd,kd->k", psi.conj(), x_psi).real
-        if not derivative:
-            return sig, None
         tangent = amps @ (u @ self._encode.generator).T
         return sig, 2.0 * np.einsum("kd,kd->k", tangent.conj(), x_psi).real
 
     def _tabulate(self) -> None:
+        if self._table_revision == self.bank.revision:
+            return
         for l, circ in enumerate(self.bank.circuits):
             if self._versions[l] != circ.version:
-                self._sig[:, l], self._dsig[:, l] = self._column(
-                    circ, self._table_amps, True)
+                self._sig[:, l], self._dsig[:, l] = self._column(circ, self._table_amps)
                 self._versions[l] = circ.version
+        self._table_revision = self.bank.revision
 
     def _theta_column(self, circ: cvqnn.QnnCircuit):
         """d<x>/d theta and d^2<x>/(d tau d theta) of one circuit at the table,
@@ -113,27 +127,59 @@ class FeatureCache:
         row = np.searchsorted(self._taus, tau)
         if not np.array_equal(self._taus.take(row, mode="clip"), tau):
             raise ValueError("theta derivatives exist only at the nodes and domain endpoints")
-        for l, circ in enumerate(self.bank.circuits):
-            if self._theta_versions[l] != circ.version:
-                cols = self.theta_owner == l
-                self._sig_theta[:, cols], self._dsig_theta[:, cols] = self._theta_column(circ)
-                self._theta_versions[l] = circ.version
+        if self._theta_revision != self.bank.revision:
+            for l, circ in enumerate(self.bank.circuits):
+                if self._theta_versions[l] != circ.version:
+                    cols = self.theta_owner == l
+                    self._sig_theta[:, cols], self._dsig_theta[:, cols] = self._theta_column(circ)
+                    self._theta_versions[l] = circ.version
+            self._theta_revision = self.bank.revision
         return self._sig_theta[row], self._dsig_theta[row] if derivative else None
 
-    def _batch(self, taus: np.ndarray, derivative: bool):
-        amps = self._encode(taus)
-        sig, dsig = zip(*(self._column(c, amps, derivative) for c in self.bank.circuits))
-        return np.column_stack(sig), np.column_stack(dsig) if derivative else None
+    def _real_forms(self):
+        """(R, R'), each of shape (L, 2D, 2D): the forms O_l and O'_l in real
+        form, [[Re Q, Im Q], [-Im Q, Re Q]], so that with y = [cos tau w,
+        sin tau w] the form z^H Q z is y R y^T.  Rebuilt when the bank's
+        revision changes."""
+        revision = self.bank.revision
+        if self._forms is None or self._forms[0] != revision:
+            ub = np.array([c.unitary() for c in self.bank.circuits]) @ self._encode.basis()
+            o = ub.conj().transpose(0, 2, 1) @ (self._x_op @ ub)
+            w = self._encode.frequencies
+            do = 1j * (w[:, None] * o - o * w)
+            self._forms = (revision, *(np.block([[q.real, q.imag], [-q.imag, q.real]])
+                                       for q in (o, do)))
+        return self._forms[1:]
+
+    def _quadratic(self, tau, weights, derivative: bool):
+        """(phi(tau) W, d phi / d tau W) from the quadratic forms, W the
+        (L, d) weights, or the features themselves when weights is None.
+        Shapes follow `features`: (d,) for a scalar tau, (K, d) for K points;
+        with derivative=False the second item is None."""
+        taus = np.asarray(tau, dtype=float)
+        if not np.all(np.isfinite(taus)):
+            raise ValueError("non-finite input")
+        phase = np.multiply.outer(np.atleast_1d(taus), self._encode.frequencies)
+        y = np.concatenate([np.cos(phase), np.sin(phase)], axis=1)       # (K, 2D)
+        forms = self._real_forms()
+        out = []
+        for r in forms if derivative else forms[:1]:
+            if weights is not None:
+                r = np.tensordot(weights, r, axes=(0, 0))                # (d, 2D, 2D)
+            n, m = r.shape[:2]
+            yr = y @ r.transpose(1, 0, 2).reshape(m, n * m)              # (K, d 2D)
+            val = np.einsum("kjm,km->kj", yr.reshape(-1, n, m), y)
+            out.append(val[0] if taus.ndim == 0 else val)
+        return out[0], out[1] if derivative else None
 
     def features(self, tau, derivative: bool = True):
         """(sigma, d sigma / d tau), each of shape (L,) for a scalar tau and
         (K, L) for a 1-D array of K points.  With derivative=False the
-        derivative is None, and off the table its product is skipped."""
+        derivative is None, and off the table its form is skipped."""
         if isinstance(tau, float):   # numpy float64 included
             row = self._row.get(tau)
             if row is None:
-                sig, dsig = self._batch(np.array([tau]), derivative)
-                return sig[0], dsig[0] if derivative else None
+                return self._quadratic(tau, None, derivative)
         else:
             tau = np.asarray(tau, dtype=float)
             if tau.ndim == 0:
@@ -141,9 +187,17 @@ class FeatureCache:
             row = np.searchsorted(self._taus, tau)
             # row == len(table) past the last entry, so test that before indexing
             if np.any(row == self._taus.size) or np.any(self._taus[row] != tau):
-                return self._batch(tau, derivative)
+                return self._quadratic(tau, None, derivative)
         self._tabulate()
         return self._sig[row], self._dsig[row] if derivative else None
+
+    def weighted(self, weights: np.ndarray):
+        """phi(tau) @ weights as a feature function with the convention of
+        `features`, one column per column of the (L, d) weights, read on
+        every call.  Every tau, tabulated or not, goes through the quadratic
+        forms, so a ConstrainedExpression evaluated over it costs one form
+        per output column at each point."""
+        return lambda tau, derivative=True: self._quadratic(tau, weights, derivative)
 
 
 class _Collocation:
@@ -221,10 +275,20 @@ class _Collocation:
         w = expr.weights[self.cache.theta_owner]
         return np.einsum("ip,pw->piw", t.psi, w), np.einsum("ip,pw->piw", t.dpsi, w)
 
+    def _value_function(self, expr):
+        """tau -> expr's value, through the cache's weighted kernel: the
+        weights fold into the circuits' forms, constrained ends included."""
+        features = self.cache.weighted(expr.weights)
+
+        def value(tau):
+            psi, _, b, _ = expr.affine(tau, derivative=False, features=features)
+            return psi + b
+
+        return value
+
     def _eval_grid(self, expr, t_grid):
         self._sync(self.decision.values)
-        taus = self.morph.to_tau(np.asarray(t_grid, dtype=float))
-        return expr.eval(taus, derivative=False)[0]
+        return self._value_function(expr)(self.morph.to_tau(t_grid))
 
 
 class OdeBenchmarkProblem(_Collocation):
@@ -336,11 +400,10 @@ class QocProblem(_Collocation):
         edge to tolerate endpoint rounding."""
         self._sync(self.decision.values)
         morph = self.morph
-        expr = self.unknowns.expr_control
+        value = self._value_function(self.unknowns.expr_control)
 
         def u_of_t(t):
-            tau = np.clip(morph.to_tau(t), morph.tau0, morph.tauf)
-            return expr.eval(tau, derivative=False)[0]
+            return value(np.clip(morph.to_tau(t), morph.tau0, morph.tauf))
 
         return u_of_t
 

@@ -174,6 +174,18 @@ def test_solve_nonfinite_terminal_row_exits_3(tmp_path, monkeypatch, capsys):
     assert "non-finite loss at the starting point" in capsys.readouterr().err
 
 
+def test_solve_theta_overflow_exits_3(tmp_path, capsys):
+    # a finite learning rate whose first Adam step overflows theta: the
+    # optimizer stops before the next loss would build a unit from it
+    cfg = cli.load_config(cli.preset_path("two_level_ground_to_excited"))
+    cfg["train"].update(mode="joint", adam_lr=1e308, joint_rounds=1,
+                        joint_gn_steps=1, joint_adam_steps=2)
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    assert run(["solve", "--config", str(path), "--output", str(tmp_path / "out")]) == 3
+    assert "non-finite parameter after epoch 1" in capsys.readouterr().err
+
+
 def test_solve_qoc_reports_jacobian_conditioning(tmp_path):
     cfg = cli.load_config(cli.preset_path("two_level_ground_to_excited"))
     cfg["train"]["gn_max_iter"] = 2
@@ -285,6 +297,22 @@ def test_propagate_nonfinite_control_exits_2(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_propagate_nonfinite_initial_state_exits_2(tmp_path, capsys):
+    cfg = tmp_path / "sys.json"
+    cfg.write_text(json.dumps({
+        "system_params": {},
+        "propagate": {"x0": [float("nan"), 0.0, 0.0, 0.0], "t0": 0.0, "tf": 1.0,
+                      "steps": 50},
+    }))
+    ctrl = tmp_path / "u.csv"
+    ctrl.write_text("0.0,0.0\n1.0,0.0\n")
+    out = tmp_path / "o.csv"
+    assert run(["propagate", "--system", "two-level", "--config", str(cfg),
+                "--control", str(ctrl), "--output", str(out)]) == 2
+    assert "bad propagate section: initial state must be finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_verify_self_and_perturbed(tmp_path, capsys):
     traj = tmp_path / "a.csv"
     cli.write_csv(str(traj), ["t", "x1", "x2", "u", "trace"],
@@ -320,6 +348,20 @@ def test_csv_round_trip(tmp_path):
     header, data = cli.read_csv(str(path))
     assert header == ["t", "a", "b"]
     assert np.array_equal(data, np.array(rows))
+
+
+def test_csv_table_matches_per_value_format(tmp_path):
+    rows = np.random.default_rng(4).normal(0.0, 1e3, (7, 5))
+    rows[0, :3] = (0.0, -0.0, 1e-300)
+    rows[1, :2] = (np.nan, -np.inf)
+    expected = "t,a,b,c,d\n" + "".join(",".join(f"{v:.12e}" for v in row) + "\n"
+                                      for row in rows.tolist())
+    for given in (rows, list(rows), [list(r) for r in rows], zip(*rows.T)):
+        path = tmp_path / "t.csv"
+        cli.write_csv(str(path), ["t", "a", "b", "c", "d"], given)
+        assert path.read_text() == expected
+    cli.write_csv(str(path), ["t"], [])
+    assert path.read_text() == "t\n"
 
 
 def test_presets_all_parse():

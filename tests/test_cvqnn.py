@@ -140,6 +140,22 @@ def test_flat_round_trip_and_version():
         assert bank.version == v1
 
 
+def test_bank_revision_counts_writes_that_change_theta():
+    bank = cvqnn.random_bank(3, 2, 8, np.random.default_rng(2))
+    flat = bank.get_flat()
+    assert bank.revision == 0
+    bank.set_flat(flat)                    # equal values: nothing written
+    assert bank.revision == 0
+    flat[0] += 0.1
+    flat[-1] += 0.1
+    bank.set_flat(flat)                    # two circuits change, one revision
+    assert bank.revision == 1
+    assert bank.version == (1, 0, 1)
+    with pytest.raises(ValueError):
+        bank.set_flat(flat[:-1])
+    assert bank.revision == 1
+
+
 def test_set_flat_is_seen_through_circuit_params_and_get_flat_copies():
     bank = cvqnn.random_bank(3, 2, 8, np.random.default_rng(7))
     flat = bank.get_flat()

@@ -195,12 +195,77 @@ def test_feature_cache_partial_and_past_table_arrays_match_batch(monkeypatch):
         assert none is None
         assert np.allclose(values, ref, rtol=0, atol=1e-12)
     # tabulated tau, a float64 or a plain float, alone or in an array, are lookups
-    monkeypatch.setattr(table, "_batch", None)
+    monkeypatch.setattr(table, "_quadratic", None)
     for taus in (table_taus[3], float(table_taus[0]), table_taus[[6, 1, 4]]):
         sig, dsig = table.features(taus)
         ref, dref = batch.features(taus)
         assert np.allclose(sig, ref, rtol=0, atol=1e-12)
         assert np.allclose(dsig, dref, rtol=0, atol=1e-12)
+
+
+def test_weighted_kernel_matches_tabulated_amplitudes():
+    bank = small_bank()
+    taus = np.linspace(-0.8, 0.8, 8001)
+    table = problems.FeatureCache(bank, taus)   # amplitudes at every point
+    sig, dsig = table.features(taus)
+    free, dfree = problems.FeatureCache(bank).features(taus)   # quadratic forms
+    assert np.allclose(free, sig, rtol=0, atol=1e-13)
+    assert np.allclose(dfree, dsig, rtol=0, atol=1e-13)
+    w = np.random.default_rng(6).normal(0.0, 1.0, (bank.n_features, 3))
+    weighted = table.weighted(w)
+    val, dval = weighted(taus)
+    assert val.shape == dval.shape == (taus.size, 3)
+    assert np.allclose(val, sig @ w, rtol=0, atol=1e-13)
+    assert np.allclose(dval, dsig @ w, rtol=0, atol=1e-13)
+    row, none = weighted(taus[17], derivative=False)
+    assert none is None and row.shape == (3,)
+    assert np.allclose(row, val[17], rtol=0, atol=1e-15)
+    # the weights are read on every call, and a new bank revision rebuilds the forms
+    w[:, 1] = 0.0
+    assert np.array_equal(weighted(taus[:5], False)[0][:, 1], np.zeros(5))
+    flat = bank.get_flat()
+    flat[1] += 0.05
+    bank.set_flat(flat)
+    sig, dsig = table.features(taus)
+    val, dval = weighted(taus)
+    assert np.allclose(val, sig @ w, rtol=0, atol=1e-13)
+    assert np.allclose(dval, dsig @ w, rtol=0, atol=1e-13)
+    with pytest.raises(ValueError):
+        weighted(np.array([0.1, np.nan]))
+
+
+def test_state_through_weighted_kernel_matches_amplitude_path():
+    prob = qoc_problem(costate_terminal_constraint=True)
+    values = prob.decision.values.copy()
+    values[prob.xi_mask] = np.random.default_rng(8).normal(0.0, 0.5, int(prob.xi_mask.sum()))
+    prob.decision.replace(values)
+    t_grid = np.linspace(0.0, prob.final_time(), 8001)
+    taus = prob.morph.to_tau(t_grid)
+    state = prob.state_trajectory(t_grid)
+    expr = prob.unknowns.expr_state
+    assert np.allclose(state, expr.eval(taus, derivative=False)[0], rtol=0, atol=1e-13)
+    table = problems.FeatureCache(prob.bank, taus)
+    psi, _, b, _ = expr.affine(taus, derivative=False, features=table.features)
+    assert np.allclose(state, psi @ expr.weights + b, rtol=0, atol=1e-13)
+    assert np.allclose(state[0], prob.cfg.rho_init, rtol=0, atol=1e-13)
+    assert np.allclose(state[-1], prob.cfg.rho_target, rtol=0, atol=1e-13)
+
+
+def test_control_function_on_scalar_and_array_times():
+    prob = qoc_problem()
+    values = prob.decision.values.copy()
+    values[prob.xi_mask] = np.random.default_rng(9).normal(0.0, 0.5, int(prob.xi_mask.sum()))
+    prob.decision.replace(values)
+    u = prob.control_function()
+    ts = np.linspace(0.0, prob.final_time(), 41)
+    table = u(ts)
+    assert table.shape == (41, 1)
+    ref = prob.unknowns.expr_control.eval(prob.morph.to_tau(ts), derivative=False)[0]
+    assert np.allclose(table, ref, rtol=0, atol=1e-13)
+    for k in (0, 7, 40):
+        row = u(float(ts[k]))
+        assert row.shape == (1,)
+        assert np.allclose(row, table[k], rtol=0, atol=1e-14)
 
 
 def test_array_eval_matches_scalar_calls_and_boundaries():
