@@ -37,14 +37,21 @@ def _check_keys(section: dict, name: str, required, optional=()):
         raise ConfigError(f"missing key(s) in {name!r}: {', '.join(missing)}")
 
 
-def load_config(path: str) -> dict:
+def _open(path: str, mode: str = "r"):
+    """open(path, mode), with an OSError (a missing file or directory, a path
+    under a regular file, no permission) reported as a ConfigError."""
     try:
-        with open(path) as fh:
+        return open(path, mode)
+    except OSError as exc:
+        raise ConfigError(f"cannot open {path}: {exc.strerror}")
+
+
+def load_config(path: str) -> dict:
+    with _open(path) as fh:
+        try:
             return json.load(fh)
-    except FileNotFoundError:
-        raise ConfigError(f"config file not found: {path}")
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"invalid JSON in {path}: line {exc.lineno}: {exc.msg}")
+        except json.JSONDecodeError as exc:
+            raise ConfigError(f"invalid JSON in {path}: line {exc.lineno}: {exc.msg}")
 
 
 def preset_path(name: str) -> str:
@@ -57,11 +64,12 @@ def preset_path(name: str) -> str:
 
 @contextlib.contextmanager
 def _building(what: str):
-    """Report a ValueError or TypeError raised while building objects from a
-    config section or command-line arguments as a ConfigError naming them."""
+    """Report a ValueError, TypeError or OSError raised while building objects
+    from a config section or command-line arguments as a ConfigError naming
+    them."""
     try:
         yield
-    except (TypeError, ValueError) as exc:
+    except (OSError, TypeError, ValueError) as exc:
         raise ConfigError(f"bad {what}: {exc}")
 
 
@@ -157,7 +165,7 @@ def write_csv(path: str, header, rows) -> None:
     """Write rows (a 2-D array or an iterable of equal-length rows) as
     %.12e values, formatted in one pass with one row template."""
     table = np.asarray(list(rows), dtype=float)
-    with open(path, "w") as fh:
+    with _open(path, "w") as fh:
         if header:
             fh.write(",".join(header) + "\n")
         if table.size:
@@ -165,21 +173,38 @@ def write_csv(path: str, header, rows) -> None:
             fh.write((line * table.shape[0]) % tuple(table.ravel().tolist()))
 
 
+def _number(cell: str):
+    try:
+        return float(cell)
+    except ValueError:
+        return None
+
+
 def read_csv(path: str):
-    """(header list or None, float matrix)."""
-    with open(path) as fh:
-        lines = [ln.strip() for ln in fh if ln.strip()]
+    """(header list or None, float matrix).  The first non-blank line is
+    the header if none of its cells is a number; every line must have as
+    many cells as the first, and every other line only numbers, or a
+    ConfigError names the file and line."""
+    with _open(path) as fh:
+        lines = [(n, ln.strip().split(",")) for n, ln in enumerate(fh, 1) if ln.strip()]
     if not lines:
         raise ConfigError(f"empty CSV file {path}")
     header = None
-    start = 0
-    try:
-        [float(v) for v in lines[0].split(",")]
-    except ValueError:
-        header = lines[0].split(",")
-        start = 1
-    data = np.array([[float(v) for v in ln.split(",")] for ln in lines[start:]])
-    return header, data
+    rows = []
+    for n, cells in lines:
+        if len(cells) != len(lines[0][1]):
+            raise ConfigError(f"{path} line {n}: {len(cells)} cells, "
+                              f"expected {len(lines[0][1])}")
+        values = [_number(v) for v in cells]
+        if None not in values:
+            rows.append(values)
+        elif n == lines[0][0] and all(v is None for v in values):
+            header = cells
+        else:
+            raise ConfigError(f"{path} line {n}: not a number in {','.join(cells)!r}")
+    if not rows:
+        raise ConfigError(f"no data rows in CSV file {path}")
+    return header, np.array(rows)
 
 
 # --- subcommands --------------------------------------------------------
@@ -204,7 +229,7 @@ def cmd_gates(args) -> int:
         raise ConfigError(f"cannot parse parameter {args.param!r} for {args.kind}")
     with _building("gate arguments"):
         mat = fock.gate_matrix(gate, args.cutoff).entries
-    out = sys.stdout if args.output is None else open(args.output, "w")
+    out = sys.stdout if args.output is None else _open(args.output, "w")
     try:
         for row in mat:
             cells = []
@@ -247,6 +272,9 @@ def cmd_propagate(args) -> int:
                                 for c in range(model.n_controls)])
 
     with _building("propagate section"):
+        # np.interp needs increasing sample times
+        if not (np.all(np.isfinite(t_ctrl)) and np.all(np.diff(t_ctrl) > 0)):
+            raise ValueError("control times must be finite and strictly increasing")
         ts, xs = lindblad.propagate_rk4(model, x0, u_of_t,
                                         float(prop["t0"]), float(prop["tf"]),
                                         _count(prop, "steps"))
@@ -318,10 +346,11 @@ def cmd_solve(args) -> int:
     if args.mode is not None:
         cfg.setdefault("train", {})["mode"] = args.mode
     problem, schedule, system = build_problem(cfg)
-    os.makedirs(args.output, exist_ok=True)
+    with _building("--output"):
+        os.makedirs(args.output, exist_ok=True)
 
     log_path = os.path.join(args.output, "train.jsonl")
-    with open(log_path, "w") as log:
+    with _open(log_path, "w") as log:
         def callback(epoch, values, loss):
             entry = {"epoch": epoch}
             if system == "linear-ode-benchmark":
@@ -339,7 +368,7 @@ def cmd_solve(args) -> int:
         summary = _solve_artifacts_benchmark(problem, report, args.output)
     else:
         summary = _solve_artifacts_qoc(problem, report, args.output, system)
-    with open(os.path.join(args.output, "report.json"), "w") as fh:
+    with _open(os.path.join(args.output, "report.json"), "w") as fh:
         json.dump(summary, fh, indent=2, sort_keys=True)
         fh.write("\n")
     print(f"{system}: converged={report.converged} stop_reason={report.stop_reason} "

@@ -119,33 +119,6 @@ def encode_input(tau: float, cutoff: int) -> FockVector:
     return fock.apply(gate, fock.vacuum(cutoff))
 
 
-class InputEncoder:
-    """encode_input for a batch of real inputs, without a gate per input.
-
-    For real tau, fock's cached eigenbasis i G = V diag(w) V^dag of the
-    generator G = a^dag - a gives D(tau)|0> = V (exp(-i tau w) * conj(V[0])):
-    one table of phases and one matrix product per batch.  d/dtau D(tau)|0>
-    = G D(tau)|0> exactly in the truncated basis; `generator` holds G and
-    `frequencies` holds w.  Written as D(tau)|0> = B exp(-i tau w), B is
-    `basis()`.
-    """
-
-    def __init__(self, cutoff: int):
-        self.generator, self.frequencies, self._v = fock.basis(cutoff).displace
-        self._v0 = self._v[0].conj()   # V^dag |0>
-
-    def basis(self) -> np.ndarray:
-        """B = V diag(conj(V[0])), so D(tau)|0> = B exp(-i tau w)."""
-        return self._v * self._v0
-
-    def __call__(self, taus) -> np.ndarray:
-        """Amplitudes of D(tau)|0>, one row per entry of the 1-D array taus."""
-        taus = np.asarray(taus, dtype=float)
-        if not np.all(np.isfinite(taus)):
-            raise ValueError("non-finite input")
-        return (np.exp(-1j * np.multiply.outer(taus, self.frequencies)) * self._v0) @ self._v.T
-
-
 @dataclass
 class QnnBank:
     """L independent single-mode circuits producing the feature vector.

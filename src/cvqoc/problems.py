@@ -2,15 +2,14 @@
 
 The decision vector concatenates the output weights of every unknown, the
 flattened circuit parameters, and (for the free-final-time problem) the
-morph rate.  Features sigma(tau) and their exact tau-derivatives are
-tabulated at the collocation nodes and domain endpoints from the circuits'
-output amplitudes, and a circuit's column is recomputed only when its
-version changes, so weight-only perturbations never re-run the quantum
-simulation.  Off the table, each feature is a quadratic form in the phases
-exp(-i tau w) of the input encoding, with one Hermitian matrix per circuit;
-output weights fold into those matrices before any per-tau work, so the
-trained solution on a fine grid (trajectories, the RK4 control) costs one
-form per output column, whatever the number of circuits.
+morph rate.  Each feature sigma_l(tau) is a quadratic form in the phases
+exp(-i tau w) of the input encoding, with one Hermitian matrix per circuit,
+and so is its exact tau-derivative.  FeatureCache builds the forms once per
+bank revision and evaluates them at the collocation nodes and domain
+endpoints into a table, so weight-only perturbations never re-run the
+quantum simulation.  Output weights fold into the forms before any per-tau
+work, so the trained solution on a fine grid (trajectories, the RK4
+control) costs one form per output column, whatever the number of circuits.
 Every unknown is a tfc.ConstrainedExpression over FeatureCache.features and
 its own weight block, which the expression reads on every call.  Both
 problems share one base, _Collocation, which owns that layout: its _sync is
@@ -20,10 +19,11 @@ set_flat is the only writer of the circuit parameters.
 Every problem's jacobian is closed form in every coordinate.  The weight
 (and morph-rate) columns come from the expressions' affine maps.  The
 circuit parameter columns come from the exact feature derivatives
-d sigma / d theta and d sigma' / d theta, which the cache tabulates at the
-nodes per circuit version; a parameter moves only its own circuit's feature
-column, so each column is the residual's linearisation along one rank-one
-change of the unknowns (_Collocation._theta_tangents).
+d sigma / d theta and d sigma' / d theta, which the cache evaluates at the
+nodes from the derivatives of the forms; a parameter moves only its own
+circuit's form, and so its feature column, so each column is the
+residual's linearisation along one rank-one change of the unknowns
+(_Collocation._theta_tangents).
 QocProblem.residual_vector keeps its last evaluation, so a point evaluated
 twice in a row (Gauss-Newton's accepted trial, then the training callback
 and the next iteration) costs one evaluation.
@@ -42,78 +42,92 @@ from .tfc import BoundaryConstraint, ConstrainedExpression, TimeMorph, chebyshev
 class FeatureCache:
     """sigma(tau) and its exact derivative d sigma / d tau for a bank.
 
-    At the fixed points `taus` (the nodes and domain endpoints) the rows are
-    tabulated per circuit version from amplitudes: each tau is encoded once
-    as enc = D(tau)|0> = expm(tau G)|0>, G = a^dag - a in the truncated
-    basis, so d enc / d tau = G enc.  With psi = U enc and the real symmetric
-    quadrature X, sigma = <psi|X|psi> and d sigma / d tau =
-    2 Re <U G enc|X|psi>: one more matrix product per circuit.  A tau, or an
-    array of them, made only of such points is a lookup.
+    Every feature is a quadratic form in the phases z = exp(-i tau w) of the
+    input encoding: fock's eigenbasis i G = V diag(w) V^dag of G = a^dag - a
+    gives D(tau)|0> = B z with B = V diag(conj(V[0])), so with the real
+    symmetric quadrature X, sigma_l = z^H O_l z for the Hermitian
+    O_l = (U_l B)^H X (U_l B).  In real form, with the phase row
+    y = [cos tau w, sin tau w] and the real symmetric R_l of O_l (_real_form),
+    sigma_l = y R_l y^T, and so d sigma_l / d tau = 2 y R_l (dy / dtau)^T
+    from the same product y R_l (_contract).
 
-    Any other tau goes through one kernel, _quadratic, which never forms
-    amplitudes.  The encoder writes enc = B z with z = exp(-i tau w), so
-    sigma_l = z^H O_l z with the Hermitian O_l = (U_l B)^H X (U_l B), and
-    d sigma_l / d tau = z^H O'_l z with O'_l = i (diag(w) O_l - O_l diag(w)).
-    The forms are built once per bank revision, on the first call that
-    needs them.  Output weights W contract into them before any per-tau
-    work, phi(tau) W = z^H (sum_l W_l O_l) z, so `weighted` evaluates a
-    weighted sum of features at the cost of one quadratic form per output
-    column, whatever the number of circuits.
+    At the fixed points `taus` (the nodes and domain endpoints) y is fixed,
+    so a tau, or an array of them, made only of such points is a lookup in
+    a table built with the forms.  Any other tau goes through _quadratic.
+    Output weights W contract into the forms before any per-tau work,
+    phi(tau) W = z^H (sum_l W_l O_l) z, so `weighted` costs one quadratic
+    form per output column, whatever the number of circuits.  theta_p of
+    circuit l moves only O_l, by dO_p = (dU_p B)^H X (U_l B) + h.c., so the
+    theta rows at the fixed points are the same contraction on dO_p.  The
+    forms, the table and the theta rows form one memo, rebuilt when
+    QnnBank.revision changes.
     """
 
     def __init__(self, bank: cvqnn.QnnBank, taus=()):
         self.bank = bank
-        self._encode = cvqnn.InputEncoder(bank.cutoff)
         self._x_op = fock.quadrature_x(bank.cutoff).entries.real
+        _, self._w, v = fock.basis(bank.cutoff).displace
+        self._b = v * v[0].conj()
         self._taus = np.unique(np.asarray(taus, dtype=float))
         self._row = {float(t): i for i, t in enumerate(self._taus)}
-        self._table_amps = self._encode(self._taus)
-        self._sig = np.empty((self._taus.shape[0], bank.n_features))
-        self._dsig = np.empty_like(self._sig)
-        self._versions = [None] * bank.n_features
-        self._table_revision = None
+        self._y = self._phases(self._taus)
         # theta_owner[p]: the circuit, and so the feature, that theta_p moves
         self.theta_owner = np.repeat(np.arange(bank.n_features),
                                      [c.params.size for c in bank.circuits])
-        self._sig_theta = np.empty((self._taus.shape[0], self.theta_owner.size))
-        self._dsig_theta = np.empty_like(self._sig_theta)
-        self._theta_versions = [None] * bank.n_features
-        self._theta_revision = None
-        self._forms = None   # (revision, real forms of O, of O'), built on demand
+        self._memo = {"revision": None}
 
-    def _column(self, circ: cvqnn.QnnCircuit, amps: np.ndarray):
-        """(<x>, d<x>/dtau) of one circuit on every encoded input (rows of amps)."""
-        u = circ.unitary()
-        psi = amps @ u.T
-        x_psi = psi @ self._x_op
-        sig = np.einsum("kd,kd->k", psi.conj(), x_psi).real
-        tangent = amps @ (u @ self._encode.generator).T
-        return sig, 2.0 * np.einsum("kd,kd->k", tangent.conj(), x_psi).real
+    def _phases(self, taus: np.ndarray) -> np.ndarray:
+        """The phase rows y = [cos tau w, sin tau w], shape (K, 2D)."""
+        phase = np.multiply.outer(taus, self._w)
+        return np.concatenate([np.cos(phase), np.sin(phase)], axis=1)
 
-    def _tabulate(self) -> None:
-        if self._table_revision == self.bank.revision:
-            return
+    @staticmethod
+    def _real_form(q: np.ndarray) -> np.ndarray:
+        """[[Re Q, Im Q], [-Im Q, Re Q]] for each Q of an (n, D, D) Hermitian
+        stack, shape (n, 2D, 2D): real symmetric, with z^H Q z = y R y^T."""
+        n, d = q.shape[:2]
+        r = np.empty((n, 2 * d, 2 * d))
+        r[:, :d, :d] = r[:, d:, d:] = q.real
+        r[:, :d, d:] = q.imag
+        r[:, d:, :d] = -q.imag
+        return r
+
+    def _contract(self, y: np.ndarray, r: np.ndarray, derivative: bool = True):
+        """(y_k R_j y_k^T, 2 y_k R_j (dy_k / dtau)^T) for every row y_k of the
+        (K, 2D) y and every R_j of the (n, 2D, 2D) symmetric stack r, each of
+        shape (K, n): one matrix product, then one row-wise dot each.  With
+        derivative=False the second item is None."""
+        n, m = r.shape[:2]
+        yr = (y @ r.transpose(1, 0, 2).reshape(m, n * m)).reshape(-1, n, m)   # y_k R_j
+        val = np.einsum("kjm,km->kj", yr, y)
+        if not derivative:
+            return val, None
+        d = m // 2   # d/dtau [cos tau w, sin tau w] = [-w sin tau w, w cos tau w]
+        dy = np.concatenate([-self._w * y[:, d:], self._w * y[:, :d]], axis=1)
+        return val, 2.0 * np.einsum("kjm,km->kj", yr, dy)
+
+    def _current(self) -> dict:
+        """The memo at the bank's revision: the real forms R and the table
+        (sigma, sigma') at the fixed points; theta_features adds its rows."""
+        if self._memo["revision"] != self.bank.revision:
+            ub = np.array([c.unitary() for c in self.bank.circuits]) @ self._b
+            forms = self._real_form(ub.conj().transpose(0, 2, 1) @ (self._x_op @ ub))
+            self._memo = {"revision": self.bank.revision, "forms": forms,
+                          "table": self._contract(self._y, forms)}
+        return self._memo
+
+    def _theta_table(self):
+        """Rows of d sigma / d theta and d^2 sigma / (d tau d theta) at the
+        fixed points, built circuit by circuit so only one circuit's dO is
+        held at a time."""
+        sig = np.empty((self._taus.size, self.theta_owner.size))
+        dsig = np.empty_like(sig)
         for l, circ in enumerate(self.bank.circuits):
-            if self._versions[l] != circ.version:
-                self._sig[:, l], self._dsig[:, l] = self._column(circ, self._table_amps)
-                self._versions[l] = circ.version
-        self._table_revision = self.bank.revision
-
-    def _theta_column(self, circ: cvqnn.QnnCircuit):
-        """d<x>/d theta and d^2<x>/(d tau d theta) of one circuit at the table,
-        one column per parameter of the circuit: with dU = dU/d theta,
-        2 Re <psi|X|dU enc> and 2 Re (<dU G enc|X|psi> + <U G enc|X|dU enc>)."""
-        u = circ.unitary()
-        du = circ.unitary_derivatives()                   # (P, D, D)
-        amps = self._table_amps
-        g_amps = amps @ self._encode.generator.T          # G enc
-        x_psi = (amps @ u.T) @ self._x_op
-        x_tangent = (g_amps @ u.T) @ self._x_op
-        d_psi = np.einsum("ke,pde->kpd", amps, du)
-        d_tangent = np.einsum("ke,pde->kpd", g_amps, du)
-        sig = 2.0 * np.einsum("kd,kpd->kp", x_psi.conj(), d_psi).real
-        dsig = 2.0 * (np.einsum("kpd,kd->kp", d_tangent.conj(), x_psi)
-                      + np.einsum("kd,kpd->kp", x_tangent.conj(), d_psi)).real
+            dub = circ.unitary_derivatives() @ self._b                    # (P_l, D, D)
+            half = dub.conj().transpose(0, 2, 1) @ (self._x_op @ (circ.unitary() @ self._b))
+            cols = self.theta_owner == l
+            sig[:, cols], dsig[:, cols] = self._contract(
+                self._y, self._real_form(half + half.conj().transpose(0, 2, 1)))
         return sig, dsig
 
     def theta_features(self, tau, derivative: bool = True):
@@ -122,34 +136,15 @@ class FeatureCache:
         number of circuit parameters.  Column p is the derivative of feature
         theta_owner[p], the only one theta_p moves.  The rows follow
         `features`' convention, so a ConstrainedExpression can take this in
-        place of `features`; they are tabulated per circuit version, and a tau
-        off the table raises ValueError."""
+        place of `features`; a tau off the table raises ValueError."""
         row = np.searchsorted(self._taus, tau)
         if not np.array_equal(self._taus.take(row, mode="clip"), tau):
             raise ValueError("theta derivatives exist only at the nodes and domain endpoints")
-        if self._theta_revision != self.bank.revision:
-            for l, circ in enumerate(self.bank.circuits):
-                if self._theta_versions[l] != circ.version:
-                    cols = self.theta_owner == l
-                    self._sig_theta[:, cols], self._dsig_theta[:, cols] = self._theta_column(circ)
-                    self._theta_versions[l] = circ.version
-            self._theta_revision = self.bank.revision
-        return self._sig_theta[row], self._dsig_theta[row] if derivative else None
-
-    def _real_forms(self):
-        """(R, R'), each of shape (L, 2D, 2D): the forms O_l and O'_l in real
-        form, [[Re Q, Im Q], [-Im Q, Re Q]], so that with y = [cos tau w,
-        sin tau w] the form z^H Q z is y R y^T.  Rebuilt when the bank's
-        revision changes."""
-        revision = self.bank.revision
-        if self._forms is None or self._forms[0] != revision:
-            ub = np.array([c.unitary() for c in self.bank.circuits]) @ self._encode.basis()
-            o = ub.conj().transpose(0, 2, 1) @ (self._x_op @ ub)
-            w = self._encode.frequencies
-            do = 1j * (w[:, None] * o - o * w)
-            self._forms = (revision, *(np.block([[q.real, q.imag], [-q.imag, q.real]])
-                                       for q in (o, do)))
-        return self._forms[1:]
+        memo = self._current()
+        if "theta" not in memo:
+            memo["theta"] = self._theta_table()
+        sig, dsig = memo["theta"]
+        return sig[row], dsig[row] if derivative else None
 
     def _quadratic(self, tau, weights, derivative: bool):
         """(phi(tau) W, d phi / d tau W) from the quadratic forms, W the
@@ -159,23 +154,18 @@ class FeatureCache:
         taus = np.asarray(tau, dtype=float)
         if not np.all(np.isfinite(taus)):
             raise ValueError("non-finite input")
-        phase = np.multiply.outer(np.atleast_1d(taus), self._encode.frequencies)
-        y = np.concatenate([np.cos(phase), np.sin(phase)], axis=1)       # (K, 2D)
-        forms = self._real_forms()
-        out = []
-        for r in forms if derivative else forms[:1]:
-            if weights is not None:
-                r = np.tensordot(weights, r, axes=(0, 0))                # (d, 2D, 2D)
-            n, m = r.shape[:2]
-            yr = y @ r.transpose(1, 0, 2).reshape(m, n * m)              # (K, d 2D)
-            val = np.einsum("kjm,km->kj", yr.reshape(-1, n, m), y)
-            out.append(val[0] if taus.ndim == 0 else val)
-        return out[0], out[1] if derivative else None
+        forms = self._current()["forms"]
+        if weights is not None:
+            forms = np.tensordot(weights, forms, axes=(0, 0))            # (d, 2D, 2D)
+        val, dval = self._contract(self._phases(np.atleast_1d(taus)), forms, derivative)
+        if taus.ndim == 0:
+            return val[0], dval[0] if derivative else None
+        return val, dval
 
     def features(self, tau, derivative: bool = True):
         """(sigma, d sigma / d tau), each of shape (L,) for a scalar tau and
         (K, L) for a 1-D array of K points.  With derivative=False the
-        derivative is None, and off the table its form is skipped."""
+        derivative is None, and off the table it is not computed."""
         if isinstance(tau, float):   # numpy float64 included
             row = self._row.get(tau)
             if row is None:
@@ -188,8 +178,10 @@ class FeatureCache:
             # row == len(table) past the last entry, so test that before indexing
             if np.any(row == self._taus.size) or np.any(self._taus[row] != tau):
                 return self._quadratic(tau, None, derivative)
-        self._tabulate()
-        return self._sig[row], self._dsig[row] if derivative else None
+        # the hot path of a residual: one probe and one compare, no call
+        memo = self._memo if self._memo["revision"] == self.bank.revision else self._current()
+        sig, dsig = memo["table"]
+        return sig[row], dsig[row] if derivative else None
 
     def weighted(self, weights: np.ndarray):
         """phi(tau) @ weights as a feature function with the convention of

@@ -341,6 +341,57 @@ def test_verify_grid_mismatch(tmp_path, capsys):
                 "--tol", "0.1"]) == 2
 
 
+@pytest.mark.parametrize("text, line", [
+    ("t,u\n0.0,0.0\n\n0.5,abc\n1.0,0.0\n", 4),   # a non-numeric cell
+    ("0.0,0.0\n0.5\n1.0,0.0\n", 2),                # a ragged row
+    ("0.0,abc\n1.0,0.0\n", 1),                      # a first row that is no header
+], ids=["non_numeric_cell", "ragged_row", "half_numeric_first_row"])
+def test_malformed_csv_exits_2_naming_file_and_line(text, line, tmp_path, capsys):
+    cfg = tmp_path / "sys.json"
+    cfg.write_text(json.dumps({
+        "system_params": {},
+        "propagate": {"x0": [1.0, 0.0, 0.0, 0.0], "t0": 0.0, "tf": 1.0, "steps": 50},
+    }))
+    bad = tmp_path / "bad.csv"
+    bad.write_text(text)
+    good = tmp_path / "good.csv"
+    cli.write_csv(str(good), ["t", "u"], [[0.0, 0.0], [1.0, 0.0]])
+    for argv in (["propagate", "--system", "two-level", "--config", str(cfg),
+                  "--control", str(bad), "--output", str(tmp_path / "o.csv")],
+                 ["verify", "--trajectory", str(good), "--verify", str(bad), "--tol", "0.1"]):
+        assert run(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and f"{bad} line {line}:" in err
+    assert not (tmp_path / "o.csv").exists()
+
+
+def test_unusable_path_exits_2(tmp_path, capsys):
+    # a path under a regular file can be neither opened nor created, and a
+    # directory cannot be read as a file
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    cfg = tmp_path / "sys.json"
+    cfg.write_text(json.dumps({
+        "system_params": {},
+        "propagate": {"x0": [1.0, 0.0, 0.0, 0.0], "t0": 0.0, "tf": 1.0, "steps": 50},
+    }))
+    ctrl = tmp_path / "u.csv"
+    ctrl.write_text(CONTROL_CSV)
+    out = str(blocker / "x")
+    for argv in (["gates", "--kind", "kerr", "--param", "0.1", "--cutoff", "4", "--output", out],
+                 ["propagate", "--system", "two-level", "--config", str(cfg),
+                  "--control", str(ctrl), "--output", out],
+                 ["solve", "--preset", "linear_ode_benchmark", "--output", out]):
+        assert run(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and out in err
+    for argv in (["solve", "--config", str(tmp_path)],
+                 ["propagate", "--system", "two-level", "--config", str(cfg),
+                  "--control", str(tmp_path), "--output", str(tmp_path / "o.csv")]):
+        assert run(argv) == 2
+        assert capsys.readouterr().err.startswith(f"error: cannot open {tmp_path}:")
+
+
 def test_csv_round_trip(tmp_path):
     path = tmp_path / "r.csv"
     rows = [[0.0, 1.25, -3.5], [0.1, 2.0, 4.75]]
@@ -434,12 +485,19 @@ BAD_SOLVE_CONFIGS = {
 }
 
 
-# (system_params, propagate overrides, section and word named in the error)
+CONTROL_CSV = "0.0,0.0\n1.0,0.0\n"
+
+# (system_params, propagate overrides, control CSV, section and word named
+# in the error)
 BAD_PROPAGATE_CONFIGS = {
-    "propagate_unknown_param": ({"bogus": 1}, {}, "system_params", "bogus"),
-    "propagate_few_steps": ({}, {"steps": 5}, "propagate", "steps"),
-    "propagate_tf_at_t0": ({}, {"tf": 0.0}, "propagate", "tf"),
-    "propagate_fractional_steps": ({}, {"steps": 20.7}, "propagate", "steps"),
+    "propagate_unknown_param": ({"bogus": 1}, {}, CONTROL_CSV, "system_params", "bogus"),
+    "propagate_few_steps": ({}, {"steps": 5}, CONTROL_CSV, "propagate", "steps"),
+    "propagate_tf_at_t0": ({}, {"tf": 0.0}, CONTROL_CSV, "propagate", "tf"),
+    "propagate_fractional_steps": ({}, {"steps": 20.7}, CONTROL_CSV, "propagate", "steps"),
+    "propagate_unsorted_times": ({}, {}, "1.0,0.0\n0.0,0.0\n0.5,0.0\n", "propagate",
+                                 "increasing"),
+    "propagate_nan_time": ({}, {}, "0.0,0.0\nnan,0.0\n1.0,0.0\n", "propagate",
+                           "increasing"),
 }
 
 
@@ -447,12 +505,12 @@ BAD_PROPAGATE_CONFIGS = {
 def test_bad_config_value_exits_2(case, tmp_path, capsys):
     # a bad value is a config error (exit 2) naming its section, not a traceback
     if case in BAD_PROPAGATE_CONFIGS:
-        params, over, section, key = BAD_PROPAGATE_CONFIGS[case]
+        params, over, control, section, key = BAD_PROPAGATE_CONFIGS[case]
         prop = {"x0": [1.0, 0.0, 0.0, 0.0], "t0": 0.0, "tf": 1.0, "steps": 50}
         cfg = tmp_path / "sys.json"
         cfg.write_text(json.dumps({"system_params": params, "propagate": {**prop, **over}}))
         ctrl = tmp_path / "u.csv"
-        ctrl.write_text("0.0,0.0\n1.0,0.0\n")
+        ctrl.write_text(control)
         argv = ["propagate", "--system", "two-level", "--config", str(cfg),
                 "--control", str(ctrl), "--output", str(tmp_path / "o.csv")]
     else:

@@ -203,14 +203,29 @@ def test_feature_cache_partial_and_past_table_arrays_match_batch(monkeypatch):
         assert np.allclose(dsig, dref, rtol=0, atol=1e-12)
 
 
-def test_weighted_kernel_matches_tabulated_amplitudes():
+def test_tabulated_tau_matches_the_same_tau_off_the_table():
+    bank = small_bank()
+    taus = np.random.default_rng(4).uniform(-0.8, 0.8, 9)
+    table = problems.FeatureCache(bank, taus)
+    free = problems.FeatureCache(bank)
+    for _ in range(2):   # at the first revision, then after a theta write
+        for t in (*taus, taus):
+            for got, ref in zip(table.features(t), free.features(t)):
+                assert np.allclose(got, ref, rtol=0, atol=1e-15)
+        flat = bank.get_flat()
+        flat[3] += 0.05
+        bank.set_flat(flat)
+
+
+def test_weighted_kernel_matches_table_and_forward():
     bank = small_bank()
     taus = np.linspace(-0.8, 0.8, 8001)
-    table = problems.FeatureCache(bank, taus)   # amplitudes at every point
+    table = problems.FeatureCache(bank, taus)
     sig, dsig = table.features(taus)
-    free, dfree = problems.FeatureCache(bank).features(taus)   # quadratic forms
-    assert np.allclose(free, sig, rtol=0, atol=1e-13)
-    assert np.allclose(dfree, dsig, rtol=0, atol=1e-13)
+    # the table against the state-vector oracles, on a subsample
+    sub = taus[::400]
+    assert np.allclose(sig[::400], [cvqnn.forward(bank, t) for t in sub], rtol=0, atol=1e-12)
+    assert np.allclose(dsig[::400], [dsigma_oracle(bank, t) for t in sub], rtol=0, atol=1e-10)
     w = np.random.default_rng(6).normal(0.0, 1.0, (bank.n_features, 3))
     weighted = table.weighted(w)
     val, dval = weighted(taus)
