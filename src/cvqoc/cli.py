@@ -2,7 +2,7 @@
 
 Configs are strict JSON: unknown keys are rejected and missing keys are
 named in the error.  Exit codes: 0 success (even when training does not
-converge), 2 config error, 3 numerical failure.
+converge), 2 config error, 3 numerical failure, 4 check failed (verify).
 """
 
 from __future__ import annotations
@@ -289,6 +289,14 @@ def _sample_grid(t0: float, tf: float, n: int = 201) -> np.ndarray:
     return np.linspace(t0, tf, n)
 
 
+def _feature_basis(problem) -> dict:
+    """The singular values of the node table phi(nodes), over the largest,
+    and its numerical rank at a fixed relative cutoff of 1e-8."""
+    sv = np.linalg.svd(problem.cache.features(problem.nodes, False)[0], compute_uv=False)
+    return {"feature_singular_values": (sv / sv[0]).tolist(),
+            "feature_rank": int(np.sum(sv > 1e-8 * sv[0]))}
+
+
 def _solve_artifacts_qoc(problem, report, outdir: str, system: str) -> dict:
     model = problem.model
     grid = _sample_grid(problem.cfg.t0, problem.final_time())
@@ -320,6 +328,7 @@ def _solve_artifacts_qoc(problem, report, outdir: str, system: str) -> dict:
         "loss_breakdown": problem.residual_vector(problem.decision.values).breakdown(),
         "jacobian_singular_values": [float(sv[0]), float(sv[-1])],
         "jacobian_cond": float(sv[0] / sv[-1]),
+        **_feature_basis(problem),
     }
 
 
@@ -335,6 +344,7 @@ def _solve_artifacts_benchmark(problem, report, outdir: str) -> dict:
         "tf": problem.morph.tf,
         "terminal_error_trained": float(abs(y[-1] - exact[-1])),
         "max_grid_error": float(np.max(np.abs(y - exact))),
+        **_feature_basis(problem),
     }
 
 
@@ -404,7 +414,7 @@ def cmd_verify(args) -> int:
     print(f"terminal error: {terminal:.6e}")
     ok = max_dev < args.tol and drift < args.tol and terminal < args.tol
     print("PASS" if ok else f"FAIL (tolerance {args.tol:g})")
-    return 0
+    return 0 if ok else 4
 
 
 # --- entry point --------------------------------------------------------

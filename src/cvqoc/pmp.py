@@ -18,13 +18,10 @@ makes H(t_f) a sum of squares, which cannot equal -time_weight).
 
 Every unknown is a tfc.ConstrainedExpression: feature rows times the
 unknown's output weights, plus the boundary terms.  residuals evaluates them
-node by node.  residual_jacobian is the closed-form Jacobian of the
-concatenated residual with respect to those weights and the morph rate.
-Each expression is affine in its weights (tfc.AffineMap) and the generator
-is affine in the control, so each block is a batched einsum over the nodes.
-residual_tangents applies the same linearisation to arbitrary changes of
-the unknowns at the nodes; QocProblem uses it for the circuit-parameter
-columns.
+node by node.  residual_partials gives the residual's partials in the
+values of the unknowns at the nodes: node i's rows depend only on node i's
+values, so they are one small dense block per node, and every Jacobian is
+those blocks times the coordinates' directions (problems._Collocation).
 """
 
 from __future__ import annotations
@@ -142,7 +139,7 @@ class UnknownSet:
     costate_terminal_constraint is set), and the control-side unknowns are
     unconstrained: the features times the weights.  All share one TimeMorph
     whose c_map doubles as the free-final-time decision scalar.  The field
-    order is the column order of residual_jacobian.
+    order is the order of the node values in residual_partials.
     """
 
     expr_state: ConstrainedExpression
@@ -222,12 +219,6 @@ def residuals(unknowns: UnknownSet, cfg: OcpConfig, model: SuperOperatorModel,
     )
 
 
-def _diagonal(coef: np.ndarray, psi: np.ndarray) -> np.ndarray:
-    """coef[i, w] psi[i, l] delta_wv, indexed (i, w, l, v): the derivative of
-    the node-wise family coef * y in the weights of y = psi xi."""
-    return np.einsum("iw,il,wv->iwlv", coef, psi, np.eye(coef.shape[1]))
-
-
 class _Point(NamedTuple):
     """The pieces of the residual's linearisation at the nodes that every
     derivative shares."""
@@ -260,79 +251,51 @@ def _point(maps: list, weights: list, cfg: OcpConfig, model: SuperOperatorModel)
                   2.0 * cfg.reg_weight - beta * saturation_d2nu(nu, cfg), partials)
 
 
-def residual_jacobian(maps: list, weights: list, c_map: float, cfg: OcpConfig,
-                      model: SuperOperatorModel) -> np.ndarray:
-    """Closed-form Jacobian of residuals(...).concat().
-
-    maps and weights are the tfc.AffineMap at the nodes and the weight matrix
-    (L, width) of each unknown, in UnknownSet order (state, costate, control,
-    saturation input, multiplier).  Columns are those weights flattened row
-    by row, in the same order, then c_map.  The values of the unknowns at the
-    nodes come from the maps; no residual is evaluated.  The generator must
-    be affine in u: G(u) = G(0) + sum_c u_c G_c.
+def residual_partials(maps: list, weights: list, c_map: float, cfg: OcpConfig,
+                      model: SuperOperatorModel):
+    """(D, h): the partials of residuals(...).concat() in the values at the
+    nodes, at the point fixed by the tfc.AffineMap at the nodes and the
+    (L, width) weights of each unknown, in UnknownSet order.  D, shape
+    (N, R, C), holds those of node i's R rows, family by family, in its C
+    values x, lambda, u, nu, beta, x', lambda' (d/dtau) and c_map; h, shape
+    (C,), those of the terminal Hamiltonian row in the last node's.  The
+    generator must be affine in u: G(u) = G(0) + sum_c u_c G_c.
     """
-    px, pl, pu, pn, pb = (m.psi for m in maps)
     pt = _point(maps, weights, cfg, model)
     n, dim = pt.x.shape
     nc = pt.u.shape[1]
-    ones = np.ones((n, nc))
-    rate = np.full((n, dim), c_map)
+    # where each of the C values starts; family k's rows are as wide as value k
+    at = np.cumsum([0, dim, dim, nc, nc, nc, dim, dim, 1])
+    d = np.zeros((n, at[5], at[-1]))
 
-    widths = (dim, dim, nc, nc, nc)
-    col = np.cumsum([0] + [px.shape[1] * w for w in widths])
-    row = np.cumsum([0, n * dim, n * dim, n * nc, n * nc, n * nc])
-    jac = np.zeros((row[-1] + 1, col[-1] + 1))
+    def put(family, value, block):
+        d[:, at[family]:at[family + 1], at[value]:at[value + 1]] = block
 
-    def put(family, unknown, block):
-        jac[row[family]:row[family + 1], col[unknown]:col[unknown + 1]] = (
-            block.reshape(row[family + 1] - row[family], -1))
+    def diag(family, value, coef):
+        k = np.arange(at[family + 1] - at[family])
+        d[:, at[family] + k, at[value] + k] = coef
 
-    # state: c xdot - G(u) x
-    put(0, 0, _diagonal(rate, maps[0].dpsi) - np.einsum("il,iaj->ialj", px, pt.gen))
-    put(0, 2, -np.einsum("il,ica->ialc", pu, pt.g_x))
-    # costate: c lamdot + G(u)^T lambda
-    put(1, 1, _diagonal(rate, maps[1].dpsi) + np.einsum("il,ija->ialj", pl, pt.gen))
-    put(1, 2, np.einsum("il,ica->ialc", pu, pt.gt_lam))
+    # state: c x' - G(u) x
+    put(0, 0, -pt.gen)
+    put(0, 2, -pt.g_x.transpose(0, 2, 1))
+    diag(0, 5, c_map)
+    put(0, 7, pt.xdot[..., None])
+    # costate: c lambda' + G(u)^T lambda
+    put(1, 1, pt.gen.transpose(0, 2, 1))
+    put(1, 2, pt.gt_lam.transpose(0, 2, 1))
+    diag(1, 6, c_map)
+    put(1, 7, pt.lamdot[..., None])
     # control: lambda^T G_c x + 2 w_E u + beta
-    put(2, 0, np.einsum("icj,il->iclj", pt.gt_lam, px))
-    put(2, 1, np.einsum("icj,il->iclj", pt.g_x, pl))
-    put(2, 2, _diagonal(2.0 * cfg.energy_weight * ones, pu))
-    put(2, 4, _diagonal(ones, pb))
+    put(2, 0, pt.gt_lam)
+    put(2, 1, pt.g_x)
+    diag(2, 2, 2.0 * cfg.energy_weight)
+    diag(2, 4, 1.0)
     # saturation: 2 w_R nu - beta phi'(nu)
-    put(3, 3, _diagonal(pt.sat_coef, pn))
-    put(3, 4, _diagonal(-pt.phi_d, pb))
+    diag(3, 3, pt.sat_coef)
+    diag(3, 4, -pt.phi_d)
     # constraint: u - phi(nu)
-    put(4, 2, _diagonal(ones, pu))
-    put(4, 3, _diagonal(-pt.phi_d, pn))
-    # terminal H at the last node
-    for k, (m, dh) in enumerate(zip(maps, pt.partials)):
-        jac[-1, col[k]:col[k + 1]] = np.outer(m.psi[-1], dh).ravel()
-    # c_map enters only through xdot = c dx/dtau and lamdot = c dlam/dtau
-    jac[:row[2], -1] = np.concatenate([pt.xdot.ravel(), pt.lamdot.ravel()])
-    return jac
-
-
-def residual_tangents(maps: list, weights: list, c_map: float, cfg: OcpConfig,
-                      model: SuperOperatorModel, dy: list, dydot: list) -> np.ndarray:
-    """The linearisation of residuals(...).concat() applied to P directions.
-
-    maps, weights and c_map are as in residual_jacobian and fix the point.
-    dy holds, per unknown in UnknownSet order, the change of its values at
-    the nodes along each direction, shape (P, N, width); dydot the change of
-    the tau-derivatives of the state and costate, shape (P, N, dim).
-    Returns one column per direction, shape (rows, P).
-    """
-    pt = _point(maps, weights, cfg, model)
-    dx, dlam, du, dnu, dbeta = dy
-    dxdot, dlamdot = dydot
-    state = (c_map * dxdot - np.einsum("iab,pib->pia", pt.gen, dx)
-             - np.einsum("pic,ica->pia", du, pt.g_x))
-    costate = (c_map * dlamdot + np.einsum("iba,pib->pia", pt.gen, dlam)
-               + np.einsum("pic,ica->pia", du, pt.gt_lam))
-    control = (np.einsum("pia,ica->pic", dlam, pt.g_x) + np.einsum("pia,ica->pic", dx, pt.gt_lam)
-               + 2.0 * cfg.energy_weight * du + dbeta)
-    sat_input = pt.sat_coef * dnu - pt.phi_d * dbeta
-    constraint = du - pt.phi_d * dnu
-    terminal = sum(d[:, -1] @ dh for d, dh in zip(dy, pt.partials))
-    families = (state, costate, control, sat_input, constraint)
-    return np.column_stack([f.reshape(f.shape[0], -1) for f in families] + [terminal]).T
+    diag(4, 2, 1.0)
+    diag(4, 3, -pt.phi_d)
+    # terminal H at the last node: no tau-derivative and no c_map
+    h = np.concatenate(pt.partials + (np.zeros(at[-1] - at[5]),))
+    return d, h

@@ -16,14 +16,12 @@ problems share one base, _Collocation, which owns that layout: its _sync is
 the only writer of the weights (in place) and hands theta to the bank, whose
 set_flat is the only writer of the circuit parameters.
 
-Every problem's jacobian is closed form in every coordinate.  The weight
-(and morph-rate) columns come from the expressions' affine maps.  The
-circuit parameter columns come from the exact feature derivatives
-d sigma / d theta and d sigma' / d theta, which the cache evaluates at the
-nodes from the derivatives of the forms; a parameter moves only its own
-circuit's form, and so its feature column, so each column is the
-residual's linearisation along one rank-one change of the unknowns
-(_Collocation._theta_tangents).
+Every problem's jacobian is closed form in every coordinate, by one chain
+rule in _Collocation: every coordinate reaches the residual only through
+the values of the unknowns at the nodes, so the Jacobian is the residual's
+partials in those values (the subclass's _partials) times the coordinates'
+directions in them, which come from the expressions' affine maps over the
+features and over the exact d sigma / d theta (FeatureCache.theta_features).
 QocProblem.residual_vector keeps its last evaluation, so a point evaluated
 twice in a row (Gauss-Newton's accepted trial, then the training callback
 and the next iteration) costs one evaluation.
@@ -68,7 +66,8 @@ class FeatureCache:
         self._x_op = fock.quadrature_x(bank.cutoff).entries.real
         _, self._w, v = fock.basis(bank.cutoff).displace
         self._b = v * v[0].conj()
-        self._taus = np.unique(np.asarray(taus, dtype=float))
+        taus = np.sort(np.asarray(taus, dtype=float))   # np.unique imports numpy.ma
+        self._taus = np.concatenate([taus[:1], taus[1:][taus[1:] != taus[:-1]]])
         self._row = {float(t): i for i, t in enumerate(self._taus)}
         self._y = self._phases(self._taus)
         # theta_owner[p]: the circuit, and so the feature, that theta_p moves
@@ -195,21 +194,27 @@ class FeatureCache:
 class _Collocation:
     """The decision-vector layout shared by every collocation problem.
 
-    It holds the nodes, the feature cache and one weight array of shape
-    (L, width) per unknown.  The decision vector lays out the weight blocks
-    in the order given, then the flattened circuit parameters (theta), then
-    the extra scalars (name -> initial value).  _sync is the only writer of
-    the weights, which it overwrites in place, and forwards theta to
-    QnnBank.set_flat, which re-versions only the circuits whose slice changed.
+    It holds the nodes, the feature cache, and per unknown (name ->
+    (width, boundary constraints)) a weight array of shape (L, width) and a
+    constrained expression over the features and those weights.  The
+    decision vector lays out the weight blocks in the order given, then the
+    flattened circuit parameters (theta), then the extra scalars (name ->
+    initial value).  _sync is the only writer of the weights, which it
+    overwrites in place, and forwards theta to QnnBank.set_flat, which
+    re-versions only the circuits whose slice changed.
     """
 
     def __init__(self, bank: cvqnn.QnnBank, morph: TimeMorph, n_nodes: int,
-                 widths: dict, scalars: dict):
+                 unknowns: dict, scalars: dict, rates: tuple):
         self.bank = bank
         self.morph = morph
         self.nodes = chebyshev_lobatto_nodes(n_nodes, morph)
         self.cache = FeatureCache(bank, np.append(self.nodes, [morph.tau0, morph.tauf]))
+        widths = {name: w for name, (w, _) in unknowns.items()}
         self._xi = {name: np.zeros((bank.n_features, w)) for name, w in widths.items()}
+        self._exprs = {name: ConstrainedExpression(self.cache.features, self._xi[name],
+                                                   constraints, morph)
+                       for name, (_, constraints) in unknowns.items()}
         theta = bank.get_flat()
         sizes = ([(name, arr.size) for name, arr in self._xi.items()]
                  + [("theta", theta.size)] + [(name, 1) for name in scalars])
@@ -223,11 +228,16 @@ class _Collocation:
         self.theta_mask = np.zeros(pos, dtype=bool)
         self.theta_mask[blocks["theta"]] = True
         self.xi_mask = ~self.theta_mask
-
-    def _expression(self, name: str, constraints: list) -> ConstrainedExpression:
-        """Constrained expression over the features, weighted by block name."""
-        return ConstrainedExpression(self.cache.features, self._xi[name],
-                                     constraints, self.morph)
+        # The C values at a node that the residual's partials take: each
+        # unknown's, the tau-derivatives of those in rates, the scalars.
+        at = np.cumsum([0] + list(widths.values()) + [widths[r] for r in rates]
+                       + [1] * len(scalars))
+        rate_at = dict(zip(rates, at[len(widths):]))
+        # per unknown, where its values and tau-derivatives (None: not taken) start
+        self._slots = {name: (at[k], rate_at.get(name)) for k, name in enumerate(widths)}
+        self._n_values = at[-1]
+        # the residual has one family per unknown, as wide: its rows among a node's R
+        self._families = list(zip(at[:len(widths)], at[1:len(widths) + 1]))
 
     def bounds(self):
         return []
@@ -241,31 +251,68 @@ class _Collocation:
 
     def jacobian(self, values: np.ndarray, mask: np.ndarray = None) -> np.ndarray:
         """Closed-form Jacobian of residual(values) on the mask coordinates
-        (xi_mask by default), in decision-vector order; no residual is
-        evaluated.  The subclass gives the xi_mask block (_xi_columns) and
-        the theta_mask block (_theta_columns) at the synced point; only the
-        blocks the mask touches are built."""
+        (xi_mask by default), in decision-vector order, evaluating no
+        residual: D @ A node by node, with the rows family by family as the
+        residual orders them, then h . A at the last node.  The subclass's
+        _partials gives D (N, R, C), the partials of a node's R rows in its
+        C values (see __init__), and h (C,), those of a terminal row in the
+        last node's (None: no such row).  A (N, C, Q) holds the directions of
+        the values along the Q masked coordinates."""
         mask = self.xi_mask if mask is None else mask
+        theta = self.theta_mask[mask]
+        if theta.any() and not theta.all():
+            # one product per block, so a column does not depend on the rest of the mask
+            xi = self.jacobian(values, mask & self.xi_mask)
+            jac = np.empty((xi.shape[0], theta.size))
+            jac[:, ~theta] = xi
+            jac[:, theta] = self.jacobian(values, mask & self.theta_mask)
+            return jac
         self._sync(values)
-        blocks = [(cols, columns()) for cols, columns in
-                  ((self.xi_mask, self._xi_columns), (self.theta_mask, self._theta_columns))
-                  if np.any(mask & cols)]
-        jac = np.zeros((blocks[0][1].shape[0], mask.size))
-        for cols, block in blocks:
-            jac[:, cols] = block
-        # row-major, as the blocks come: the layout picks the BLAS path of
-        # J^T J, so it keeps Gauss-Newton's steps bit for bit
-        return jac.compress(mask, axis=1)
+        maps = {name: expr.affine(self.nodes) for name, expr in self._exprs.items()}
+        d, h = self._partials(list(maps.values()))
+        cols = np.flatnonzero(mask)
+        a = self._theta_directions(cols) if theta.all() else self._xi_directions(maps, cols)
+        n, _, q = a.shape
+        jac = np.empty((n * self._families[-1][1] + (h is not None), q))
+        for lo, hi in self._families:
+            np.matmul(d[:, lo:hi], a, out=jac[n * lo:n * hi].reshape(n, hi - lo, q))
+        if h is not None:
+            jac[-1] = h @ a[-1]
+        return jac
 
-    def _theta_tangents(self, expr):
-        """(dy, dydot): the change of expr's values and tau-derivatives at the
-        nodes along each circuit parameter, each of shape (P, N, width).
-        theta_p moves only feature theta_owner[p], so dy[p] is
-        dpsi[:, p] xi[owner(p), :] with dpsi the expression's affine map over
-        the feature derivative rows (FeatureCache.theta_features)."""
-        t = expr.affine(self.nodes, features=self.cache.theta_features)
-        w = expr.weights[self.cache.theta_owner]
-        return np.einsum("ip,pw->piw", t.psi, w), np.einsum("ip,pw->piw", t.dpsi, w)
+    def _xi_directions(self, maps: dict, cols: np.ndarray) -> np.ndarray:
+        """A on the weight and scalar coordinates cols.  Weight (l, v) of an
+        unknown moves its v-th value by psi[:, l] of its affine map and its
+        v-th tau-derivative by dpsi[:, l]; a scalar is a node value itself."""
+        a = np.zeros((self.nodes.size, self._n_values, cols.size))
+        for name, (value, rate) in self._slots.items():
+            block = self.decision.blocks[name]
+            q = np.flatnonzero((cols >= block.start) & (cols < block.stop))
+            feature, v = np.divmod(cols[q] - block.start, self._xi[name].shape[1])
+            a[:, value + v, q] = maps[name].psi[:, feature]
+            if rate is not None:
+                a[:, rate + v, q] = maps[name].dpsi[:, feature]
+        # the scalars are the last coordinates and the last values
+        q = np.flatnonzero(cols >= self.decision.blocks["theta"].stop)
+        a[:, self._n_values - self.xi_mask.size + cols[q], q] = 1.0
+        return a
+
+    def _theta_directions(self, cols: np.ndarray) -> np.ndarray:
+        """A on the circuit parameters cols.  theta_p moves only feature
+        theta_owner[p], so it moves each unknown by column p of its affine
+        map over FeatureCache.theta_features times row theta_owner[p] of its
+        weights."""
+        p = cols - self.decision.blocks["theta"].start
+        owner = self.cache.theta_owner[p]
+        a = np.zeros((self.nodes.size, self._n_values, p.size))
+        for name, (value, rate) in self._slots.items():
+            expr = self._exprs[name]
+            t = expr.affine(self.nodes, features=self.cache.theta_features)
+            w = expr.weights[owner].T                                    # (width, P)
+            a[:, value:value + w.shape[0]] = t.psi[:, None, p] * w
+            if rate is not None:
+                a[:, rate:rate + w.shape[0]] = t.dpsi[:, None, p] * w
+        return a
 
     def _value_function(self, expr):
         """tau -> expr's value, through the cache's weighted kernel: the
@@ -288,23 +335,19 @@ class OdeBenchmarkProblem(_Collocation):
 
     def __init__(self, bank: cvqnn.QnnBank, morph: TimeMorph, n_nodes: int,
                  rate: float, y0: float):
-        super().__init__(bank, morph, n_nodes, {"xi": 1}, {})
+        super().__init__(bank, morph, n_nodes, {"xi": (1, [BoundaryConstraint("initial", [y0])])},
+                         {}, rates=("xi",))
         self.rate = rate
-        self.expr = self._expression("xi", [BoundaryConstraint("initial", [y0])])
+        self.expr = self._exprs["xi"]
 
     def residual(self, values: np.ndarray) -> np.ndarray:
         self._sync(values)
         y, ydot = self.expr.eval(self.nodes)
         return ydot[:, 0] - self.rate * y[:, 0]
 
-    def _xi_columns(self) -> np.ndarray:
-        # r = c (dpsi xi + db) - rate (psi xi + b)
-        amap = self.expr.affine(self.nodes)
-        return self.morph.c_map * amap.dpsi - self.rate * amap.psi
-
-    def _theta_columns(self) -> np.ndarray:
-        dy, dydot = self._theta_tangents(self.expr)
-        return (self.morph.c_map * dydot - self.rate * dy)[:, :, 0].T
+    def _partials(self, maps):
+        # r = c y' - rate y at every node, in (y, y') with y' = dy / dtau
+        return np.array([[[-self.rate, self.morph.c_map]]]), None
 
     def solution(self, t_grid: np.ndarray) -> np.ndarray:
         return self._eval_grid(self.expr, t_grid)[:, 0]
@@ -318,25 +361,17 @@ class QocProblem(_Collocation):
                  model: SuperOperatorModel, morph: TimeMorph, n_nodes: int,
                  c_map_bounds: tuple = (0.05, 20.0)):
         dim, nc = model.dim, model.n_controls
-        super().__init__(bank, morph, n_nodes,
-                         {"xi_state": dim, "xi_costate": dim,
-                          "xi_u": nc, "xi_nu": nc, "xi_beta": nc},
-                         {"c_map": morph.c_map})
+        pinned = [BoundaryConstraint("final", cfg.costate_final)]
+        super().__init__(bank, morph, n_nodes, {
+            "xi_state": (dim, [BoundaryConstraint("initial", cfg.rho_init),
+                               BoundaryConstraint("final", cfg.rho_target)]),
+            "xi_costate": (dim, pinned if cfg.costate_terminal_constraint else []),
+            "xi_u": (nc, []), "xi_nu": (nc, []), "xi_beta": (nc, []),
+        }, {"c_map": morph.c_map}, rates=("xi_state", "xi_costate"))
         self.cfg = cfg
         self.model = model
         self.c_map_bounds = c_map_bounds
-        costate_constraints = []
-        if cfg.costate_terminal_constraint:
-            costate_constraints = [BoundaryConstraint("final", cfg.costate_final)]
-        self.unknowns = pmp.UnknownSet(
-            expr_state=self._expression(
-                "xi_state", [BoundaryConstraint("initial", cfg.rho_init),
-                             BoundaryConstraint("final", cfg.rho_target)]),
-            expr_costate=self._expression("xi_costate", costate_constraints),
-            expr_control=self._expression("xi_u", []),
-            expr_sat_input=self._expression("xi_nu", []),
-            expr_multiplier=self._expression("xi_beta", []),
-        )
+        self.unknowns = pmp.UnknownSet(*self._exprs.values())
         self._last = None   # (values, ResidualVector) of the last evaluation
 
     def bounds(self):
@@ -360,23 +395,12 @@ class QocProblem(_Collocation):
     def residual(self, values: np.ndarray) -> np.ndarray:
         return self.residual_vector(values).concat()
 
-    def _point(self) -> tuple:
-        """The expressions in UnknownSet order, and the point (maps, weights,
-        c_map, cfg, model) of pmp's linearisation at the nodes."""
-        exprs = list(vars(self.unknowns).values())
-        maps = [e.affine(self.nodes) for e in exprs]
-        return exprs, (maps, [e.weights for e in exprs], self.morph.c_map, self.cfg, self.model)
-
-    def _xi_columns(self) -> np.ndarray:
-        """The weight blocks in UnknownSet order, then c_map.  c_map enters as
-        its clipped value, so on a bound its column is the one-sided
-        derivative from inside."""
-        return pmp.residual_jacobian(*self._point()[1])
-
-    def _theta_columns(self) -> np.ndarray:
-        exprs, point = self._point()
-        dy, dydot = zip(*(self._theta_tangents(e) for e in exprs))
-        return pmp.residual_tangents(*point, dy, dydot[:2])
+    def _partials(self, maps):
+        """pmp's linearisation at the synced point.  c_map enters as its
+        clipped value, so on a bound its column is the one-sided derivative
+        from inside."""
+        return pmp.residual_partials(maps, list(self._xi.values()), self.morph.c_map,
+                                     self.cfg, self.model)
 
     # --- trained-solution accessors -------------------------------------
 

@@ -4,7 +4,7 @@ import os
 import numpy as np
 import pytest
 
-from cvqoc import cli, lindblad, pmp, problems
+from cvqoc import cli, lindblad, problems
 
 
 def run(argv):
@@ -147,13 +147,15 @@ def test_solve_nonfinite_jacobian_exits_3(tmp_path, monkeypatch, capsys):
 
 
 def test_solve_nonfinite_theta_jacobian_exits_3(tmp_path, monkeypatch, capsys):
-    # the xi columns stay finite, so joint training fails in its first Adam epoch
-    orig = pmp.residual_tangents
+    # the theta feature rows feed only the theta columns, so the xi columns
+    # stay finite and joint training fails in its first Adam epoch
+    orig = problems.FeatureCache.theta_features
 
-    def residual_tangents(*args):
-        return np.full_like(orig(*args), np.nan)
+    def theta_features(self, tau, derivative=True):
+        sig, dsig = orig(self, tau, derivative)
+        return np.full_like(sig, np.nan), dsig
 
-    monkeypatch.setattr(pmp, "residual_tangents", residual_tangents)
+    monkeypatch.setattr(problems.FeatureCache, "theta_features", theta_features)
     assert run(["solve", "--preset", "two_level_ground_to_excited", "--mode", "joint",
                 "--output", str(tmp_path / "out")]) == 3
     assert "non-finite gradient entry in epoch 1" in capsys.readouterr().err
@@ -198,6 +200,23 @@ def test_solve_qoc_reports_jacobian_conditioning(tmp_path):
     assert np.isfinite([largest, smallest, report["jacobian_cond"]]).all()
     assert largest >= smallest > 0
     assert report["jacobian_cond"] == pytest.approx(largest / smallest)
+
+
+@pytest.mark.parametrize("preset", ["two_level_ground_to_excited", "linear_ode_benchmark"])
+def test_solve_reports_feature_basis(preset, tmp_path):
+    cfg = cli.load_config(cli.preset_path(preset))
+    cfg["train"]["gn_max_iter"] = 2
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    out = tmp_path / "out"
+    assert run(["solve", "--config", str(path), "--output", str(out)]) == 0
+    report = json.loads((out / "report.json").read_text())
+    n_nodes, n_features = cfg["tfc"]["n_nodes"], cfg["qnn"]["n_features"]
+    sv = np.array(report["feature_singular_values"])
+    assert sv.shape == (min(n_nodes, n_features),)
+    assert np.all(np.diff(sv) <= 0)
+    assert sv[0] == 1.0
+    assert 1 <= report["feature_rank"] <= n_features
 
 
 @pytest.mark.parametrize("mode", ["theta", "joint"])
@@ -326,7 +345,7 @@ def test_verify_self_and_perturbed(tmp_path, capsys):
     other = tmp_path / "b.csv"
     cli.write_csv(str(other), ["t", "x1", "x2", "u", "trace"], rows)
     assert run(["verify", "--trajectory", str(traj), "--verify", str(other),
-                "--tol", "0.05"]) == 0
+                "--tol", "0.05"]) == 4
     out = capsys.readouterr().out
     assert "FAIL" in out
     assert "1.000000e-01" in out  # max deviation reported

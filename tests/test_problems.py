@@ -486,6 +486,21 @@ def test_closed_form_theta_columns_match_finite_differences(preset):
     assert np.array_equal(full[:, prob.xi_mask], prob.jacobian(values))
 
 
+def test_closed_form_jacobian_with_a_pinned_costate_matches_finite_differences():
+    # lambda(t_f) pinned: the costate's maps carry switching terms, in the
+    # weight, theta and c_map columns alike
+    prob = qoc_problem(costate_terminal_constraint=True)
+    rng = np.random.default_rng(41)
+    values = prob.decision.values.copy()
+    values[prob.xi_mask] += rng.normal(0.0, 0.3, int(prob.xi_mask.sum()))
+    values[prob.theta_mask] += rng.normal(0.0, 0.05, int(prob.theta_mask.sum()))
+    every = np.ones_like(prob.xi_mask)
+    jac = prob.jacobian(values, every)
+    fd = _fd_on(prob, values, every)
+    assert jac.shape == fd.shape == (prob.residual(values).shape[0], every.size)
+    assert np.max(np.abs(jac - fd)) <= 1e-6 * np.max(np.abs(fd))
+
+
 def _counting(monkeypatch, owner, name):
     calls = {"n": 0}
     orig = getattr(owner, name)
