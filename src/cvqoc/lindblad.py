@@ -267,9 +267,13 @@ def three_level_model(p: ThreeLevelParams) -> SuperOperatorModel:
 
 # Steps per batch of generators and step matrices in propagate_rk4: large
 # enough that the NumPy calls of a batch cost little per step, small enough
-# that the batch, a few dim x dim matrices per step, stays far below the rest
-# of a solve's memory whatever the step count.
+# that a batch, a few dim x dim matrices per step, stays a fraction of a MB
+# whatever the step count.  A multiple of _CHUNK, so only a run's last batch
+# can end in a ragged chunk.
 _BLOCK_STEPS = 256
+# Steps per chunk of propagate_rk4's blocked scan: its Python loop turns once
+# per chunk, not once per step (4000 steps per verification of a solve).
+_CHUNK = 16
 
 
 def propagate_rk4(model: SuperOperatorModel, x0: np.ndarray, u_of_t: callable,
@@ -280,23 +284,32 @@ def propagate_rk4(model: SuperOperatorModel, x0: np.ndarray, u_of_t: callable,
     The control is tabulated up front: u_of_t is called once, on the array of
     the 2 * steps + 1 stage times t0 + k h / 2, and returns one control
     vector per time, shape (2 * steps + 1, n_controls); a constant control of
-    shape (n_controls,) broadcasts.  A non-finite initial state or control
-    raises ValueError.
+    shape (n_controls,) broadcasts.  Non-finite times, a non-finite initial
+    state or a non-finite control raise ValueError.
 
     The model is affine in u, so the generator is built once, as the drift
     G(0), and G(t) = G(0) + sum_c u_c(t) generator_du[c] at every stage time
-    comes from one einsum.  With A_s, A_m, A_e the generators at a step's
-    start, middle and end, the step is x <- M x with
+    of a batch comes from one matrix product.  With A_s, A_m, A_e the
+    generators at a step's start, middle and end, the step is x <- M x with
 
         P2 = A_m (I + h/2 A_s),  P3 = A_m (I + h/2 P2),  P4 = A_e (I + h P3),
         M  = I + h/6 (A_s + 2 P2 + 2 P3 + P4),
 
     which is the classic RK4 step written as a matrix.  Generators and step
     matrices are formed in batches of _BLOCK_STEPS steps, so memory does not
-    grow with the step count.
+    grow with the step count.  The states are a blocked scan over the step
+    matrices (Blelloch, CMU-CS-90-190, 1990): a batch's steps are grouped in
+    chunks of _CHUNK, padded with identities (which is exact), the prefix
+    products M_j ... M_1 of every chunk come from _CHUNK - 1 stacked matrix
+    products, a loop of one mat-vec per chunk carries the state from chunk
+    to chunk, and one stacked mat-vec of the prefix products with the chunk
+    start states gives every state.  So Python turns once per chunk, not
+    once per step.
     """
     if steps < 10:
         raise ValueError("use at least 10 steps")
+    if not (np.isfinite(t0) and np.isfinite(tf)):
+        raise ValueError(f"t0 and tf must be finite, got t0={t0}, tf={tf}")
     if not tf > t0:
         raise ValueError("tf must exceed t0")
     x = np.asarray(x0, dtype=float)
@@ -304,26 +317,37 @@ def propagate_rk4(model: SuperOperatorModel, x0: np.ndarray, u_of_t: callable,
         raise ValueError("initial state has wrong dimension")
     if not np.all(np.isfinite(x)):
         raise ValueError("initial state must be finite")
+    dim, n_controls = model.dim, model.n_controls
     h = (tf - t0) / steps
     stages = np.linspace(t0, tf, 2 * steps + 1)
     us = np.broadcast_to(np.asarray(u_of_t(stages), dtype=float),
-                         (stages.shape[0], model.n_controls))
+                         (stages.shape[0], n_controls))
     if not np.all(np.isfinite(us)):
         raise ValueError("control must be finite")
-    drift = model.generator(np.zeros(model.n_controls))
-    du = np.asarray(model.generator_du, dtype=float)
-    eye = np.eye(model.dim)
-    xs = np.empty((steps + 1, model.dim))
+    drift = model.generator(np.zeros(n_controls)).reshape(dim * dim)
+    du = np.asarray(model.generator_du, dtype=float).reshape(n_controls, dim * dim)
+    eye = np.eye(dim)
+    xs = np.empty((steps + 1, dim))
     xs[0] = x
     for first in range(0, steps, _BLOCK_STEPS):
         last = min(first + _BLOCK_STEPS, steps)
-        gens = drift + np.einsum("kc,cij->kij", us[2 * first:2 * last + 1], du)
+        gens = (us[2 * first:2 * last + 1] @ du + drift).reshape(-1, dim, dim)
         a_s, a_m, a_e = gens[:-1:2], gens[1::2], gens[2::2]
         p2 = a_m @ (eye + (0.5 * h) * a_s)
         p3 = a_m @ (eye + (0.5 * h) * p2)
         p4 = a_e @ (eye + h * p3)
-        step = eye + (h / 6.0) * (a_s + 2.0 * p2 + 2.0 * p3 + p4)
-        for n in range(first, last):
-            x = step[n - first].dot(x)
-            xs[n + 1] = x
+        n = last - first
+        n_chunks = -(-n // _CHUNK)
+        prefix = np.empty((n_chunks * _CHUNK, dim, dim))
+        prefix[:n] = eye + (h / 6.0) * (a_s + 2.0 * p2 + 2.0 * p3 + p4)
+        prefix[n:] = eye
+        prefix = prefix.reshape(n_chunks, _CHUNK, dim, dim)
+        for j in range(1, _CHUNK):
+            prefix[:, j] = prefix[:, j] @ prefix[:, j - 1]
+        starts = np.empty((n_chunks, dim))
+        for c in range(n_chunks):
+            starts[c] = x
+            x = prefix[c, -1].dot(x)
+        states = (prefix @ starts[:, None, :, None]).reshape(-1, dim)
+        xs[first + 1:last + 1] = states[:n]
     return stages[::2].copy(), xs

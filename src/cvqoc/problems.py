@@ -37,6 +37,12 @@ from .optimize import DecisionVector
 from .tfc import BoundaryConstraint, ConstrainedExpression, TimeMorph, chebyshev_lobatto_nodes
 
 
+# Points per row block of FeatureCache._quadratic: a block's phase rows and
+# products y R stay a few hundred kB.  A trajectory grid (201 points) is one
+# block, the 8001 stage times of an RK4 control are eight.
+_ROW_BLOCK = 1024
+
+
 class FeatureCache:
     """sigma(tau) and its exact derivative d sigma / d tau for a bank.
 
@@ -51,7 +57,10 @@ class FeatureCache:
 
     At the fixed points `taus` (the nodes and domain endpoints) y is fixed,
     so a tau, or an array of them, made only of such points is a lookup in
-    a table built with the forms.  Any other tau goes through _quadratic.
+    a table built with the forms.  Any other tau goes through _quadratic,
+    in row blocks of _ROW_BLOCK points, so a long grid (the 8001 stage times
+    of an RK4 control) allocates no multi-MB phase or product temporaries,
+    which would be mapped afresh, and page-faulted, at every call.
     Output weights W contract into the forms before any per-tau work,
     phi(tau) W = z^H (sum_l W_l O_l) z, so `weighted` costs one quadratic
     form per output column, whatever the number of circuits.  theta_p of
@@ -156,7 +165,14 @@ class FeatureCache:
         forms = self._current()["forms"]
         if weights is not None:
             forms = np.tensordot(weights, forms, axes=(0, 0))            # (d, 2D, 2D)
-        val, dval = self._contract(self._phases(np.atleast_1d(taus)), forms, derivative)
+        flat = np.atleast_1d(taus)
+        val = np.empty((flat.size, forms.shape[0]))
+        dval = np.empty_like(val) if derivative else None
+        for first in range(0, flat.size, _ROW_BLOCK):
+            rows = slice(first, first + _ROW_BLOCK)
+            val[rows], block_dval = self._contract(self._phases(flat[rows]), forms, derivative)
+            if derivative:
+                dval[rows] = block_dval
         if taus.ndim == 0:
             return val[0], dval[0] if derivative else None
         return val, dval

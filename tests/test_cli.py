@@ -1,5 +1,6 @@
 import json
 import os
+import warnings
 
 import numpy as np
 import pytest
@@ -313,6 +314,28 @@ def test_propagate_nonfinite_control_exits_2(tmp_path, capsys):
     assert run(["propagate", "--system", "two-level", "--config", str(cfg),
                 "--control", str(ctrl), "--output", str(out)]) == 2
     assert "bad propagate section: control must be finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("times", [{"tf": float("inf")}, {"t0": float("-inf")}])
+def test_propagate_nonfinite_time_exits_2(times, tmp_path, capsys):
+    # tf = inf passes `tf > t0`, so it must be caught before it reaches the control
+    cfg = tmp_path / "sys.json"
+    cfg.write_text(json.dumps({
+        "system_params": {},
+        "propagate": {"x0": [1.0, 0.0, 0.0, 0.0], "t0": 0.0, "tf": 1.0,
+                      "steps": 50, **times},
+    }))
+    ctrl = tmp_path / "u.csv"
+    ctrl.write_text("0.0,0.0\n1.0,0.0\n")
+    out = tmp_path / "o.csv"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run(["propagate", "--system", "two-level", "--config", str(cfg),
+                    "--control", str(ctrl), "--output", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "bad propagate section: t0 and tf must be finite" in err
+    assert "control" not in err
     assert not out.exists()
 
 

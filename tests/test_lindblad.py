@@ -138,6 +138,11 @@ def test_rk4_input_validation():
         propagate_rk4(model, np.zeros(4), lambda t: np.zeros(1), 1.0, 1.0, 50)
     with pytest.raises(ValueError):
         propagate_rk4(model, np.zeros(3), lambda t: np.zeros(1), 0.0, 1.0, 50)
+    # tf = inf passes `tf > t0`; it would give NaN states, so the times are checked
+    for t0, tf in ((0.0, np.inf), (-np.inf, 1.0), (0.0, -np.inf), (np.inf, np.inf)):
+        with pytest.raises(ValueError, match="t0 and tf must be finite"):
+            propagate_rk4(model, np.array([1.0, 0.0, 0.0, 0.0]), lambda t: np.zeros(1),
+                          t0, tf, 50)
 
 
 @pytest.mark.parametrize("model", [two_level_model(TwoLevelParams(0.2, 0.05, 0.7, -1.3)),
@@ -207,26 +212,33 @@ def _rk4_reference(model, x0, u_scalar, t0, tf, steps):
     return np.array(out)
 
 
-def test_rk4_tabulated_control_matches_per_step_reference():
+# 10 steps: shorter than one scan chunk; 500: a ragged last chunk in the
+# second batch; 4000: the count `cvqoc solve` verifies with
+@pytest.mark.parametrize("steps", [10, 500, 4000])
+@pytest.mark.parametrize("system", ["two-level", "three-level"])
+def test_rk4_tabulated_control_matches_per_step_reference(system, steps):
+    # a fixed step, so every count stays in RK4's stable range
     calls = []
+    if system == "two-level":
+        model, tf = two_level_model(P), 0.02 * steps
+        x0 = np.array([1.0, 0.0, 0.0, 0.0])
+
+        def u_scalar(t):
+            return np.array([np.sin(t)])
+    else:
+        model, tf = three_level_model(ThreeLevelParams()), 0.01 * steps
+        x0 = np.array([1.0, 0, 0, 0, 0, 0, 0, 0, 0])
+
+        def u_scalar(t):
+            return np.array([np.sin(3.0 * t), 0.5 * np.cos(t)])
 
     def u_table(t):
         calls.append(np.shape(t))
-        return np.column_stack([np.sin(3.0 * t), 0.5 * np.cos(t)])
+        return np.column_stack(u_scalar(t))
 
-    def u_scalar(t):
-        return np.array([np.sin(3.0 * t), 0.5 * np.cos(t)])
-
-    model = three_level_model(ThreeLevelParams())
-    x0 = np.array([1.0, 0, 0, 0, 0, 0, 0, 0, 0])
-    ts, xs = propagate_rk4(model, x0, u_table, 0.0, 4.0, 400)
-    assert calls == [(801,)]
-    assert np.allclose(ts, np.linspace(0.0, 4.0, 401), rtol=0, atol=1e-15)
-    ref = _rk4_reference(model, x0, u_scalar, 0.0, 4.0, 400)
+    ts, xs = propagate_rk4(model, x0, u_table, 0.0, tf, steps)
+    assert calls == [(2 * steps + 1,)]
+    assert xs.shape == (steps + 1, model.dim)
+    assert np.allclose(ts, np.linspace(0.0, tf, steps + 1), rtol=0, atol=1e-15)
+    ref = _rk4_reference(model, x0, u_scalar, 0.0, tf, steps)
     assert np.max(np.abs(xs - ref)) < 1e-13
-    model2 = two_level_model(P)
-    _, xs2 = propagate_rk4(model2, np.array([1.0, 0.0, 0.0, 0.0]),
-                           lambda t: np.sin(t)[:, None], 0.0, 10.0, 500)
-    ref2 = _rk4_reference(model2, np.array([1.0, 0.0, 0.0, 0.0]),
-                          lambda t: np.array([np.sin(t)]), 0.0, 10.0, 500)
-    assert np.max(np.abs(xs2 - ref2)) < 1e-13

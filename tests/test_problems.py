@@ -232,6 +232,11 @@ def test_weighted_kernel_matches_table_and_forward():
     assert val.shape == dval.shape == (taus.size, 3)
     assert np.allclose(val, sig @ w, rtol=0, atol=1e-13)
     assert np.allclose(dval, dsig @ w, rtol=0, atol=1e-13)
+    # without the derivative, over the whole grid: several row blocks of the kernel
+    assert taus.size > 2 * problems._ROW_BLOCK
+    full, none = weighted(taus, derivative=False)
+    assert none is None and full.shape == (taus.size, 3)
+    assert np.array_equal(full, val)
     row, none = weighted(taus[17], derivative=False)
     assert none is None and row.shape == (3,)
     assert np.allclose(row, val[17], rtol=0, atol=1e-15)
