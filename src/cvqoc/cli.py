@@ -349,10 +349,7 @@ def _solve_artifacts_benchmark(problem, report, outdir: str) -> dict:
 
 
 def cmd_solve(args) -> int:
-    path = preset_path(args.preset) if args.preset else args.config
-    if path is None:
-        raise ConfigError("one of --config or --preset is required")
-    cfg = load_config(path)
+    cfg = load_config(args.config if args.preset is None else preset_path(args.preset))
     if args.mode is not None:
         cfg.setdefault("train", {})["mode"] = args.mode
     problem, schedule, system = build_problem(cfg)
@@ -388,6 +385,8 @@ def cmd_solve(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    if not (np.isfinite(args.tol) and args.tol > 0):
+        raise ConfigError(f"--tol must be finite and positive, got {args.tol!r}")
     head_a, traj = read_csv(args.trajectory)
     head_b, ver = read_csv(args.verify)
     if head_a != head_b:
@@ -444,8 +443,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_propagate)
 
     p = sub.add_parser("solve", help="train a problem and write artifacts")
-    p.add_argument("--config", default=None)
-    p.add_argument("--preset", default=None)
+    source = p.add_mutually_exclusive_group(required=True)
+    source.add_argument("--config")
+    source.add_argument("--preset")
     p.add_argument("--mode", default=None, choices=["xi", "theta", "joint"])
     p.add_argument("--output", default="out")
     p.set_defaults(func=cmd_solve)

@@ -2,10 +2,11 @@
 
 The control bound u in [u_min, u_max] is absorbed by a logistic saturation
 u = phi(nu) of an unconstrained variable nu, with an equality multiplier
-beta.  The residual families per collocation node are the state and costate
-dynamics, control stationarity, saturation stationarity, and the equality
-constraint; a single terminal row pins the Hamiltonian to minus the
-time weight.
+beta.  Every residual family is a partial of the control Hamiltonian H at a
+collocation node: the state and costate dynamics x' - dH/dlambda and
+lambda' + dH/dx, then control stationarity dH/du, saturation stationarity
+dH/dnu and the equality constraint dH/dbeta; a single terminal row pins the
+Hamiltonian to minus the time weight.
 
 The state is fixed at both ends, so the minimum principle puts no condition
 on the costate at the final time: lambda(t_f) is a free multiplier and
@@ -17,11 +18,12 @@ state also pinned the pair over-constrains the problem (lambda = 0 then
 makes H(t_f) a sum of squares, which cannot equal -time_weight).
 
 Every unknown is a tfc.ConstrainedExpression: feature rows times the
-unknown's output weights, plus the boundary terms.  residuals evaluates them
-node by node.  residual_partials gives the residual's partials in the
-values of the unknowns at the nodes: node i's rows depend only on node i's
-values, so they are one small dense block per node, and every Jacobian is
-those blocks times the coordinates' directions (problems._Collocation).
+unknown's output weights, plus the boundary terms.  residuals gathers their
+values at the nodes, and _gradient gives grad H at every node for it and
+residual_partials alike.  residual_partials gives the residual's partials in
+the values of the unknowns at the nodes: node i's rows depend only on node
+i's values, so they are one small dense block per node, and every Jacobian
+is those blocks times the coordinates' directions (problems._Collocation).
 """
 
 from __future__ import annotations
@@ -71,26 +73,32 @@ class OcpConfig:
         return self.u_max - self.u_min
 
 
+def _logistic_arg(nu, cfg: OcpConfig):
+    """nu as an array and the saturation's logistic argument k nu / span,
+    clipped so that exp cannot overflow; the argument is None on a collapsed
+    interval (u_min == u_max)."""
+    nu = np.asarray(nu, dtype=float)
+    if cfg.u_span == 0.0:
+        return nu, None
+    return nu, np.clip(cfg.sat_steepness * nu / cfg.u_span, -500.0, 500.0)
+
+
 def saturation(nu, cfg: OcpConfig):
     """Logistic map from the unconstrained variable onto (u_min, u_max).
 
     A collapsed interval (u_min == u_max) pins the control to the constant."""
-    nu = np.asarray(nu, dtype=float)
-    span = cfg.u_span
-    if span == 0.0:
+    nu, z = _logistic_arg(nu, cfg)
+    if z is None:
         return np.full_like(nu, cfg.u_min)
-    z = np.clip(cfg.sat_steepness * nu / span, -500.0, 500.0)
-    return cfg.u_max - span / (1.0 + np.exp(z))
+    return cfg.u_max - cfg.u_span / (1.0 + np.exp(z))
 
 
 def saturation_dnu(nu, cfg: OcpConfig):
     """Analytic derivative of the saturation; strictly positive for a
     non-degenerate control interval."""
-    nu = np.asarray(nu, dtype=float)
-    span = cfg.u_span
-    if span == 0.0:
+    nu, z = _logistic_arg(nu, cfg)
+    if z is None:
         return np.zeros_like(nu)
-    z = np.clip(cfg.sat_steepness * nu / span, -500.0, 500.0)
     sig = 1.0 / (1.0 + np.exp(-z))
     return cfg.sat_steepness * sig * (1.0 - sig)
 
@@ -98,13 +106,11 @@ def saturation_dnu(nu, cfg: OcpConfig):
 def saturation_d2nu(nu, cfg: OcpConfig):
     """Second derivative of the saturation, k^2 / span * s (1 - s) (1 - 2 s)
     with s the logistic of k nu / span; zero for a collapsed interval."""
-    nu = np.asarray(nu, dtype=float)
-    span = cfg.u_span
-    if span == 0.0:
+    nu, z = _logistic_arg(nu, cfg)
+    if z is None:
         return np.zeros_like(nu)
-    z = np.clip(cfg.sat_steepness * nu / span, -500.0, 500.0)
     sig = 1.0 / (1.0 + np.exp(-z))
-    return cfg.sat_steepness**2 / span * sig * (1.0 - sig) * (1.0 - 2.0 * sig)
+    return cfg.sat_steepness**2 / cfg.u_span * sig * (1.0 - sig) * (1.0 - 2.0 * sig)
 
 
 def saturation_inverse(u: float, cfg: OcpConfig) -> float:
@@ -178,77 +184,63 @@ class ResidualVector:
         }
 
 
+class _Gradient(NamedTuple):
+    """The Hamiltonian's gradient at every node, and the pieces of its
+    partials that the Jacobian shares."""
+
+    dx: np.ndarray        # dH/dx = G(u)^T lambda, (N, dim)
+    dlam: np.ndarray      # dH/dlambda = G(u) x, (N, dim)
+    du: np.ndarray        # dH/du = lambda^T G_c x + 2 w_E u + beta, (N, nc)
+    dnu: np.ndarray       # dH/dnu = 2 w_R nu - beta phi'(nu)
+    dbeta: np.ndarray     # dH/dbeta = u - phi(nu)
+    g_x: np.ndarray       # G_c x, (N, nc, dim)
+    gt_lam: np.ndarray    # G_c^T lambda, (N, nc, dim)
+    phi_d: np.ndarray     # phi'(nu)
+
+
+def _gradient(x, lam, u, nu, beta, gen, cfg: OcpConfig, model: SuperOperatorModel) -> _Gradient:
+    """grad H at N nodes from the node values, each (N, width), and G(u) per
+    node, (N, dim, dim).  grad H takes its products as stacked mat-vecs, so
+    each node's value is bit for bit that of the same product on the node
+    alone."""
+    gdu = np.array(model.generator_du)                                   # (nc, dim, dim)
+    g_x = (gdu @ x[:, None, :, None])[..., 0]
+    phi_d = saturation_dnu(nu, cfg)
+    lam_g_x = (lam[:, None, None, :] @ g_x[..., None])[..., 0, 0]
+    return _Gradient(
+        dx=(lam[:, None, :] @ gen)[:, 0],
+        dlam=(gen @ x[..., None])[..., 0],
+        du=lam_g_x + 2.0 * cfg.energy_weight * u + beta,
+        dnu=2.0 * cfg.reg_weight * nu - beta * phi_d,
+        dbeta=u - saturation(nu, cfg),
+        g_x=g_x, gt_lam=np.einsum("cba,ib->ica", gdu, lam), phi_d=phi_d)
+
+
 def residuals(unknowns: UnknownSet, cfg: OcpConfig, model: SuperOperatorModel,
               nodes: np.ndarray) -> ResidualVector:
-    """Evaluate every residual family at the collocation nodes.
+    """Evaluate every residual family at the collocation nodes: the dynamics
+    rows x' - dH/dlambda and lambda' + dH/dx, then dH/du, dH/dnu and dH/dbeta.
 
     The terminal Hamiltonian row is taken at the last node, which must be
     the final boundary (no extrapolation).
     """
+    exprs = (unknowns.expr_state, unknowns.expr_costate, unknowns.expr_control,
+             unknowns.expr_sat_input, unknowns.expr_multiplier)
+    # The node values are gathered one node at a time only because a Tier-1
+    # test of the benchmark (perfbench/test_perfbench.py) pins, on the
+    # two-level preset, 80 ConstrainedExpression.eval and 17 generator calls
+    # per residual; once it pins array invariants, this becomes one
+    # expr.affine(nodes) per unknown.
     nodes = np.asarray(nodes, dtype=float)
-    n = nodes.shape[0]
-    dim = model.dim
-    nc = model.n_controls
-    r_state = np.empty((n, dim))
-    r_costate = np.empty((n, dim))
-    r_control = np.empty((n, nc))
-    r_sat = np.empty((n, nc))
-    r_constraint = np.empty((n, nc))
-    last = None
-    for i, tau in enumerate(nodes):
-        x, xdot = unknowns.expr_state.eval(tau)
-        lam, lamdot = unknowns.expr_costate.eval(tau)
-        u, _ = unknowns.expr_control.eval(tau)
-        nu, _ = unknowns.expr_sat_input.eval(tau)
-        beta, _ = unknowns.expr_multiplier.eval(tau)
-        gen = model.generator(u)
-        r_state[i] = xdot - gen @ x
-        r_costate[i] = lamdot + gen.T @ lam
-        for c in range(nc):
-            r_control[i, c] = (lam @ (model.generator_du[c] @ x)
-                               + 2.0 * cfg.energy_weight * u[c] + beta[c])
-        phi_d = saturation_dnu(nu, cfg)
-        r_sat[i] = 2.0 * cfg.reg_weight * nu - beta * phi_d
-        r_constraint[i] = u - saturation(nu, cfg)
-        last = (x, lam, u, nu, beta)
-    x, lam, u, nu, beta = last
-    terminal = hamiltonian(x, lam, u, nu, beta, cfg, model) + cfg.time_weight
+    (x, xdot), (lam, lamdot), (u, _), (nu, _), (beta, _) = (
+        map(np.array, zip(*[e.eval(tau) for tau in nodes])) for e in exprs)
+    gen = np.array([model.generator(row) for row in u])
+    g = _gradient(x, lam, u, nu, beta, gen, cfg, model)
+    terminal = hamiltonian(x[-1], lam[-1], u[-1], nu[-1], beta[-1], cfg, model) + cfg.time_weight
     return ResidualVector(
-        state=r_state, costate=r_costate, control=r_control,
-        sat_input=r_sat, constraint=r_constraint, terminal=terminal,
+        state=xdot - g.dlam, costate=lamdot + g.dx, control=g.du,
+        sat_input=g.dnu, constraint=g.dbeta, terminal=terminal,
     )
-
-
-class _Point(NamedTuple):
-    """The pieces of the residual's linearisation at the nodes that every
-    derivative shares."""
-
-    x: np.ndarray         # state, (N, dim)
-    u: np.ndarray         # control, (N, nc)
-    xdot: np.ndarray      # d/dtau
-    lamdot: np.ndarray    # d/dtau
-    gen: np.ndarray       # G(u) per node, (N, dim, dim)
-    g_x: np.ndarray       # G_c x, (N, nc, dim)
-    gt_lam: np.ndarray    # G_c^T lambda, (N, nc, dim)
-    phi_d: np.ndarray     # phi'(nu)
-    sat_coef: np.ndarray  # d/dnu of the saturation row, 2 w_R - beta phi''(nu)
-    partials: tuple       # dH/dy of the terminal row, per unknown
-
-
-def _point(maps: list, weights: list, cfg: OcpConfig, model: SuperOperatorModel) -> _Point:
-    x, lam, u, nu, beta = (m.psi @ w + m.b for m, w in zip(maps, weights))
-    xdot, lamdot = (m.dpsi @ w + m.db for m, w in zip(maps[:2], weights[:2]))
-    gdu = np.array(model.generator_du)                                   # (nc, dim, dim)
-    gen = model.generator(np.zeros(u.shape[1])) + np.einsum("ic,cab->iab", u, gdu)
-    g_x = np.einsum("cab,ib->ica", gdu, x)
-    gt_lam = np.einsum("cba,ib->ica", gdu, lam)
-    phi_d = saturation_dnu(nu, cfg)
-    partials = (gen[-1].T @ lam[-1], gen[-1] @ x[-1],
-                2.0 * cfg.energy_weight * u[-1] + g_x[-1] @ lam[-1] + beta[-1],
-                2.0 * cfg.reg_weight * nu[-1] - beta[-1] * phi_d[-1],
-                u[-1] - saturation(nu[-1], cfg))
-    return _Point(x, u, xdot, lamdot, gen, g_x, gt_lam, phi_d,
-                  2.0 * cfg.reg_weight - beta * saturation_d2nu(nu, cfg), partials)
 
 
 def residual_partials(maps: list, weights: list, c_map: float, cfg: OcpConfig,
@@ -258,12 +250,16 @@ def residual_partials(maps: list, weights: list, c_map: float, cfg: OcpConfig,
     (L, width) weights of each unknown, in UnknownSet order.  D, shape
     (N, R, C), holds those of node i's R rows, family by family, in its C
     values x, lambda, u, nu, beta, x', lambda' (d/dtau) and c_map; h, shape
-    (C,), those of the terminal Hamiltonian row in the last node's.  The
-    generator must be affine in u: G(u) = G(0) + sum_c u_c G_c.
+    (C,), those of the terminal Hamiltonian row in the last node's: grad H
+    there.  The generator must be affine in u: G(u) = G(0) + sum_c u_c G_c.
     """
-    pt = _point(maps, weights, cfg, model)
-    n, dim = pt.x.shape
-    nc = pt.u.shape[1]
+    x, lam, u, nu, beta = (m.psi @ w + m.b for m, w in zip(maps, weights))
+    xdot, lamdot = (m.dpsi @ w + m.db for m, w in zip(maps[:2], weights[:2]))
+    n, dim = x.shape
+    nc = u.shape[1]
+    gen = model.generator(np.zeros(nc)) + np.einsum("ic,cab->iab", u,
+                                                    np.array(model.generator_du))
+    g = _gradient(x, lam, u, nu, beta, gen, cfg, model)
     # where each of the C values starts; family k's rows are as wide as value k
     at = np.cumsum([0, dim, dim, nc, nc, nc, dim, dim, 1])
     d = np.zeros((n, at[5], at[-1]))
@@ -276,26 +272,26 @@ def residual_partials(maps: list, weights: list, c_map: float, cfg: OcpConfig,
         d[:, at[family] + k, at[value] + k] = coef
 
     # state: c x' - G(u) x
-    put(0, 0, -pt.gen)
-    put(0, 2, -pt.g_x.transpose(0, 2, 1))
+    put(0, 0, -gen)
+    put(0, 2, -g.g_x.transpose(0, 2, 1))
     diag(0, 5, c_map)
-    put(0, 7, pt.xdot[..., None])
+    put(0, 7, xdot[..., None])
     # costate: c lambda' + G(u)^T lambda
-    put(1, 1, pt.gen.transpose(0, 2, 1))
-    put(1, 2, pt.gt_lam.transpose(0, 2, 1))
+    put(1, 1, gen.transpose(0, 2, 1))
+    put(1, 2, g.gt_lam.transpose(0, 2, 1))
     diag(1, 6, c_map)
-    put(1, 7, pt.lamdot[..., None])
+    put(1, 7, lamdot[..., None])
     # control: lambda^T G_c x + 2 w_E u + beta
-    put(2, 0, pt.gt_lam)
-    put(2, 1, pt.g_x)
+    put(2, 0, g.gt_lam)
+    put(2, 1, g.g_x)
     diag(2, 2, 2.0 * cfg.energy_weight)
     diag(2, 4, 1.0)
     # saturation: 2 w_R nu - beta phi'(nu)
-    diag(3, 3, pt.sat_coef)
-    diag(3, 4, -pt.phi_d)
+    diag(3, 3, 2.0 * cfg.reg_weight - beta * saturation_d2nu(nu, cfg))
+    diag(3, 4, -g.phi_d)
     # constraint: u - phi(nu)
     diag(4, 2, 1.0)
-    diag(4, 3, -pt.phi_d)
+    diag(4, 3, -g.phi_d)
     # terminal H at the last node: no tau-derivative and no c_map
-    h = np.concatenate(pt.partials + (np.zeros(at[-1] - at[5]),))
+    h = np.concatenate([part[-1] for part in g[:5]] + [np.zeros(at[-1] - at[5])])
     return d, h

@@ -86,6 +86,20 @@ def test_invalid_json_exits_2(tmp_path, capsys):
     assert "line" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("both", [True, False], ids=["both", "neither"])
+def test_solve_needs_exactly_one_config_source(both, tmp_path, capsys):
+    # a --config beside --preset used to be ignored, even an unreadable one
+    cfg = tmp_path / "broken.json"
+    cfg.write_text("{not json")
+    out = tmp_path / "o"
+    source = ["--preset", "linear_ode_benchmark", "--config", str(cfg)] if both else []
+    with pytest.raises(SystemExit) as exc:
+        run(["solve", "--output", str(out)] + source)
+    assert exc.value.code == 2
+    assert "--config" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_unknown_preset_exits_2(capsys):
     assert run(["solve", "--preset", "nope"]) == 2
     assert "nope" in capsys.readouterr().err
@@ -381,6 +395,15 @@ def test_verify_grid_mismatch(tmp_path, capsys):
     cli.write_csv(str(b), ["t", "x1"], [[0.0, 1.0]])
     assert run(["verify", "--trajectory", str(a), "--verify", str(b),
                 "--tol", "0.1"]) == 2
+
+
+@pytest.mark.parametrize("tol", ["nan", "-1", "0", "inf"])
+def test_verify_tolerance_must_be_finite_and_positive(tol, tmp_path, capsys):
+    traj = tmp_path / "a.csv"
+    cli.write_csv(str(traj), ["t", "x1"], [[0.0, 1.0], [1.0, 1.0]])
+    assert run(["verify", "--trajectory", str(traj), "--verify", str(traj),
+                "--tol", tol]) == 2
+    assert "--tol must be finite and positive" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("text, line", [

@@ -222,3 +222,65 @@ def test_boundary_rows_have_no_boundary_error():
 def test_costate_constraint_optional():
     cfg = make_cfg(costate_terminal_constraint=False)
     assert cfg.costate_terminal_constraint is False
+
+
+def monomial_features(n_rows):
+    """Rows 1, tau, ..., tau^(n_rows - 1) and their tau-derivatives."""
+    powers = np.arange(n_rows)
+
+    def f(tau, derivative=True):
+        tau = np.asarray(tau, dtype=float)[..., None]
+        return tau ** powers, powers * tau ** np.maximum(powers - 1, 0)
+
+    return f
+
+
+@pytest.mark.parametrize("system", ["two_level", "three_level"])
+def test_residuals_match_per_node_reference(system):
+    """Every family at a random point, node by node: the dynamics rows from
+    G(u) itself, the stationarity rows as central differences of H."""
+    if system == "two_level":
+        model = lindblad.two_level_model(lindblad.TwoLevelParams())
+        cfg = make_cfg()
+    else:
+        model = lindblad.three_level_model(lindblad.ThreeLevelParams())
+        rho0, rho1 = np.zeros(9), np.zeros(9)
+        rho0[0], rho1[1] = 1.0, 1.0
+        cfg = make_cfg(rho_init=rho0, rho_target=rho1)
+    dim, nc = model.dim, model.n_controls
+    rng = np.random.default_rng(4)
+    feats = monomial_features(4)
+
+    def expr(width, constraints=()):
+        return ConstrainedExpression(feats, rng.normal(size=(4, width)), list(constraints),
+                                     MORPH)
+
+    unknowns = pmp.UnknownSet(
+        expr(dim, [BoundaryConstraint("initial", cfg.rho_init),
+                   BoundaryConstraint("final", cfg.rho_target)]),
+        expr(dim), expr(nc), expr(nc), expr(nc))
+    nodes = chebyshev_lobatto_nodes(7, MORPH)
+    rv = pmp.residuals(unknowns, cfg, model, nodes)
+    h = 1e-6
+    for i, tau in enumerate(nodes):
+        x, xdot = unknowns.expr_state.eval(tau)
+        lam, lamdot = unknowns.expr_costate.eval(tau)
+        u, nu, beta = (e.eval(tau)[0] for e in (unknowns.expr_control,
+                                                 unknowns.expr_sat_input,
+                                                 unknowns.expr_multiplier))
+        assert np.min(np.abs(np.concatenate([lam, u, nu, beta]))) > 1e-3
+        gen = model.generator(u)
+        assert np.allclose(rv.state[i], xdot - gen @ x, rtol=1e-12, atol=1e-12)
+        assert np.allclose(rv.costate[i], lamdot + gen.T @ lam, rtol=1e-12, atol=1e-12)
+        for c in range(nc):
+            e = np.eye(nc)[c] * h
+            fd_u = (pmp.hamiltonian(x, lam, u + e, nu, beta, cfg, model)
+                    - pmp.hamiltonian(x, lam, u - e, nu, beta, cfg, model)) / (2 * h)
+            fd_nu = (pmp.hamiltonian(x, lam, u, nu + e, beta, cfg, model)
+                     - pmp.hamiltonian(x, lam, u, nu - e, beta, cfg, model)) / (2 * h)
+            assert rv.control[i, c] == pytest.approx(fd_u, rel=1e-6, abs=1e-7)
+            assert rv.sat_input[i, c] == pytest.approx(fd_nu, rel=1e-6, abs=1e-7)
+        assert np.allclose(rv.constraint[i], u - pmp.saturation(nu, cfg), rtol=1e-12,
+                           atol=1e-14)
+    assert rv.terminal == pytest.approx(
+        pmp.hamiltonian(x, lam, u, nu, beta, cfg, model) + cfg.time_weight, rel=1e-12)
