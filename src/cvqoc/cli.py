@@ -12,6 +12,7 @@ import contextlib
 import json
 import os
 import sys
+import time
 
 import numpy as np
 
@@ -229,16 +230,10 @@ def cmd_gates(args) -> int:
         raise ConfigError(f"cannot parse parameter {args.param!r} for {args.kind}")
     with _building("gate arguments"):
         mat = fock.gate_matrix(gate, args.cutoff).entries
-    out = sys.stdout if args.output is None else _open(args.output, "w")
-    try:
-        for row in mat:
-            cells = []
-            for v in row:
-                cells.extend((f"{v.real:.12e}", f"{v.imag:.12e}"))
-            out.write(",".join(cells) + "\n")
-    finally:
-        if out is not sys.stdout:
-            out.close()
+    with (contextlib.nullcontext(sys.stdout) if args.output is None
+          else _open(args.output, "w")) as out:
+        for row in mat:   # re and im columns per entry
+            out.write(",".join(f"{v.real:.12e},{v.imag:.12e}" for v in row) + "\n")
     return 0
 
 
@@ -349,6 +344,7 @@ def _solve_artifacts_benchmark(problem, report, outdir: str) -> dict:
 
 
 def cmd_solve(args) -> int:
+    start = time.perf_counter()
     cfg = load_config(args.config if args.preset is None else preset_path(args.preset))
     if args.mode is not None:
         cfg.setdefault("train", {})["mode"] = args.mode
@@ -369,12 +365,16 @@ def cmd_solve(args) -> int:
                 entry["tf"] = problem.morph.tf
             log.write(json.dumps(entry) + "\n")
 
+        set_up = time.perf_counter()
         report = optimize.train(problem, schedule, callback=callback)
+    trained = time.perf_counter()
 
     if system == "linear-ode-benchmark":
         summary = _solve_artifacts_benchmark(problem, report, args.output)
     else:
         summary = _solve_artifacts_qoc(problem, report, args.output, system)
+    summary["phase_seconds"] = {"setup": set_up - start, "train": trained - set_up,
+                                "artifacts": time.perf_counter() - trained}
     with _open(os.path.join(args.output, "report.json"), "w") as fh:
         json.dump(summary, fh, indent=2, sort_keys=True)
         fh.write("\n")

@@ -9,14 +9,13 @@ of the vacuum) to the feature vector sigma(tau) in R^L via <x> measurements.
 
 The bank holds every gate parameter once, in one flat array theta, of which
 each circuit's params is a (depth, 6) view; QnnBank.set_flat is its only
-writer.  One kernel, _unit, builds a unit's matrix and, when asked, its exact
-derivative in each slot; QnnCircuit.unitary_derivatives chains them by the
-product rule, for training the circuits by gradient.
+writer.  One kernel, _unit, builds a stack of units and, when asked, their
+exact slot derivatives in one array pass; chain_derivatives chains every
+circuit's units at once by the product rule, padded with identity units.
 """
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -56,59 +55,65 @@ class QnnCircuit:
         if self._unitary_cache is not None and self._unitary_cache[0] == self.version:
             return self._unitary_cache[1]
         mat = np.eye(self.cutoff, dtype=complex)
-        for row in self.params:
-            mat = _unit(row, self.cutoff, False)[0] @ mat
+        for unit in _unit(self.params, self.cutoff, False)[0]:
+            mat = unit @ mat
         self._unitary_cache = (self.version, mat)
         return mat
 
-    def unitary_derivatives(self) -> np.ndarray:
-        """d U / d theta_p for every parameter p in row-major order, shape
-        (6 depth, D, D).
 
-        Units chain as U = U_depth ... U_1, so a parameter of unit m gives
-        (U_depth ... U_{m+1}) dU_m (U_{m-1} ... U_1)."""
-        mats, dmats = zip(*(_unit(row, self.cutoff, True) for row in self.params))
-        eye = np.eye(self.cutoff, dtype=complex)
+def chain_derivatives(params: list, cutoff: int) -> np.ndarray:
+    """d U_l / d theta_p, shape (P, D, D), for circuits with the given (depth_l, 6)
+    parameters, P their total size, in circuit then row-major order: a
+    parameter of unit m gives (U_depth ... U_{m+1}) dU_m (U_{m-1} ... U_1).
+    Padded to the deepest with zero rows, exact identity units, all circuits
+    take one kernel call and one pass of partial products."""
+    depths = np.array([len(p) for p in params])
+    real = np.arange(depths.max()) < depths[:, None]                # (L, deep)
+    rows = np.zeros(real.shape + (PARAMS_PER_UNIT,))
+    rows[real] = np.concatenate(params)
+    mats, dmats = (stack.reshape(real.shape + stack.shape[1:])      # (L, deep, ...)
+                   for stack in _unit(rows.reshape(-1, PARAMS_PER_UNIT), cutoff, True))
+    before = [np.broadcast_to(np.eye(cutoff, dtype=complex), (len(params), cutoff, cutoff))]
+    after = before[:]
+    for m in range(1, real.shape[1]):
+        before.append(mats[:, m - 1] @ before[-1])                  # U_m ... U_1
+        after.insert(0, after[0] @ mats[:, -m])                     # U_deep ... U_{deep-m+1}
+    chained = np.stack(after, 1)[:, :, None] @ dmats @ np.stack(before, 1)[:, :, None]
+    return chained[real].reshape(-1, cutoff, cutoff)
 
-        def product(units):   # units in the order they act, so the last is leftmost
-            return functools.reduce(np.matmul, units[::-1], eye)
 
-        return np.concatenate([product(mats[m + 1:]) @ dmat @ product(mats[:m])
-                               for m, dmat in enumerate(dmats)])
-
-
-def _unit(row: np.ndarray, cutoff: int, derivatives: bool):
-    """(U, dU) for U = K D R2 S R1 with the parameters of one row; dU, of
-    shape (6, D, D) in slot order, is None unless derivatives is set.
+def _unit(rows: np.ndarray, cutoff: int, derivatives: bool):
+    """(U, dU), of shapes (k, D, D) and (k, 6, D, D) in slot order, for U =
+    K D R2 S R1 with each row of a (k, 6) stack; dU is None unless derivatives is set.
 
     The diagonal gates act as phase vectors, and each slot's derivative has a
     closed form: rotations and Kerr differentiate their phases (i n and
     i n^2), the squeeze is exp(r A) so dS/dr = A S, and the displacement's two
     derivatives are Frechet derivatives of its exponential
-    (fock.displacement_derivatives)."""
+    (fock.displacement_derivatives).  fock.expm broadcasts over the rows."""
     # QnnBank.set_flat writes without validation; a non-finite slot stops here
-    if not np.all(np.isfinite(row)):
+    if not np.all(np.isfinite(rows)):
         raise ValueError("non-finite unit parameter")
-    rot1, squeeze, rot2, re, im, kappa = row.tolist()
-    alpha = complex(re, im)
+    rot1, squeeze, rot2, re, im, kappa = rows.T
     b = fock.basis(cutoff)
     n = np.arange(cutoff)
-    r1 = np.exp(1j * rot1 * n)
-    r2 = np.exp(1j * rot2 * n)[:, None]
-    kerr = np.exp(1j * kappa * n**2)[:, None]
+    r1 = np.exp((1j * rot1)[:, None] * n)[:, None, :]
+    r2 = np.exp((1j * rot2)[:, None] * n)[:, :, None]
+    kerr = np.exp((1j * kappa)[:, None] * n**2)[:, :, None]
     sq, *d_sq = fock.expm(b.squeeze, squeeze, [b.squeeze.gen] if derivatives else [])
     if derivatives:
+        alpha = np.ascontiguousarray(rows[:, 3:5]).view(complex)[:, 0]   # signed zeros kept
         disp, d_re, d_im = fock.displacement_derivatives(alpha, cutoff)
     else:
-        disp = fock.expm(b.displace, abs(alpha), phi=np.angle(alpha))[0]
+        disp = fock.expm(b.displace, np.hypot(re, im), phi=np.arctan2(im, re))[0]
     inner = r2 * (sq * r1)                       # R2 S R1
     mat = kerr * (disp @ inner)
     if not derivatives:
         return mat, None
     d_sq = kerr * (disp @ (r2 * (d_sq[0] * r1)))
     d_rot2 = kerr * (disp @ (1j * n[:, None] * inner))
-    return mat, np.array([mat * (1j * n), d_sq, d_rot2, kerr * (d_re @ inner),
-                          kerr * (d_im @ inner), 1j * (n**2)[:, None] * mat])
+    return mat, np.stack([mat * (1j * n), d_sq, d_rot2, kerr * (d_re @ inner),
+                          kerr * (d_im @ inner), 1j * (n**2)[:, None] * mat], axis=1)
 
 
 def encode_input(tau: float, cutoff: int) -> FockVector:

@@ -10,9 +10,10 @@ The non-diagonal gates are S(r) = exp(r A) and D(alpha) = R(phi) exp(|alpha| G)
 R(-phi), exact in the truncated basis for alpha = |alpha| e^{i phi} and
 R(phi) = diag(e^{i phi n}); G = a^dag - a and A = (a^2 - a^dag^2) / 2 are
 real antisymmetric.  `basis` diagonalises both once per cutoff, and `expm`
-builds every gate and its Frechet derivatives from those eigenbases.  Gates
-are unitary; truncation alters only high photon-number sectors.  States are
-never renormalized after a gate so truncation loss stays observable.
+builds every gate, or a stack of them, and its Frechet derivatives from those
+eigenbases; a zero parameter gives an exact identity.  Gates are unitary;
+truncation alters only high photon-number sectors.  States are never
+renormalized after a gate so truncation loss stays observable.
 """
 
 from __future__ import annotations
@@ -114,23 +115,24 @@ def basis(cutoff: int) -> FockBasis:
     return FockBasis(a, *spectra)
 
 
-def expm(spec: Spectrum, t: float, directions=(), phi: float = 0.0) -> list:
+def expm(spec: Spectrum, t, directions=(), phi=0.0) -> list:
     """R(phi) M R(-phi) for M = exp(t X), then for M = the Frechet derivative
     of exp at t X along each real E in directions.  With i X = V diag(w) V^dag
     and l = t w, exp(t X) = V diag(e^{-i l}) V^dag and the derivative is
     V (F o V^dag E V) V^dag, F_jk = e^{-i (l_j + l_k) / 2} sinc((l_j - l_k) / 2)
     (Daleckii-Krein; Higham, Functions of Matrices, SIAM 2008, Thm 3.11).  Both
-    are real and accumulated onto I and E, so t = 0 gives them exactly."""
-    lam = t * spec.vals
+    are real and accumulated onto I and E, so t = 0 gives them exactly.  t and
+    phi broadcast: shape S gives S + (D, D), each entry as its scalar call."""
+    lam = np.asarray(t)[..., None] * spec.vals
     v, vh = spec.vecs, spec.vecs.conj().T
-    out = [np.eye(lam.size) + ((v * np.expm1(-1j * lam)) @ vh).real]
+    out = [np.eye(spec.vals.size) + ((v * np.expm1(-1j * lam)[..., None, :]) @ vh).real]
     if len(directions):
-        f = (np.exp(-0.5j * np.add.outer(lam, lam))
-             * np.sinc(np.subtract.outer(lam, lam) / (2.0 * np.pi)) - 1.0)
+        f = (np.exp(-0.5j * (lam[..., :, None] + lam[..., None, :]))
+             * np.sinc((lam[..., :, None] - lam[..., None, :]) / (2.0 * np.pi)) - 1.0)
         out += [e + (v @ (f * (vh @ e @ v)) @ vh).real for e in directions]
-    if phi:   # R(phi) M R(-phi) multiplies entry (j, k) by e^{i phi (j - k)}
-        n = np.arange(lam.size)
-        rot = np.exp(1j * phi * np.subtract.outer(n, n))
+    if np.any(phi):   # R(phi) M R(-phi) multiplies entry (j, k) by e^{i phi (j - k)}
+        n = np.arange(spec.vals.size)
+        rot = np.exp(np.multiply.outer(1j * phi, np.subtract.outer(n, n)))
         out = [rot * m for m in out]
     return out
 
@@ -173,8 +175,9 @@ def gate_matrix(spec: GateSpec, cutoff: int) -> FockOperator:
     return FockOperator(expm(b.displace, abs(value), phi=np.angle(value))[0], cutoff)
 
 
-def displacement_derivatives(alpha: complex, cutoff: int):
-    """(D, dD / d Re alpha, dD / d Im alpha) for D = exp(alpha a^dag - conj(alpha) a).
+def displacement_derivatives(alpha, cutoff: int):
+    """(D, dD / d Re alpha, dD / d Im alpha) for D = exp(alpha a^dag - conj(alpha) a),
+    each of shape S + (D, D) for alpha of shape S.
 
     D = R(phi) exp(|alpha| G) R(-phi), and the directions a^dag - a and
     i (a^dag + a) counter-rotate to cos(phi) G - i sin(phi) Y and
@@ -183,9 +186,10 @@ def displacement_derivatives(alpha: complex, cutoff: int):
     if not np.isfinite(np.asarray(alpha, dtype=complex)).all():
         raise ValueError("non-finite displacement amplitude")
     b = basis(cutoff)
-    phi = np.angle(alpha)
-    d, d_g, d_y = expm(b.displace, abs(alpha), [b.displace.gen, b.a + b.a.T], phi)
-    c, s = np.cos(phi), np.sin(phi)
+    phi = np.angle(alpha)   # |alpha| by hypot, as abs(complex): np.abs rounds arrays otherwise
+    d, d_g, d_y = expm(b.displace, np.hypot(alpha.real, alpha.imag),
+                       [b.displace.gen, b.a + b.a.T], phi)
+    c, s = np.cos(phi)[..., None, None], np.sin(phi)[..., None, None]
     return d, c * d_g - 1j * s * d_y, s * d_g + 1j * c * d_y
 
 

@@ -106,7 +106,7 @@ class FeatureCache:
         shape (K, n): one matrix product, then one row-wise dot each.  With
         derivative=False the second item is None."""
         n, m = r.shape[:2]
-        yr = (y @ r.transpose(1, 0, 2).reshape(m, n * m)).reshape(-1, n, m)   # y_k R_j
+        yr = (y @ r.transpose(1, 0, 2).reshape(m, n * m)).reshape(len(y), n, m)   # y_k R_j
         val = np.einsum("kjm,km->kj", yr, y)
         if not derivative:
             return val, None
@@ -115,28 +115,14 @@ class FeatureCache:
         return val, 2.0 * np.einsum("kjm,km->kj", yr, dy)
 
     def _current(self) -> dict:
-        """The memo at the bank's revision: the real forms R and the table
-        (sigma, sigma') at the fixed points; theta_features adds its rows."""
+        """The memo at the bank's revision: U_l B, the real forms R and the
+        table (sigma, sigma') at the fixed points; theta_features adds its rows."""
         if self._memo["revision"] != self.bank.revision:
             ub = np.array([c.unitary() for c in self.bank.circuits]) @ self._b
             forms = self._real_form(ub.conj().transpose(0, 2, 1) @ (self._x_op @ ub))
-            self._memo = {"revision": self.bank.revision, "forms": forms,
+            self._memo = {"revision": self.bank.revision, "forms": forms, "ub": ub,
                           "table": self._contract(self._y, forms)}
         return self._memo
-
-    def _theta_table(self):
-        """Rows of d sigma / d theta and d^2 sigma / (d tau d theta) at the
-        fixed points, built circuit by circuit so only one circuit's dO is
-        held at a time."""
-        sig = np.empty((self._taus.size, self.theta_owner.size))
-        dsig = np.empty_like(sig)
-        for l, circ in enumerate(self.bank.circuits):
-            dub = circ.unitary_derivatives() @ self._b                    # (P_l, D, D)
-            half = dub.conj().transpose(0, 2, 1) @ (self._x_op @ (circ.unitary() @ self._b))
-            cols = self.theta_owner == l
-            sig[:, cols], dsig[:, cols] = self._contract(
-                self._y, self._real_form(half + half.conj().transpose(0, 2, 1)))
-        return sig, dsig
 
     def theta_features(self, tau, derivative: bool = True):
         """(d sigma / d theta, d^2 sigma / (d tau d theta)) at tabulated points,
@@ -149,8 +135,12 @@ class FeatureCache:
         if not np.array_equal(self._taus.take(row, mode="clip"), tau):
             raise ValueError("theta derivatives exist only at the nodes and domain endpoints")
         memo = self._current()
-        if "theta" not in memo:
-            memo["theta"] = self._theta_table()
+        if "theta" not in memo:   # every dO_p at once, from U_l B and the stacked dU_p
+            dub = cvqnn.chain_derivatives([c.params for c in self.bank.circuits],
+                                          self.bank.cutoff) @ self._b          # (P, D, D)
+            half = dub.conj().transpose(0, 2, 1) @ (self._x_op @ memo["ub"])[self.theta_owner]
+            d_forms = self._real_form(half + half.conj().transpose(0, 2, 1))
+            memo["theta"] = self._contract(self._y, d_forms)
         sig, dsig = memo["theta"]
         return sig[row], dsig[row] if derivative else None
 

@@ -41,8 +41,7 @@ def qoc():
     return train_preset("two_level_ground_to_excited")
 
 
-@pytest.fixture(scope="module")
-def qoc_reachable():
+def reachable_config():
     """The two-level experiment (same bank, nodes, bounds and schedule) on a
     target that a control inside the bounds reaches.
 
@@ -61,6 +60,21 @@ def qoc_reachable():
                                    np.asarray(cfg["ocp"]["rho_init"], dtype=float),
                                    lambda t: np.zeros(1), t0, t0 + t_quarter, 2000)
     cfg["ocp"]["rho_target"] = xs[-1].tolist()
+    return cfg
+
+
+@pytest.fixture(scope="module")
+def qoc_reachable():
+    return train_config(reachable_config())
+
+
+@pytest.fixture(scope="module")
+def qoc_reachable_wide():
+    """The reachable experiment on a bank of 12 circuits, trained on the
+    output weights only."""
+    cfg = reachable_config()
+    cfg["qnn"]["n_features"] = 12
+    cfg["train"]["mode"] = "xi"
     return train_config(cfg)
 
 
@@ -174,6 +188,17 @@ def test_07a_qoc_final_loss(qoc_reachable):
     problem, rep, elapsed = qoc_reachable
     ok = rep.final_loss < 1e-2 and elapsed < 1800.0
     assert report("07a qoc-final-loss", ok, f"L2 {rep.final_loss:.3e}")
+
+
+def test_07f_qoc_final_loss_wide_bank(qoc_reachable_wide):
+    """07a's target and threshold with 12 features instead of 6: the wider
+    node table has usable directions to spare, and xi-only Gauss-Newton
+    meets the tolerance, so 07a's floor is the width of its basis."""
+    problem, rep, elapsed = qoc_reachable_wide
+    _, _, gap = problem.verify_rk4(steps=2000)
+    ok = rep.final_loss < 1e-2 and gap < 5e-2 and elapsed < 1800.0
+    assert report("07f qoc-final-loss-wide-bank", ok,
+                  f"L2 {rep.final_loss:.3e}, {rep.iterations} iterations, RK4 gap {gap:.3e}")
 
 
 def test_07b_qoc_rk4_terminal(qoc_reachable):

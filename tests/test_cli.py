@@ -137,6 +137,19 @@ def test_solve_benchmark_artifacts(tmp_path):
     assert entries and "L2_total" in entries[-1]
 
 
+@pytest.mark.parametrize("preset", ["linear_ode_benchmark", "two_level_ground_to_excited"])
+def test_solve_reports_phase_seconds(preset, tmp_path):
+    cfg = cli.load_config(cli.preset_path(preset))
+    cfg["train"]["gn_max_iter"] = 2
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    out = tmp_path / "out"
+    assert run(["solve", "--config", str(path), "--output", str(out)]) == 0
+    phases = json.loads((out / "report.json").read_text())["phase_seconds"]
+    assert sorted(phases) == ["artifacts", "setup", "train"]
+    assert all(np.isfinite(s) and s >= 0.0 for s in phases.values())
+
+
 def test_solve_nonfinite_residual_exits_3(tmp_path, monkeypatch, capsys):
     # the residual is finite at the initial weights; Gauss-Newton rejects a
     # non-finite trial step, so the NaN comes through the ODE's Jacobian
@@ -256,6 +269,7 @@ def test_solve_benchmark_deterministic(tmp_path):
                     "--output", str(out)]) == 0
         rep = json.loads((out / "report.json").read_text())
         rep["report"].pop("wall_time")
+        rep.pop("phase_seconds")   # wall times, like wall_time
         reports.append(rep)
     assert reports[0] == reports[1]
 

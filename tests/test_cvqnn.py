@@ -49,6 +49,28 @@ def test_unit_matrix_is_gate_product():
         assert np.max(np.abs(got - expect)) < 1e-12
 
 
+def test_stacked_unit_equals_per_row_builds():
+    # zero slots and a zero row among random ones; per-row builds are stacks of one
+    rng = np.random.default_rng(8)
+    rows = rng.normal(0.0, 0.4, (7, cvqnn.PARAMS_PER_UNIT))
+    rows[2] = 0.0
+    rows[4, [1, 3, 4]] = 0.0
+    rows[5, 4] = -0.0
+    for derivatives in (False, True):
+        mats, dmats = cvqnn._unit(rows, 10, derivatives)
+        assert mats.shape == (7, 10, 10)
+        assert (dmats is None) != derivatives
+        for k, row in enumerate(rows):
+            mat, dmat = cvqnn._unit(row[None], 10, derivatives)
+            assert np.array_equal(mats[k], mat[0])
+            if derivatives:
+                assert dmats.shape == (7, cvqnn.PARAMS_PER_UNIT, 10, 10)
+                assert np.array_equal(dmats[k], dmat[0])
+    assert np.array_equal(mats[2], np.eye(10))   # a zero row is an exact identity
+    empty, dempty = cvqnn._unit(np.zeros((0, cvqnn.PARAMS_PER_UNIT)), 10, True)
+    assert empty.shape == (0, 10, 10) and dempty.shape == (0, cvqnn.PARAMS_PER_UNIT, 10, 10)
+
+
 @pytest.mark.parametrize("slot", range(cvqnn.PARAMS_PER_UNIT))
 def test_unitary_derivatives_match_richardson_differences(slot):
     # flat layout per unit: rot1, squeeze, rot2, Re disp, Im disp, kerr; a
@@ -57,7 +79,7 @@ def test_unitary_derivatives_match_richardson_differences(slot):
                              disp_scale=0.3, kerr_scale=0.15)
     circ = bank.circuits[0]
     theta = bank.get_flat()
-    exact = circ.unitary_derivatives()
+    exact = cvqnn.chain_derivatives([circ.params], 10)
     assert exact.shape == (theta.size, 10, 10)
 
     def central(p, h):

@@ -62,6 +62,33 @@ def test_gates_and_derivatives_match_taylor_oracle(cutoff):
     assert np.array_equal(d_sq, sq_gen)
 
 
+def test_expm_broadcasts_over_arrays_of_t_and_phi_bit_for_bit():
+    # a stack of gates equals the scalar calls entry by entry, zeros included,
+    # so a zero-padded stack builds exact identities among its gates
+    cutoff = 10
+    b = fock.basis(cutoff)
+    rng = np.random.default_rng(41)
+    t = np.concatenate([[0.0, 0.0, -0.0], rng.normal(0.0, 0.4, 5)])
+    phi = np.concatenate([[0.0, 1.1, 0.0], rng.uniform(-np.pi, np.pi, 4), [0.0]])
+    for spec, directions in [(b.squeeze, []), (b.squeeze, [b.squeeze.gen]),
+                             (b.displace, [b.displace.gen, b.a + b.a.T])]:
+        stacked = fock.expm(spec, t, directions, phi)
+        plain = fock.expm(spec, t, directions)
+        assert len(stacked) == len(plain) == 1 + len(directions)
+        for k in range(t.size):
+            for got, want in zip(stacked, fock.expm(spec, t[k], directions, phi[k])):
+                assert got.shape == (t.size, cutoff, cutoff)
+                assert np.array_equal(got[k], want)
+            for got, want in zip(plain, fock.expm(spec, t[k], directions)):
+                assert np.array_equal(got[k], want)
+    assert np.array_equal(stacked[0][0], np.eye(cutoff))
+    alpha = np.concatenate([[0j], t[3:] * np.exp(1j * phi[3:])])
+    stacked = fock.displacement_derivatives(alpha, cutoff)
+    for k, a in enumerate(alpha):
+        for got, want in zip(stacked, fock.displacement_derivatives(complex(a), cutoff)):
+            assert np.array_equal(got[k], want)
+
+
 def test_cached_basis_is_read_only():
     b = fock.basis(6)
     for arr in (b.a, *b.displace, *b.squeeze):

@@ -27,12 +27,14 @@ def test_cvqoc_imports_only_numpy_and_the_standard_library():
 
 
 def test_a_residual_and_a_jacobian_do_not_import_numpy_ma():
-    # numpy.ma costs about 20 ms to import; np.unique is one way in
+    # numpy.ma costs about 20 ms to import; np.unique is one way in, and
+    # the theta columns go through the circuits' depths
     code = ("import sys\n"
             "from cvqoc import cli\n"
             "path = cli.preset_path('two_level_ground_to_excited')\n"
             "prob = cli.build_problem(cli.load_config(path))[0]\n"
             "prob.residual(prob.decision.values)\n"
             "prob.jacobian(prob.decision.values)\n"
+            "prob.jacobian(prob.decision.values, prob.theta_mask)\n"
             "print('numpy.ma' in sys.modules)\n")
     assert _fresh(code) == "False"

@@ -325,9 +325,9 @@ def test_one_theta_coordinate_rebuilds_one_circuit(monkeypatch):
     builds = {"n": 0}
     orig = cvqnn._unit
 
-    def counting(row, cutoff, derivatives):
-        builds["n"] += 1
-        return orig(row, cutoff, derivatives)
+    def counting(rows, cutoff, derivatives):   # units built, not kernel calls
+        builds["n"] += len(rows)
+        return orig(rows, cutoff, derivatives)
 
     monkeypatch.setattr(cvqnn, "_unit", counting)
     theta = prob.decision.blocks["theta"]
@@ -418,44 +418,93 @@ def test_affine_map_reproduces_expression_values():
         assert np.allclose(m.c_map * (amap.dpsi @ xi + amap.db), ydot, rtol=0, atol=1e-12)
 
 
-def test_feature_cache_theta_rows_match_differences_of_forward():
-    bank = small_bank()
-    taus = np.array([-0.8, -0.31, 0.0, 0.55, 0.8])
-    cache = problems.FeatureCache(bank, taus)
-    dsig, ddsig = cache.theta_features(taus)
+def _theta_richardson(bank, fn, taus, p, h):
+    """Richardson extrapolation of two central differences of the feature
+    vector fn(tau) along theta_p, one row per tau, error O(h^4)."""
     theta = bank.get_flat()
-    assert dsig.shape == ddsig.shape == (taus.size, theta.size)
-    assert np.array_equal(cache.theta_owner, np.repeat(np.arange(4), 12))
-    # scalar lookups give the same rows; a tau off the table has none
-    row, drow = cache.theta_features(float(taus[3]))
-    assert np.array_equal(row, dsig[3]) and np.array_equal(drow, ddsig[3])
-    with pytest.raises(ValueError):
-        cache.theta_features(0.1)
 
-    def central(fn, p, h):
+    def central(step_size):
         step = np.zeros_like(theta)
-        step[p] = h
+        step[p] = step_size
         bank.set_flat(theta + step)
         plus = np.array([fn(t) for t in taus])
         bank.set_flat(theta - step)
         minus = np.array([fn(t) for t in taus])
         bank.set_flat(theta)
-        return (plus - minus)[:, cache.theta_owner[p]] / (2.0 * h)
+        return (plus - minus) / (2.0 * step_size)
 
-    def richardson(fn, p, h):
-        return (4.0 * central(fn, p, h / 2) - central(fn, p, h)) / 3.0
+    return (4.0 * central(h / 2) - central(h)) / 3.0
 
-    for p in range(theta.size):
-        assert np.allclose(dsig[:, p], richardson(lambda t: cvqnn.forward(bank, t), p, 1e-4),
-                           rtol=0, atol=1e-9)
-        assert np.allclose(ddsig[:, p], richardson(lambda t: dsigma_oracle(bank, t), p, 1e-3),
-                           rtol=0, atol=1e-7)
+
+def _check_theta_rows(bank, cache, taus):
+    dsig, ddsig = cache.theta_features(taus)
+    assert dsig.shape == ddsig.shape == (taus.size, bank.get_flat().size)
+    for p, owner in enumerate(cache.theta_owner):
+        fd = _theta_richardson(bank, lambda t: cvqnn.forward(bank, t), taus, p, 1e-4)
+        assert np.allclose(dsig[:, p], fd[:, owner], rtol=0, atol=1e-9)
+        fd = _theta_richardson(bank, lambda t: dsigma_oracle(bank, t), taus, p, 1e-3)
+        assert np.allclose(ddsig[:, p], fd[:, owner], rtol=0, atol=1e-7)
+    return dsig, ddsig
+
+
+def test_feature_cache_theta_rows_match_differences_of_forward():
+    bank = small_bank()
+    taus = np.array([-0.8, -0.31, 0.0, 0.55, 0.8])
+    cache = problems.FeatureCache(bank, taus)
+    assert np.array_equal(cache.theta_owner, np.repeat(np.arange(4), 12))
+    dsig, ddsig = _check_theta_rows(bank, cache, taus)
+    # scalar lookups give the same rows; a tau off the table has none
+    row, drow = cache.theta_features(float(taus[3]))
+    assert np.array_equal(row, dsig[3]) and np.array_equal(drow, ddsig[3])
+    with pytest.raises(ValueError):
+        cache.theta_features(0.1)
     # a new circuit version refills the rows of that circuit only
+    theta = bank.get_flat()
     theta[0] += 0.1
     bank.set_flat(theta)
     moved, _ = cache.theta_features(taus)
     assert not np.array_equal(moved[:, :12], dsig[:, :12])
     assert np.array_equal(moved[:, 12:], dsig[:, 12:])
+
+
+def _mixed_depth_bank(depths=(2, 0, 1, 2), seed=13):
+    rng = np.random.default_rng(seed)
+    return cvqnn.QnnBank([cvqnn.QnnCircuit(rng.normal(0.0, 0.3, (d, cvqnn.PARAMS_PER_UNIT)), 10)
+                          for d in depths])
+
+
+def test_feature_cache_theta_rows_of_mixed_depths_match_differences_of_forward():
+    # the stacked kernel pads shallower circuits with zero rows, identity units
+    bank = _mixed_depth_bank()
+    taus = np.array([-0.8, -0.2, 0.45, 0.8])
+    cache = problems.FeatureCache(bank, taus)
+    assert np.array_equal(cache.theta_owner, np.repeat([0, 2, 3], [12, 6, 12]))
+    dsig, ddsig = _check_theta_rows(bank, cache, taus)
+    # each circuit alone gives its own columns
+    for l, circ in enumerate(bank.circuits):
+        alone = problems.FeatureCache(cvqnn.QnnBank([cvqnn.QnnCircuit(circ.params.copy(), 10)]),
+                                      taus)
+        cols = cache.theta_owner == l
+        for got, want in zip((dsig, ddsig), alone.theta_features(taus)):
+            assert np.allclose(got[:, cols], want, rtol=0, atol=1e-14 * np.abs(want).max(initial=1))
+    # a bank of depth-0 circuits has no theta rows
+    empty = problems.FeatureCache(_mixed_depth_bank((0, 0)), taus)
+    assert empty.theta_features(taus)[0].shape == (taus.size, 0)
+
+
+@pytest.mark.parametrize("index", [0, 13, 20, 29])   # circuits 0, 2, 2 and 3
+def test_nonfinite_theta_in_any_circuit_raises_from_the_theta_table(index):
+    bank = _mixed_depth_bank()
+    taus = np.array([-0.8, 0.8])
+    cache = problems.FeatureCache(bank, taus)
+    cache.theta_features(taus)
+    theta = bank.get_flat()
+    theta[index] = np.inf if index % 2 else np.nan
+    bank.set_flat(theta)
+    with pytest.raises(ValueError):
+        cache.theta_features(taus)
+    with pytest.raises(ValueError):
+        cvqnn.chain_derivatives([c.params for c in bank.circuits], bank.cutoff)
 
 
 def _fd_on(prob, values, mask):
