@@ -270,9 +270,14 @@ def cmd_propagate(args) -> int:
         # np.interp needs increasing sample times
         if not (np.all(np.isfinite(t_ctrl)) and np.all(np.diff(t_ctrl) > 0)):
             raise ValueError("control times must be finite and strictly increasing")
-        ts, xs = lindblad.propagate_rk4(model, x0, u_of_t,
-                                        float(prop["t0"]), float(prop["tf"]),
-                                        _count(prop, "steps"))
+        t0, tf = float(prop["t0"]), float(prop["tf"])
+        # np.interp would hold the control at its end value outside the
+        # table; non-finite times are left to propagate_rk4 to name
+        if (np.isfinite(t0) and np.isfinite(tf)
+                and not (t_ctrl[0] <= t0 and tf <= t_ctrl[-1])):
+            raise ValueError(f"[t0, tf] = [{t0}, {tf}] reaches outside the control "
+                             f"times [{t_ctrl[0]}, {t_ctrl[-1]}]")
+        ts, xs = lindblad.propagate_rk4(model, x0, u_of_t, t0, tf, _count(prop, "steps"))
     n_pop = int(round(np.sqrt(model.dim)))
     head = ["t"] + [f"x{i + 1}" for i in range(model.dim)] + ["trace"]
     write_csv(args.output, head, np.column_stack([ts, xs, xs[:, :n_pop].sum(axis=1)]))

@@ -267,9 +267,11 @@ def three_level_model(p: ThreeLevelParams) -> SuperOperatorModel:
 
 # Steps per batch of generators and step matrices in propagate_rk4: large
 # enough that the NumPy calls of a batch cost little per step, small enough
-# that a batch, a few dim x dim matrices per step, stays a fraction of a MB
-# whatever the step count.  A multiple of _CHUNK, so only a run's last batch
-# can end in a ragged chunk.
+# that a batch stays about 1 MB whatever the step count.  One batch holds
+# 2 * _BLOCK_STEPS + 1 stage generators and five stacks of _BLOCK_STEPS
+# dim x dim matrices (a work matrix, P2, P3, P4 and the step matrices that
+# the scan turns into prefix products): 1.2 MB at dim 9.  A multiple of
+# _CHUNK, so only a run's last batch can end in a ragged chunk.
 _BLOCK_STEPS = 256
 # Steps per chunk of propagate_rk4's blocked scan: its Python loop turns once
 # per chunk, not once per step (4000 steps per verification of a solve).
@@ -297,14 +299,17 @@ def propagate_rk4(model: SuperOperatorModel, x0: np.ndarray, u_of_t: callable,
 
     which is the classic RK4 step written as a matrix.  Generators and step
     matrices are formed in batches of _BLOCK_STEPS steps, so memory does not
-    grow with the step count.  The states are a blocked scan over the step
-    matrices (Blelloch, CMU-CS-90-190, 1990): a batch's steps are grouped in
-    chunks of _CHUNK, padded with identities (which is exact), the prefix
-    products M_j ... M_1 of every chunk come from _CHUNK - 1 stacked matrix
-    products, a loop of one mat-vec per chunk carries the state from chunk
-    to chunk, and one stacked mat-vec of the prefix products with the chunk
-    start states gives every state.  So Python turns once per chunk, not
-    once per step.
+    grow with the step count.  The batch buffers are allocated once per call
+    and every batch fills them in place (out= products, I + c X as c X plus
+    1 on the diagonal), with the operations of the formula above in its
+    order.  The states are a blocked scan over the step matrices (Blelloch,
+    CMU-CS-90-190, 1990): a batch's steps are grouped in chunks of _CHUNK,
+    padded with identities (which is exact), the prefix products
+    M_j ... M_1 of every chunk come from _CHUNK - 1 stacked matrix products,
+    a loop of one mat-vec per chunk carries the state from chunk to chunk,
+    and one stacked mat-vec of the prefix products with the chunk start
+    states gives every state.  So Python turns once per chunk, not once per
+    step.
     """
     if steps < 10:
         raise ValueError("use at least 10 steps")
@@ -329,21 +334,46 @@ def propagate_rk4(model: SuperOperatorModel, x0: np.ndarray, u_of_t: callable,
     eye = np.eye(dim)
     xs = np.empty((steps + 1, dim))
     xs[0] = x
+    width = min(_BLOCK_STEPS, -(-steps // _CHUNK) * _CHUNK)
+    gen_buf = np.empty((2 * width + 1, dim * dim))
+    work_buf, p2_buf, p3_buf, p4_buf, pre_buf = np.empty((5, width, dim, dim))
     for first in range(0, steps, _BLOCK_STEPS):
         last = min(first + _BLOCK_STEPS, steps)
-        gens = (us[2 * first:2 * last + 1] @ du + drift).reshape(-1, dim, dim)
-        a_s, a_m, a_e = gens[:-1:2], gens[1::2], gens[2::2]
-        p2 = a_m @ (eye + (0.5 * h) * a_s)
-        p3 = a_m @ (eye + (0.5 * h) * p2)
-        p4 = a_e @ (eye + h * p3)
         n = last - first
         n_chunks = -(-n // _CHUNK)
-        prefix = np.empty((n_chunks * _CHUNK, dim, dim))
-        prefix[:n] = eye + (h / 6.0) * (a_s + 2.0 * p2 + 2.0 * p3 + p4)
+        gens = np.matmul(us[2 * first:2 * last + 1], du, out=gen_buf[:2 * n + 1])
+        gens += drift
+        gens = gens.reshape(-1, dim, dim)
+        a_s, a_m, a_e = gens[:-1:2], gens[1::2], gens[2::2]
+        work, p2, p3, p4 = work_buf[:n], p2_buf[:n], p3_buf[:n], p4_buf[:n]
+        # I + c X as c X with 1 added on the diagonal, every entry in place
+        diag = work.reshape(n, dim * dim)[:, ::dim + 1]
+        np.multiply(a_s, 0.5 * h, out=work)
+        diag += 1.0
+        np.matmul(a_m, work, out=p2)
+        np.multiply(p2, 0.5 * h, out=work)
+        diag += 1.0
+        np.matmul(a_m, work, out=p3)
+        np.multiply(p3, h, out=work)
+        diag += 1.0
+        np.matmul(a_e, work, out=p4)
+        prefix = pre_buf[:n_chunks * _CHUNK]
+        step = prefix[:n]
+        np.multiply(p2, 2.0, out=step)
+        step += a_s
+        p3 *= 2.0
+        step += p3
+        step += p4
+        step *= h / 6.0
+        step.reshape(n, dim * dim)[:, ::dim + 1] += 1.0
         prefix[n:] = eye
         prefix = prefix.reshape(n_chunks, _CHUNK, dim, dim)
+        # the work matrices are free by now; a product written over its own
+        # factor would make NumPy copy that factor first
+        products = work_buf[:n_chunks]
         for j in range(1, _CHUNK):
-            prefix[:, j] = prefix[:, j] @ prefix[:, j - 1]
+            np.matmul(prefix[:, j], prefix[:, j - 1], out=products)
+            prefix[:, j] = products
         starts = np.empty((n_chunks, dim))
         for c in range(n_chunks):
             starts[c] = x

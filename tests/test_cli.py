@@ -383,6 +383,28 @@ def test_propagate_nonfinite_initial_state_exits_2(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("times", [{"tf": 5.0}, {"t0": -0.5}],
+                         ids=["tf_after_table", "t0_before_table"])
+def test_propagate_horizon_outside_control_times_exits_2(times, tmp_path, capsys):
+    # outside its table the interpolated control would be held at an end value
+    cfg = tmp_path / "sys.json"
+    cfg.write_text(json.dumps({
+        "system_params": {},
+        "propagate": {"x0": [1.0, 0.0, 0.0, 0.0], "t0": 0.0, "tf": 1.0,
+                      "steps": 100, **times},
+    }))
+    ctrl = tmp_path / "u.csv"
+    ctrl.write_text("0.0,0.0\n0.5,1.0\n1.0,0.0\n")
+    out = tmp_path / "o.csv"
+    assert run(["propagate", "--system", "two-level", "--config", str(cfg),
+                "--control", str(ctrl), "--output", str(out)]) == 2
+    span = f"[{times.get('t0', 0.0)}, {times.get('tf', 1.0)}]"
+    err = capsys.readouterr().err
+    assert err.startswith("error: bad propagate section:")
+    assert span in err and "control times [0.0, 1.0]" in err
+    assert not out.exists()
+
+
 def test_verify_self_and_perturbed(tmp_path, capsys):
     traj = tmp_path / "a.csv"
     cli.write_csv(str(traj), ["t", "x1", "x2", "u", "trace"],

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -212,9 +214,10 @@ def _rk4_reference(model, x0, u_scalar, t0, tf, steps):
     return np.array(out)
 
 
-# 10 steps: shorter than one scan chunk; 500: a ragged last chunk in the
-# second batch; 4000: the count `cvqoc solve` verifies with
-@pytest.mark.parametrize("steps", [10, 500, 4000])
+# 10 steps: shorter than one scan chunk; 260: a full batch, then a batch
+# shorter than one chunk; 500: a ragged last chunk in the second batch;
+# 4000: the count `cvqoc solve` verifies with
+@pytest.mark.parametrize("steps", [10, 260, 500, 4000])
 @pytest.mark.parametrize("system", ["two-level", "three-level"])
 def test_rk4_tabulated_control_matches_per_step_reference(system, steps):
     # a fixed step, so every count stays in RK4's stable range
@@ -242,3 +245,74 @@ def test_rk4_tabulated_control_matches_per_step_reference(system, steps):
     assert np.allclose(ts, np.linspace(0.0, tf, steps + 1), rtol=0, atol=1e-15)
     ref = _rk4_reference(model, x0, u_scalar, 0.0, tf, steps)
     assert np.max(np.abs(xs - ref)) < 1e-13
+
+
+def _rk4_matrix_form(model, x0, us, t0, tf, steps):
+    """propagate_rk4's batch formula with a fresh temporary for every
+    product and sum: eye + c X, stacked products, one scan per batch."""
+    dim, block, chunk = model.dim, lindblad._BLOCK_STEPS, lindblad._CHUNK
+    h = (tf - t0) / steps
+    drift = model.generator(np.zeros(model.n_controls)).reshape(dim * dim)
+    du = np.asarray(model.generator_du).reshape(model.n_controls, dim * dim)
+    eye = np.eye(dim)
+    x = np.asarray(x0, dtype=float)
+    xs = [x]
+    for first in range(0, steps, block):
+        last = min(first + block, steps)
+        gens = (us[2 * first:2 * last + 1] @ du + drift).reshape(-1, dim, dim)
+        a_s, a_m, a_e = gens[:-1:2], gens[1::2], gens[2::2]
+        p2 = a_m @ (eye + (0.5 * h) * a_s)
+        p3 = a_m @ (eye + (0.5 * h) * p2)
+        p4 = a_e @ (eye + h * p3)
+        n = last - first
+        n_chunks = -(-n // chunk)
+        prefix = np.empty((n_chunks * chunk, dim, dim))
+        prefix[:n] = eye + (h / 6.0) * (a_s + 2.0 * p2 + 2.0 * p3 + p4)
+        prefix[n:] = eye
+        prefix = prefix.reshape(n_chunks, chunk, dim, dim)
+        for j in range(1, chunk):
+            prefix[:, j] = prefix[:, j] @ prefix[:, j - 1]
+        starts = np.empty((n_chunks, dim))
+        for c in range(n_chunks):
+            starts[c] = x
+            x = prefix[c, -1].dot(x)
+        xs.extend((prefix @ starts[:, None, :, None]).reshape(-1, dim)[:n])
+    return np.array(xs)
+
+
+@pytest.mark.parametrize("steps", [10, 260, 500, 4000])
+@pytest.mark.parametrize("system", ["two-level", "three-level"])
+def test_rk4_states_are_bit_identical_to_the_matrix_form(system, steps):
+    # the batch buffers are reused in place; every operation and its order
+    # is that of the formula above, so the states agree bit for bit
+    if system == "two-level":
+        model, x0 = two_level_model(P), np.array([1.0, 0.0, 0.0, 0.0])
+
+        def u_table(t):
+            return np.column_stack([3.0 * np.sin(5.0 * t)])
+    else:
+        model, x0 = three_level_model(ThreeLevelParams()), np.eye(9)[0]
+
+        def u_table(t):
+            return np.column_stack([2.0 * np.sin(3.0 * t), np.cos(7.0 * t)])
+    tf = 3.0
+    _, xs = propagate_rk4(model, x0, u_table, 0.0, tf, steps)
+    us = u_table(np.linspace(0.0, tf, 2 * steps + 1))
+    assert np.array_equal(xs, _rk4_matrix_form(model, x0, us, 0.0, tf, steps))
+
+
+def test_rk4_transient_memory_is_bounded_by_a_batch():
+    # every batch reuses buffers of _BLOCK_STEPS steps, so what a call holds
+    # beyond its outputs is a few stacks of 9 x 9 matrices plus the stage
+    # times; one (steps, 9, 9) array of step matrices would be 2.6 MB at
+    # 4000 steps and 26 MB at 40 000
+    model, x0 = three_level_model(ThreeLevelParams()), np.eye(9)[0]
+    control = np.array([0.5, -0.3])
+    for steps in (4000, 40000):
+        tracemalloc.start()
+        try:
+            ts, xs = propagate_rk4(model, x0, lambda t: control, 0.0, 1e-3 * steps, steps)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak - ts.nbytes - xs.nbytes < 3e6
