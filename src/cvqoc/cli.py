@@ -318,6 +318,8 @@ def _solve_artifacts_qoc(problem, report, outdir: str, system: str) -> dict:
 
     # conditioning of the closed-form Gauss-Newton Jacobian at the solution
     sv = np.linalg.svd(problem.jacobian(problem.decision.values), compute_uv=False)
+    # a degenerate end, read off the node maps that Jacobian memoised
+    nodes = problem.node_values(problem.decision.values)
     return {
         "system": system,
         "report": report.to_dict(),
@@ -328,6 +330,9 @@ def _solve_artifacts_qoc(problem, report, outdir: str, system: str) -> dict:
         "loss_breakdown": problem.residual_vector(problem.decision.values).breakdown(),
         "jacobian_singular_values": [float(sv[0]), float(sv[-1])],
         "jacobian_cond": float(sv[0] / sv[-1]),
+        "c_map_on_bound": problem.morph.c_map in problem.c_map_bounds,
+        "max_abs_costate_nodes": float(np.max(np.abs(nodes["xi_costate"]))),
+        "max_abs_control_nodes": float(np.max(np.abs(nodes["xi_u"]))),
         **_feature_basis(problem),
     }
 

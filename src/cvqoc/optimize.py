@@ -11,7 +11,7 @@ it.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -46,6 +46,10 @@ class SolveReport:
     tolerance_used: float
     wall_time: float = 0.0
     stop_reason: str = "max_iter"
+    # one entry per Gauss-Newton iteration (none for Adam): the damping and
+    # step scale of its last trial, the trials tried, whether one was
+    # accepted, and the residual calls so far
+    gn_iterations: list = field(default_factory=list)
 
     def __post_init__(self):
         if not self.loss_history:
@@ -66,6 +70,7 @@ class SolveReport:
             "tolerance_used": self.tolerance_used,
             "wall_time": self.wall_time,
             "stop_reason": self.stop_reason,
+            "gn_iterations": list(self.gn_iterations),
         }
 
 
@@ -116,7 +121,10 @@ def gauss_newton(res_fn, z0: np.ndarray, *, jac_fn, tol: float = 1e-6,
     every accepted point has a finite loss.  The iteration stops when the
     loss is under tol, after max_iter iterations, when all 9 trial steps
     fail to lower the loss (no_descent), or when the damped system cannot be
-    solved (singular).
+    solved (singular).  The report's gn_iterations records, per iteration,
+    the damping and step scale of the last trial (`damping`, `step_scale`),
+    the trial points evaluated (`trials`), whether one was `accepted`, and
+    res_fn's calls so far (`residual_calls`), which costs no evaluation.
     Returns (z, SolveReport).
     """
     if tol <= 0:
@@ -127,11 +135,14 @@ def gauss_newton(res_fn, z0: np.ndarray, *, jac_fn, tol: float = 1e-6,
     z = np.asarray(z0, dtype=float).copy()
     lam = damping
     history = [_finite_loss(np.linalg.norm(res_fn(z)), "at the starting point")]
+    calls = 1
+    log = []
     converged = history[0] < tol
     reason = "converged" if converged else "max_iter"
     iters = 0
     while not converged and iters < max_iter:
         r = np.asarray(res_fn(z))
+        calls += 1
         jac = np.asarray(jac_fn(z), dtype=float)
         if not np.all(np.isfinite(jac)):
             raise FloatingPointError("non-finite Jacobian entry")
@@ -141,7 +152,9 @@ def gauss_newton(res_fn, z0: np.ndarray, *, jac_fn, tol: float = 1e-6,
         accepted = False
         stall = "no_descent"
         step_scale = 1.0
+        trials = 0
         for _ in range(9):
+            entry = {"damping": lam, "step_scale": step_scale}
             try:
                 delta = np.linalg.solve(jtj + lam * np.eye(jtj.shape[0]), -jtr)
             except np.linalg.LinAlgError:
@@ -152,6 +165,8 @@ def gauss_newton(res_fn, z0: np.ndarray, *, jac_fn, tol: float = 1e-6,
                 for idx, lo, hi in bounds:
                     z_try[idx] = min(max(z_try[idx], lo), hi)
             loss_try = float(np.linalg.norm(res_fn(z_try)))
+            calls += 1
+            trials += 1
             if np.isfinite(loss_try) and loss_try < loss:
                 z = z_try
                 loss = loss_try
@@ -162,6 +177,7 @@ def gauss_newton(res_fn, z0: np.ndarray, *, jac_fn, tol: float = 1e-6,
             lam = min(lam * 10.0, 1e8) if lam > 0 else 1e-8
         iters += 1
         history.append(loss)
+        log.append(dict(entry, trials=trials, accepted=accepted, residual_calls=calls))
         if callback:
             callback(iters, z, loss)
         if loss < tol:
@@ -173,7 +189,7 @@ def gauss_newton(res_fn, z0: np.ndarray, *, jac_fn, tol: float = 1e-6,
     report = SolveReport(
         iterations=iters, final_loss=history[-1], loss_history=history,
         converged=bool(converged), tolerance_used=tol,
-        wall_time=time.perf_counter() - start, stop_reason=reason,
+        wall_time=time.perf_counter() - start, stop_reason=reason, gn_iterations=log,
     )
     return z, report
 
@@ -327,6 +343,7 @@ def train(problem, schedule: TrainSchedule, callback=None):
     bursts = ((problem.xi_mask, newton(schedule.joint_gn_steps)),
               (problem.theta_mask, descent(schedule.joint_adam_steps)))
     history = [float(np.linalg.norm(problem.residual(problem.decision.values)))]
+    gn_log = []
     iters = 0
     converged = history[0] < schedule.tolerance
     for _ in range(schedule.joint_rounds):
@@ -336,6 +353,7 @@ def train(problem, schedule: TrainSchedule, callback=None):
             report = fit(mask, iters, solve)
             iters += report.iterations
             history.extend(report.loss_history[1:])
+            gn_log.extend(report.gn_iterations)
             converged = history[-1] < schedule.tolerance
     final = float(np.linalg.norm(problem.residual(problem.decision.values)))
     history.append(final)
@@ -344,5 +362,5 @@ def train(problem, schedule: TrainSchedule, callback=None):
         iterations=iters, final_loss=final, loss_history=history,
         converged=converged, tolerance_used=schedule.tolerance,
         wall_time=time.perf_counter() - start,
-        stop_reason="converged" if converged else "max_iter",
+        stop_reason="converged" if converged else "max_iter", gn_iterations=gn_log,
     )

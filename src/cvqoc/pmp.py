@@ -229,8 +229,9 @@ def residuals(unknowns: UnknownSet, cfg: OcpConfig, model: SuperOperatorModel,
     # The node values are gathered one node at a time only because a Tier-1
     # test of the benchmark (perfbench/test_perfbench.py) pins, on the
     # two-level preset, 80 ConstrainedExpression.eval and 17 generator calls
-    # per residual; once it pins array invariants, this becomes one
-    # expr.affine(nodes) per unknown.
+    # per residual; once it pins array invariants, the values come from the
+    # node maps memoised per bank revision (problems._Collocation.node_maps),
+    # psi @ xi + b per unknown, as residual_partials takes them.
     nodes = np.asarray(nodes, dtype=float)
     (x, xdot), (lam, lamdot), (u, _), (nu, _), (beta, _) = (
         map(np.array, zip(*[e.eval(tau) for tau in nodes])) for e in exprs)

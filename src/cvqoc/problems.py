@@ -11,7 +11,10 @@ quantum simulation.  Output weights fold into the forms before any per-tau
 work, so the trained solution on a fine grid (trajectories, the RK4
 control) costs one form per output column, whatever the number of circuits.
 Every unknown is a tfc.ConstrainedExpression over FeatureCache.features and
-its own weight block, which the expression reads on every call.  Both
+its own weight block, which the expression reads on every call.  The cache's
+one memo per bank revision holds the forms, the node table, the theta rows
+and every unknown's affine map at the nodes (psi, psi', b, b'), since the
+nodes and the domain are fixed.  Both
 problems share one base, _Collocation, which owns that layout: its _sync is
 the only writer of the weights (in place) and hands theta to the bank, whose
 set_flat is the only writer of the circuit parameters.
@@ -21,7 +24,8 @@ rule in _Collocation: every coordinate reaches the residual only through
 the values of the unknowns at the nodes, so the Jacobian is the residual's
 partials in those values (the subclass's _partials) times the coordinates'
 directions in them, which come from the expressions' affine maps over the
-features and over the exact d sigma / d theta (FeatureCache.theta_features).
+features (read-only, from the memo) and over the exact d sigma / d theta
+(FeatureCache.theta_features).
 QocProblem.residual_vector keeps its last evaluation, so a point evaluated
 twice in a row (Gauss-Newton's accepted trial, then the training callback
 and the next iteration) costs one evaluation.
@@ -65,9 +69,13 @@ class FeatureCache:
     phi(tau) W = z^H (sum_l W_l O_l) z, so `weighted` costs one quadratic
     form per output column, whatever the number of circuits.  theta_p of
     circuit l moves only O_l, by dO_p = (dU_p B)^H X (U_l B) + h.c., so the
-    theta rows at the fixed points are the same contraction on dO_p.  The
-    forms, the table and the theta rows form one memo, rebuilt when
-    QnnBank.revision changes.
+    theta rows at the fixed points are the same contraction on dO_p.
+
+    Everything that depends only on the circuits sits in one memo, dropped
+    when QnnBank.revision changes: the forms (with U_l B) and the table,
+    built on first use; the theta rows, once a theta Jacobian asks; and the
+    unknowns' affine maps at the nodes, once any Jacobian asks
+    (_Collocation.node_maps).  `memoised` adds the last two.
     """
 
     def __init__(self, bank: cvqnn.QnnBank, taus=()):
@@ -116,13 +124,21 @@ class FeatureCache:
 
     def _current(self) -> dict:
         """The memo at the bank's revision: U_l B, the real forms R and the
-        table (sigma, sigma') at the fixed points; theta_features adds its rows."""
+        table (sigma, sigma') at the fixed points; `memoised` adds the rest."""
         if self._memo["revision"] != self.bank.revision:
             ub = np.array([c.unitary() for c in self.bank.circuits]) @ self._b
             forms = self._real_form(ub.conj().transpose(0, 2, 1) @ (self._x_op @ ub))
             self._memo = {"revision": self.bank.revision, "forms": forms, "ub": ub,
                           "table": self._contract(self._y, forms)}
         return self._memo
+
+    def memoised(self, key: str, build):
+        """The memo's entry key at the bank's revision, made by build() on
+        its first use in that revision and dropped with the memo."""
+        memo = self._current()
+        if key not in memo:
+            memo[key] = build()
+        return memo[key]
 
     def theta_features(self, tau, derivative: bool = True):
         """(d sigma / d theta, d^2 sigma / (d tau d theta)) at tabulated points,
@@ -134,15 +150,17 @@ class FeatureCache:
         row = np.searchsorted(self._taus, tau)
         if not np.array_equal(self._taus.take(row, mode="clip"), tau):
             raise ValueError("theta derivatives exist only at the nodes and domain endpoints")
-        memo = self._current()
-        if "theta" not in memo:   # every dO_p at once, from U_l B and the stacked dU_p
-            dub = cvqnn.chain_derivatives([c.params for c in self.bank.circuits],
-                                          self.bank.cutoff) @ self._b          # (P, D, D)
-            half = dub.conj().transpose(0, 2, 1) @ (self._x_op @ memo["ub"])[self.theta_owner]
-            d_forms = self._real_form(half + half.conj().transpose(0, 2, 1))
-            memo["theta"] = self._contract(self._y, d_forms)
-        sig, dsig = memo["theta"]
+        sig, dsig = self.memoised("theta", self._theta_table)
         return sig[row], dsig[row] if derivative else None
+
+    def _theta_table(self):
+        """Every dO_p at once, from U_l B and the stacked dU_p, contracted at
+        the fixed points."""
+        dub = cvqnn.chain_derivatives([c.params for c in self.bank.circuits],
+                                      self.bank.cutoff) @ self._b              # (P, D, D)
+        ub = self._current()["ub"]
+        half = dub.conj().transpose(0, 2, 1) @ (self._x_op @ ub)[self.theta_owner]
+        return self._contract(self._y, self._real_form(half + half.conj().transpose(0, 2, 1)))
 
     def _quadratic(self, tau, weights, derivative: bool):
         """(phi(tau) W, d phi / d tau W) from the quadratic forms, W the
@@ -274,7 +292,7 @@ class _Collocation:
             jac[:, theta] = self.jacobian(values, mask & self.theta_mask)
             return jac
         self._sync(values)
-        maps = {name: expr.affine(self.nodes) for name, expr in self._exprs.items()}
+        maps = self.node_maps()
         d, h = self._partials(list(maps.values()))
         cols = np.flatnonzero(mask)
         a = self._theta_directions(cols) if theta.all() else self._xi_directions(maps, cols)
@@ -285,6 +303,28 @@ class _Collocation:
         if h is not None:
             jac[-1] = h @ a[-1]
         return jac
+
+    def node_maps(self) -> dict:
+        """name -> the unknown's tfc.AffineMap at the nodes, read-only.  The
+        nodes and the domain are fixed, so the maps depend only on the bank
+        revision: they are built at the first call of a revision and kept in
+        the feature cache's memo."""
+        return self.cache.memoised("node_maps", self._build_node_maps)
+
+    def _build_node_maps(self) -> dict:
+        maps = {name: expr.affine(self.nodes) for name, expr in self._exprs.items()}
+        for amap in maps.values():
+            for part in amap:
+                if isinstance(part, np.ndarray):
+                    part.flags.writeable = False
+        return maps
+
+    def node_values(self, values: np.ndarray) -> dict:
+        """name -> the unknown's values at the nodes at values, (N, width),
+        from the memoised node maps: no residual is evaluated."""
+        self._sync(values)
+        return {name: amap.psi @ self._xi[name] + amap.b
+                for name, amap in self.node_maps().items()}
 
     def _xi_directions(self, maps: dict, cols: np.ndarray) -> np.ndarray:
         """A on the weight and scalar coordinates cols.  Weight (l, v) of an

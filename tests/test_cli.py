@@ -627,3 +627,42 @@ def test_bad_config_value_exits_2(case, tmp_path, capsys):
     assert f"'{section}'" in err or f"bad {section} section" in err
     if case in BAD_PROPAGATE_CONFIGS:
         assert key in err
+
+
+def test_solve_reports_each_gauss_newton_iteration(tmp_path):
+    cfg = cli.load_config(cli.preset_path("two_level_ground_to_excited"))
+    cfg["train"]["gn_max_iter"] = 3
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    out = tmp_path / "out"
+    assert run(["solve", "--config", str(path), "--output", str(out)]) == 0
+    report = json.loads((out / "report.json").read_text())["report"]
+    log = report["gn_iterations"]
+    assert len(log) == report["iterations"] == 3
+    hist = report["loss_history"]
+    for entry, before, after in zip(log, hist, hist[1:]):
+        assert entry["accepted"] == (after < before)
+        assert 1 <= entry["trials"] <= 9 and entry["damping"] > 0
+        assert entry["step_scale"] == 0.5 ** (entry["trials"] - 1)
+    calls = [1] + [entry["residual_calls"] for entry in log]
+    assert [b - a for a, b in zip(calls, calls[1:])] == [1 + e["trials"] for e in log]
+
+
+# (c_map, on its bound, max |lambda|, max |u| at the nodes) where each shipped
+# QOC preset ends; the two-level values move with flat-tail rounding
+DEGENERATE_ENDS = {
+    "three_level_pop_inversion": (0.05, True, 0.0, 0.0),
+    "two_level_ground_to_excited": (0.2676, False, 2.093, 0.07538),
+}
+
+
+@pytest.mark.parametrize("preset", sorted(DEGENERATE_ENDS))
+def test_solve_reports_a_degenerate_end(preset, tmp_path):
+    out = tmp_path / "out"
+    assert run(["solve", "--preset", preset, "--output", str(out)]) == 0
+    report = json.loads((out / "report.json").read_text())
+    c_map, on_bound, costate, control = DEGENERATE_ENDS[preset]
+    assert report["c_map"] == pytest.approx(c_map, rel=1e-3, abs=0)
+    assert report["c_map_on_bound"] is on_bound
+    assert report["max_abs_costate_nodes"] == pytest.approx(costate, rel=1e-3, abs=0)
+    assert report["max_abs_control_nodes"] == pytest.approx(control, rel=1e-3, abs=0)

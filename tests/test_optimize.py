@@ -404,3 +404,69 @@ def test_train_pins_residual_calls_and_callbacks(case):
     for _, values, loss in seen:
         r = prob.residual(values)
         assert loss == np.linalg.norm(r)
+
+
+def test_gauss_newton_records_each_iteration():
+    res, calls = _counting(rosenbrock)
+    _, rep = gauss_newton(res, np.array([-1.2, 1.0]), jac_fn=rosenbrock_jacobian,
+                          tol=1e-10, max_iter=6, damping=1e-3)
+    log = rep.gn_iterations
+    assert len(log) == rep.iterations == 6
+    assert all(sorted(e) == ["accepted", "damping", "residual_calls", "step_scale", "trials"]
+               for e in log)
+    # the calls so far: the starting loss, then r and the trials of each iteration
+    assert [e["residual_calls"] for e in log] == list(
+        1 + np.cumsum([1 + e["trials"] for e in log]))
+    assert log[-1]["residual_calls"] == calls["n"]
+    hist = rep.loss_history
+    damping = 1e-3
+    for e, before, after in zip(log, hist, hist[1:]):
+        assert e["accepted"] == (after < before)
+        # each rejected trial halves the step and raises the damping tenfold
+        assert e["step_scale"] == 0.5 ** (e["trials"] - 1)
+        assert e["damping"] == pytest.approx(damping * 10.0 ** (e["trials"] - 1), rel=1e-12)
+        damping = max(e["damping"] / 10.0, 1e-14) if e["accepted"] else None
+    assert rep.to_dict()["gn_iterations"] == log
+
+
+def test_gauss_newton_records_stalled_and_singular_iterations():
+    def flat(z):
+        return np.array([1.0 + z[0]**2])
+
+    def flat_jacobian(z):
+        return np.array([[2.0 * z[0]]])
+
+    _, rep = gauss_newton(flat, np.zeros(1), jac_fn=flat_jacobian, tol=1e-6, damping=1e-8)
+    (entry,) = rep.gn_iterations
+    assert entry.pop("damping") == pytest.approx(1e-8 * 10.0**8, rel=1e-12)
+    assert entry == {"step_scale": 0.5**8, "trials": 9, "accepted": False,
+                     "residual_calls": 11}
+    _, rep = gauss_newton(flat, np.zeros(1), jac_fn=flat_jacobian, tol=1e-6, damping=0.0)
+    assert rep.gn_iterations == [{"damping": 0.0, "step_scale": 1.0, "trials": 0,
+                                  "accepted": False, "residual_calls": 2}]
+    _, rep = gauss_newton(lambda z: z * 0.0, np.ones(2), jac_fn=lambda z: np.eye(2), tol=1e-6)
+    assert rep.gn_iterations == []
+
+
+def test_train_reports_the_gauss_newton_iterations_of_every_burst(monkeypatch):
+    bursts = []
+    newton = optimize.gauss_newton
+
+    def recorded(*args, **kwargs):
+        z, report = newton(*args, **kwargs)
+        bursts.append(report.gn_iterations)
+        return z, report
+
+    monkeypatch.setattr(optimize, "gauss_newton", recorded)
+    prob = ToyProblem()
+    prob.decision.values[3:] = [0.3, -0.2]
+    rep = optimize.train(prob, TrainSchedule(mode="joint", tolerance=1e-10, joint_rounds=2,
+                                             joint_gn_steps=2, joint_adam_steps=2))
+    assert len(bursts) == 2 and all(bursts)
+    assert rep.gn_iterations == bursts[0] + bursts[1]
+    rep = optimize.train(ToyProblem(), TrainSchedule(mode="xi", tolerance=1e-10,
+                                                     gn_max_iter=3))
+    assert rep.gn_iterations == bursts[2] and len(rep.gn_iterations) == rep.iterations
+    rep = optimize.train(ToyProblem(), TrainSchedule(mode="theta", tolerance=1e-10,
+                                                     adam_epochs=3))
+    assert rep.gn_iterations == [] and rep.to_dict()["gn_iterations"] == []

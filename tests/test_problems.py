@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from cvqoc import cvqnn, lindblad, optimize, pmp, problems
+from cvqoc import cvqnn, lindblad, optimize, pmp, problems, tfc
 from cvqoc.tfc import TimeMorph
 
 
@@ -656,3 +656,78 @@ def test_train_hands_adam_the_gradient_of_its_loss(mode, monkeypatch):
     assert loss == np.linalg.norm(r)
     jac = prob.jacobian(values, prob.theta_mask)
     assert np.allclose(exact, jac.T @ r / np.linalg.norm(r), rtol=1e-12, atol=0)
+
+
+def test_jacobian_from_memoised_node_maps_equals_one_from_fresh_maps():
+    # one problem keeps its node maps between points of a revision; a fresh
+    # problem at each point builds them anew, so J must agree bit for bit
+    prob = _preset_problem("two_level_ground_to_excited")
+    rng = np.random.default_rng(31)
+    n_xi, n_theta = int(prob.xi_mask.sum()), int(prob.theta_mask.sum())
+    first = prob.decision.values.copy()
+    first[prob.xi_mask] += rng.normal(0.0, 0.3, n_xi)
+    second = first.copy()
+    second[prob.xi_mask] += rng.normal(0.0, 0.3, n_xi)
+    third = second.copy()   # a theta write: a new bank revision
+    third[prob.theta_mask] += rng.normal(0.0, 0.05, n_theta)
+    every = np.ones_like(prob.xi_mask)
+    revisions = []
+    for point in (first, second, third):
+        for mask in (prob.xi_mask, every):
+            fresh = _preset_problem("two_level_ground_to_excited")
+            assert np.array_equal(prob.jacobian(point, mask), fresh.jacobian(point, mask))
+        revisions.append(prob.bank.revision)
+        for name, amap in prob.node_maps().items():
+            for kept, built in zip(amap, prob._exprs[name].affine(prob.nodes)):
+                assert np.array_equal(kept, built)
+    assert revisions[0] == revisions[1] != revisions[2]
+
+
+def test_xi_training_builds_each_node_map_once_per_revision(monkeypatch):
+    prob, schedule = _two_level(mode="xi", gn_max_iter=6)
+    built = []
+    affine = tfc.ConstrainedExpression.affine
+
+    def recorded(self, tau, *args, **kwargs):
+        if isinstance(tau, np.ndarray) and np.array_equal(tau, prob.nodes):
+            built.append(self)
+        return affine(self, tau, *args, **kwargs)
+
+    monkeypatch.setattr(tfc.ConstrainedExpression, "affine", recorded)
+    jacobians = _counting(monkeypatch, problems._Collocation, "jacobian")
+    revision = prob.bank.revision
+    report = optimize.train(prob, schedule)
+    assert report.iterations == 6 and jacobians["n"] == 6
+    assert prob.bank.revision == revision
+    assert sorted(map(id, built)) == sorted(map(id, prob._exprs.values()))
+
+
+def test_memoised_node_maps_are_read_only_and_dropped_with_the_revision():
+    prob = qoc_problem(costate_terminal_constraint=True)
+    values = prob.decision.values.copy()
+    maps = prob.node_maps()
+    arrays = [part for amap in maps.values() for part in amap if isinstance(part, np.ndarray)]
+    # psi and dpsi of all five unknowns, b and db of the two constrained ones
+    assert len(arrays) == 2 * 5 + 2 * 2
+    for part in arrays:
+        assert not part.flags.writeable
+        with pytest.raises(ValueError):
+            part[...] = 0.0
+    values[prob.xi_mask] += 1.0
+    prob._sync(values)
+    assert prob.node_maps() is maps
+    values[prob.theta_mask] += 1e-3
+    prob._sync(values)
+    assert prob.node_maps() is not maps
+
+
+def test_node_values_match_the_expressions_and_evaluate_no_residual(monkeypatch):
+    prob = qoc_problem()
+    values = prob.decision.values.copy()
+    values[prob.xi_mask] = np.random.default_rng(37).normal(0.0, 0.5, int(prob.xi_mask.sum()))
+    evaluations = _counting(monkeypatch, pmp, "residuals")
+    got = prob.node_values(values)
+    assert evaluations["n"] == 0
+    assert list(got) == list(prob._exprs)
+    for name, expr in prob._exprs.items():
+        assert np.allclose(got[name], expr.eval(prob.nodes)[0], rtol=0, atol=1e-12)
