@@ -108,8 +108,7 @@ def _build_model(system: str, params: dict) -> lindblad.SuperOperatorModel:
 def _build_schedule(train: dict) -> optimize.TrainSchedule:
     _check_keys(train, "train", ["mode"],
                 ["tolerance", "gn_max_iter", "gn_damping", "adam_lr",
-                 "adam_epochs", "joint_rounds", "joint_gn_steps",
-                 "joint_adam_steps"])
+                 "joint_rounds", "joint_gn_steps", "joint_adam_steps"])
     with _building("train section"):
         return optimize.TrainSchedule(**train)
 
@@ -139,8 +138,7 @@ def build_problem(cfg: dict):
         ocp = dict(cfg.get("ocp", {}))
         _check_keys(ocp, "ocp",
                     ["time_weight", "energy_weight", "reg_weight",
-                     "u_min", "u_max", "sat_steepness", "rho_init", "rho_target"],
-                    ["costate_terminal_constraint"])
+                     "u_min", "u_max", "sat_steepness", "rho_init", "rho_target"])
         with _building("ocp section"):
             ocp["rho_init"] = np.asarray(ocp["rho_init"], dtype=float)
             ocp["rho_target"] = np.asarray(ocp["rho_target"], dtype=float)
@@ -148,7 +146,7 @@ def build_problem(cfg: dict):
                 raise ConfigError(f"ocp boundary states must have length {model.dim}")
             lindblad.RealDensityVector(ocp["rho_init"])
             lindblad.RealDensityVector(ocp["rho_target"])
-            cfg_ocp = pmp.OcpConfig(t0=float(tfc_cfg["t0"]), **ocp)
+            cfg_ocp = pmp.OcpConfig(**ocp)
         with _building("tfc section"):
             morph = tfc.TimeMorph(float(tfc_cfg["t0"]), float(tfc_cfg["tau0"]),
                                   float(tfc_cfg["tauf"]), float(tfc_cfg["c_map_init"]))
@@ -299,7 +297,7 @@ def _feature_basis(problem) -> dict:
 
 def _solve_artifacts_qoc(problem, report, outdir: str, system: str) -> dict:
     model = problem.model
-    grid = _sample_grid(problem.cfg.t0, problem.final_time())
+    grid = _sample_grid(problem.morph.t0, problem.final_time())
     xs = problem.state_trajectory(grid)
     us = problem.control_trajectory(grid)
     n_pop = int(round(np.sqrt(model.dim)))
@@ -456,7 +454,9 @@ def build_parser() -> argparse.ArgumentParser:
     source = p.add_mutually_exclusive_group(required=True)
     source.add_argument("--config")
     source.add_argument("--preset")
-    p.add_argument("--mode", default=None, choices=["xi", "theta", "joint"])
+    p.add_argument("--mode", default=None, choices=["xi", "joint"],
+                   help="xi: Gauss-Newton on the output weights; joint: alternate it "
+                        "with Adam on the circuit parameters (default: the config's)")
     p.add_argument("--output", default="out")
     p.set_defaults(func=cmd_solve)
 

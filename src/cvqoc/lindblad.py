@@ -62,7 +62,8 @@ class SuperOperatorModel:
     """Affine-in-control real generator x_dot = L(u) x.
 
     generator(u) accepts a control vector of length n_controls;
-    generator_du[c] is the constant derivative with respect to control c.
+    generator_du[c] is the constant derivative with respect to control c,
+    held as one read-only float array of shape (n_controls, dim, dim).
     The model must be affine: generator(u) == generator(0) + sum_c u[c] *
     generator_du[c] for every u.  The closed-form Jacobian in pmp and the
     batched propagate_rk4 build G(u) from that form, not from generator(u).
@@ -71,13 +72,19 @@ class SuperOperatorModel:
     dim: int
     n_controls: int
     generator: callable
-    generator_du: list
+    generator_du: np.ndarray
 
     def __post_init__(self):
         if self.dim not in (4, 9):
             raise ValueError("supported dims are 4 and 9")
-        if len(self.generator_du) != self.n_controls:
-            raise ValueError("one derivative matrix per control is required")
+        du = np.array(self.generator_du)
+        if du.shape != (self.n_controls, self.dim, self.dim):
+            raise ValueError(f"generator_du must hold one {self.dim}x{self.dim} matrix "
+                             f"per control ({self.n_controls})")
+        if du.dtype.kind not in "iuf" or not np.all(np.isfinite(du)):
+            raise ValueError("generator_du entries must be real and finite")
+        self.generator_du = du.astype(float)
+        self.generator_du.flags.writeable = False
 
 
 def real_basis(d: int) -> list:
@@ -330,7 +337,7 @@ def propagate_rk4(model: SuperOperatorModel, x0: np.ndarray, u_of_t: callable,
     if not np.all(np.isfinite(us)):
         raise ValueError("control must be finite")
     drift = model.generator(np.zeros(n_controls)).reshape(dim * dim)
-    du = np.asarray(model.generator_du, dtype=float).reshape(n_controls, dim * dim)
+    du = model.generator_du.reshape(n_controls, dim * dim)
     eye = np.eye(dim)
     xs = np.empty((steps + 1, dim))
     xs[0] = x

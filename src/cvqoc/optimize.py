@@ -1,11 +1,11 @@
 """Nonlinear least-squares and stochastic training loops.
 
 Gauss-Newton with Levenberg-Marquardt damping handles the output-weight
-(and morph-rate) coordinates; Adam handles the circuit parameters; joint
-training alternates the two.  Both solvers take exact derivatives: every
-problem supplies the closed-form Jacobian of its residual, Gauss-Newton
-uses it and Adam takes the gradient J^T r / ||r|| of the residual norm from
-it.
+(and morph-rate) coordinates; Adam handles the circuit parameters in joint
+training, which alternates the two.  Both solvers take exact derivatives:
+every problem supplies the closed-form Jacobian of its residual,
+Gauss-Newton uses it and Adam takes the gradient J^T r / ||r|| of the
+residual norm from it.
 """
 
 from __future__ import annotations
@@ -243,18 +243,17 @@ def adam(loss_fn, z0: np.ndarray, *, grad_fn, lr: float = 0.01, max_epochs: int 
 
 @dataclass
 class TrainSchedule:
-    mode: str = "xi"           # xi | theta | joint
+    mode: str = "xi"           # xi | joint
     tolerance: float = 1e-6
     gn_max_iter: int = 50
     gn_damping: float = 1e-8
     adam_lr: float = 0.01
-    adam_epochs: int = 200
     joint_rounds: int = 5
     joint_gn_steps: int = 3
     joint_adam_steps: int = 25
 
     def __post_init__(self):
-        if self.mode not in ("xi", "theta", "joint"):
+        if self.mode not in ("xi", "joint"):
             raise ValueError(f"unknown training mode {self.mode!r}")
         if not 0 < self.tolerance < np.inf:
             raise ValueError("tolerance must be positive and finite")
@@ -262,26 +261,26 @@ class TrainSchedule:
             raise ValueError("adam_lr must be positive and finite")
         if not 0 <= self.gn_damping < np.inf:
             raise ValueError(f"gn_damping must be finite and non-negative, got {self.gn_damping!r}")
-        for name in ("gn_max_iter", "adam_epochs", "joint_rounds",
-                     "joint_gn_steps", "joint_adam_steps"):
+        for name in ("gn_max_iter", "joint_rounds", "joint_gn_steps", "joint_adam_steps"):
             if type(value := getattr(self, name)) is not int or value < 0:   # bool too
                 raise ValueError(f"{name} must be a non-negative integer, got {value!r}")
 
 
 def train(problem, schedule: TrainSchedule, callback=None):
-    """Run the selected training mode on a collocation problem.
+    """Train a collocation problem: mode xi fits the output weights (and
+    scalars) by Gauss-Newton; joint alternates Gauss-Newton bursts on them
+    with Adam bursts on the circuit parameters.
 
     The problem must expose: decision (DecisionVector), xi_mask, theta_mask
     (boolean coordinate masks), residual(values) -> array,
     jacobian(values, mask) -> the residual's Jacobian on the mask
     coordinates, and bounds() giving box constraints as (index, lo, hi) in
     full coordinates.  Each solver is handed the Jacobian on the mask it
-    fits.  Every mode minimises the residual norm ||r||: Gauss-Newton on the
-    weights, Adam on the circuit parameters with the gradient J^T r / ||r||.
-    callback, when given, is invoked as callback(epoch, full_values, loss)
-    after every accepted optimizer step.  The report's stop_reason is the
-    solver's in xi and theta mode; joint runs that end above the tolerance
-    stop at their round budget (max_iter).
+    fits.  Both solvers minimise the residual norm ||r||, Adam with the
+    gradient J^T r / ||r||.  callback, when given, is invoked as
+    callback(epoch, full_values, loss) after every accepted optimizer step.
+    The report's stop_reason is Gauss-Newton's in xi mode; joint runs that
+    end above the tolerance stop at their round budget (max_iter).
     """
     start = time.perf_counter()
     bounds = problem.bounds()
@@ -331,11 +330,6 @@ def train(problem, schedule: TrainSchedule, callback=None):
     # a joint schedule without Adam steps is exactly xi-only training
     if schedule.mode == "xi" or (schedule.mode == "joint" and schedule.joint_adam_steps == 0):
         report = fit(problem.xi_mask, 0, newton(schedule.gn_max_iter))
-        report.wall_time = time.perf_counter() - start
-        return report
-
-    if schedule.mode == "theta":
-        report = fit(problem.theta_mask, 0, descent(schedule.adam_epochs))
         report.wall_time = time.perf_counter() - start
         return report
 

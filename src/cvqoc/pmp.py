@@ -11,11 +11,10 @@ Hamiltonian to minus the time weight.
 The state is fixed at both ends, so the minimum principle puts no condition
 on the costate at the final time: lambda(t_f) is a free multiplier and
 H(t_f) = -time_weight is the only terminal condition (Kirk, Optimal Control
-Theory, 1970, sec. 5.1).  That is the default.  ``costate_terminal_constraint``
-pins lambda(t_f) = costate_final, the transversality condition of a free
-terminal state; no shipped problem has a free terminal state, and with the
-state also pinned the pair over-constrains the problem (lambda = 0 then
-makes H(t_f) a sum of squares, which cannot equal -time_weight).
+Theory, 1970, sec. 5.1).  Pinning lambda(t_f) = 0 as well, the
+transversality condition of a free terminal state, would over-constrain the
+problem: with u = phi(nu) met, H(t_f) is then w_E |u|^2 + w_R |nu|^2 >= 0,
+which cannot equal -time_weight.
 
 Every unknown is a tfc.ConstrainedExpression: feature rows times the
 unknown's output weights, plus the boundary terms.  residuals gathers their
@@ -47,12 +46,8 @@ class OcpConfig:
     sat_steepness: float
     rho_init: np.ndarray
     rho_target: np.ndarray
-    costate_final: np.ndarray = None   # lambda(t_f) when pinned; zeros
-    t0: float = 0.0
-    costate_terminal_constraint: bool = False   # pin lambda(t_f); free by default
 
     def __post_init__(self):
-        # t0 is the time morph's, checked with it
         if not np.all(np.isfinite([self.time_weight, self.energy_weight, self.reg_weight,
                                    self.u_min, self.u_max, self.sat_steepness])):
             raise ValueError("cost weights, control bounds and steepness must be finite")
@@ -64,9 +59,6 @@ class OcpConfig:
             raise ValueError("saturation steepness must be positive")
         self.rho_init = np.asarray(self.rho_init, dtype=float)
         self.rho_target = np.asarray(self.rho_target, dtype=float)
-        if self.costate_final is None:
-            self.costate_final = np.zeros_like(self.rho_init)
-        self.costate_final = np.asarray(self.costate_final, dtype=float)
 
     @property
     def u_span(self) -> float:
@@ -140,11 +132,10 @@ class UnknownSet:
     """TFC approximants for every unknown of the boundary value problem.
 
     Each is a constrained expression over feature rows with its own output
-    weights.  expr_state carries two-point constraints, expr_costate is
-    unconstrained (or pinned to costate_final at the final time when
-    costate_terminal_constraint is set), and the control-side unknowns are
-    unconstrained: the features times the weights.  All share one TimeMorph
-    whose c_map doubles as the free-final-time decision scalar.  The field
+    weights.  expr_state carries two-point constraints; expr_costate and
+    the control-side unknowns are unconstrained: the features times the
+    weights.  All share one TimeMorph whose c_map doubles as the
+    free-final-time decision scalar.  The field
     order is the order of the node values in residual_partials.
     """
 
@@ -203,7 +194,7 @@ def _gradient(x, lam, u, nu, beta, gen, cfg: OcpConfig, model: SuperOperatorMode
     node, (N, dim, dim).  grad H takes its products as stacked mat-vecs, so
     each node's value is bit for bit that of the same product on the node
     alone."""
-    gdu = np.array(model.generator_du)                                   # (nc, dim, dim)
+    gdu = model.generator_du                                             # (nc, dim, dim)
     g_x = (gdu @ x[:, None, :, None])[..., 0]
     phi_d = saturation_dnu(nu, cfg)
     lam_g_x = (lam[:, None, None, :] @ g_x[..., None])[..., 0, 0]
@@ -258,8 +249,7 @@ def residual_partials(maps: list, weights: list, c_map: float, cfg: OcpConfig,
     xdot, lamdot = (m.dpsi @ w + m.db for m, w in zip(maps[:2], weights[:2]))
     n, dim = x.shape
     nc = u.shape[1]
-    gen = model.generator(np.zeros(nc)) + np.einsum("ic,cab->iab", u,
-                                                    np.array(model.generator_du))
+    gen = model.generator(np.zeros(nc)) + np.einsum("ic,cab->iab", u, model.generator_du)
     g = _gradient(x, lam, u, nu, beta, gen, cfg, model)
     # where each of the C values starts; family k's rows are as wide as value k
     at = np.cumsum([0, dim, dim, nc, nc, nc, dim, dim, 1])

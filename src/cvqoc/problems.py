@@ -401,22 +401,22 @@ class OdeBenchmarkProblem(_Collocation):
 
 class QocProblem(_Collocation):
     """PMP collocation problem for a superoperator model with box-bounded
-    controls and free final time (decision scalar: morph rate)."""
+    controls and free final time (decision scalar: morph rate, kept within
+    c_map_bounds); the state is pinned at both ends, the costate is free."""
+
+    c_map_bounds = (0.05, 20.0)
 
     def __init__(self, bank: cvqnn.QnnBank, cfg: pmp.OcpConfig,
-                 model: SuperOperatorModel, morph: TimeMorph, n_nodes: int,
-                 c_map_bounds: tuple = (0.05, 20.0)):
+                 model: SuperOperatorModel, morph: TimeMorph, n_nodes: int):
         dim, nc = model.dim, model.n_controls
-        pinned = [BoundaryConstraint("final", cfg.costate_final)]
         super().__init__(bank, morph, n_nodes, {
             "xi_state": (dim, [BoundaryConstraint("initial", cfg.rho_init),
                                BoundaryConstraint("final", cfg.rho_target)]),
-            "xi_costate": (dim, pinned if cfg.costate_terminal_constraint else []),
+            "xi_costate": (dim, []),
             "xi_u": (nc, []), "xi_nu": (nc, []), "xi_beta": (nc, []),
         }, {"c_map": morph.c_map}, rates=("xi_state", "xi_costate"))
         self.cfg = cfg
         self.model = model
-        self.c_map_bounds = c_map_bounds
         self.unknowns = pmp.UnknownSet(*self._exprs.values())
         self._last = None   # (values, ResidualVector) of the last evaluation
 
@@ -484,6 +484,6 @@ class QocProblem(_Collocation):
         self._sync(self.decision.values)
         ts, xs = lindblad.propagate_rk4(self.model, self.cfg.rho_init,
                                         self.control_function(),
-                                        self.cfg.t0, self.morph.tf, steps)
+                                        self.morph.t0, self.morph.tf, steps)
         gap = float(np.linalg.norm(xs[-1] - self.cfg.rho_target))
         return ts, xs, gap

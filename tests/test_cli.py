@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import warnings
@@ -5,7 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
-from cvqoc import cli, lindblad, problems
+from cvqoc import cli, lindblad, optimize, pmp, problems
 
 
 def run(argv):
@@ -247,7 +248,7 @@ def test_solve_reports_feature_basis(preset, tmp_path):
     assert 1 <= report["feature_rank"] <= n_features
 
 
-@pytest.mark.parametrize("mode", ["theta", "joint"])
+@pytest.mark.parametrize("mode", ["xi", "joint"])
 def test_solve_benchmark_log_matches_report(mode, tmp_path):
     # every mode logs the loss it reports: the residual norm
     out = tmp_path / mode
@@ -521,21 +522,56 @@ def test_presets_all_parse():
                  "two_level_to_superposition", "three_level_pop_inversion"):
         cfg = cli.load_config(cli.preset_path(name))
         problem, schedule, system = cli.build_problem(cfg)
-        assert schedule.mode in ("xi", "theta", "joint")
+        assert schedule.mode in ("xi", "joint")
 
 
 @pytest.mark.parametrize("pin", [None, False, True])
 def test_costate_terminal_constraint_key(pin):
+    # lambda(t_f) is free; the key that pinned it is a config error, even
+    # set to false
     cfg = cli.load_config(cli.preset_path("two_level_ground_to_excited"))
     if pin is not None:
         cfg["ocp"]["costate_terminal_constraint"] = pin
+        with pytest.raises(cli.ConfigError, match="'ocp': costate_terminal_constraint"):
+            cli.build_problem(cfg)
+        return
     problem, _, _ = cli.build_problem(cfg)
     values = problem.decision.values.copy()
     values[problem.decision.blocks["xi_costate"]] = 1.0
     problem._sync(values)
     lam_f, _ = problem.unknowns.expr_costate.eval(problem.morph.tauf)
-    # lambda(t_f) is free unless the config pins it explicitly
-    assert (np.max(np.abs(lam_f)) < 1e-12) == bool(pin)
+    assert np.max(np.abs(lam_f)) > 1e-3
+
+
+@pytest.mark.parametrize("section, owner, name", [
+    ("train", optimize, "TrainSchedule"), ("ocp", pmp, "OcpConfig")])
+def test_every_schedule_and_ocp_field_is_set_from_its_own_key(section, owner, name,
+                                                              monkeypatch):
+    # a field no config key reaches is an option no input can use
+    cls = getattr(owner, name)
+    cfg = cli.load_config(cli.preset_path("two_level_ground_to_excited"))
+    cfg[section] = {f.name: cfg[section].get(f.name, f.default)
+                    for f in dataclasses.fields(cls)}
+    seen = {}
+
+    def recorded(**kwargs):
+        seen.update(kwargs)
+        return cls(**kwargs)
+
+    monkeypatch.setattr(owner, name, recorded)
+    cli.build_problem(cfg)
+    assert sorted(seen) == sorted(cfg[section])
+    for key, value in cfg[section].items():
+        assert np.array_equal(seen[key], value)
+
+
+def test_solve_mode_theta_exits_2(capsys):
+    # Adam on the circuit parameters alone is no mode: at the zero weights
+    # a solve starts from, the residual does not depend on them
+    with pytest.raises(SystemExit) as exc:
+        run(["solve", "--preset", "two_level_ground_to_excited", "--mode", "theta"])
+    assert exc.value.code == 2
+    assert "'theta'" in capsys.readouterr().err
 
 
 
@@ -557,11 +593,13 @@ BAD_SOLVE_CONFIGS = {
     "negative_gn_max_iter": ("train", "gn_max_iter", -1),
     "fractional_gn_max_iter": ("train", "gn_max_iter", 2.5),
     "fractional_joint_rounds": ("train", "joint_rounds", 1.5),
-    "negative_adam_epochs": ("train", "adam_epochs", -1),
+    "removed_adam_epochs": ("train", "adam_epochs", 200),
+    "removed_theta_mode": ("train", "mode", "theta"),
     "negative_joint_rounds": ("train", "joint_rounds", -1),
     "negative_joint_gn_steps": ("train", "joint_gn_steps", -1),
     "negative_joint_adam_steps": ("train", "joint_adam_steps", -1),
     "removed_fd_h": ("train", "fd_h", 1e-6),
+    "removed_costate_terminal_constraint": ("ocp", "costate_terminal_constraint", True),
     "infinite_tolerance": ("train", "tolerance", np.inf),
     "infinite_adam_lr": ("train", "adam_lr", np.inf),
     "nan_gn_damping": ("train", "gn_damping", np.nan),
@@ -625,7 +663,7 @@ def test_bad_config_value_exits_2(case, tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error:")
     assert f"'{section}'" in err or f"bad {section} section" in err
-    if case in BAD_PROPAGATE_CONFIGS:
+    if case in BAD_PROPAGATE_CONFIGS or case.startswith("removed_"):
         assert key in err
 
 

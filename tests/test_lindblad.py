@@ -159,6 +159,24 @@ def test_shipped_models_are_affine(model):
         assert np.max(np.abs(model.generator(u) - affine)) < 1e-15
 
 
+def test_model_holds_generator_du_as_one_read_only_array():
+    for model in (two_level_model(P), three_level_model(ThreeLevelParams())):
+        du = model.generator_du
+        assert du.dtype == float and du.shape == (model.n_controls, model.dim, model.dim)
+        with pytest.raises(ValueError):
+            du[0, 0, 0] = 1.0
+
+    def never(u):   # the model checks its derivatives without building a generator
+        raise AssertionError("generator called")
+
+    du = two_level_generator_du(P)
+    lindblad.SuperOperatorModel(dim=4, n_controls=1, generator=never, generator_du=[du])
+    for bad in ([du, du], [du[:3, :3]], [np.where(du == 0.0, np.nan, du)], [1j * du]):
+        with pytest.raises(ValueError, match="generator_du"):
+            lindblad.SuperOperatorModel(dim=4, n_controls=1, generator=never,
+                                        generator_du=bad)
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_rk4_rejects_nonfinite_control(bad):
     model = three_level_model(ThreeLevelParams())

@@ -270,15 +270,11 @@ def test_train_modes_run():
     assert rep.loss_history[-1] <= rep.loss_history[0]
 
     prob2 = ToyProblem()
-    rep2 = optimize.train(prob2, TrainSchedule(mode="theta", tolerance=1e-8,
-                                               adam_epochs=20))
-    assert rep2.final_loss == rep2.loss_history[-1]
-
-    prob3 = ToyProblem()
-    rep3 = optimize.train(prob3, TrainSchedule(mode="joint", tolerance=1e-8,
+    rep2 = optimize.train(prob2, TrainSchedule(mode="joint", tolerance=1e-8,
                                                joint_rounds=2, joint_gn_steps=3,
                                                joint_adam_steps=5))
-    assert rep3.final_loss <= rep3.loss_history[0]
+    assert rep2.final_loss <= rep2.loss_history[0]
+    assert rep2.final_loss == rep2.loss_history[-1]
 
 
 def test_joint_with_zero_adam_steps_equals_xi_only():
@@ -357,11 +353,7 @@ def test_train_carries_stop_reason():
     rep = optimize.train(ToyProblem(), TrainSchedule(mode="xi", tolerance=1e-8,
                                                      gn_max_iter=1))
     assert rep.stop_reason == "max_iter"
-    rep = optimize.train(ToyProblem(), TrainSchedule(mode="theta", tolerance=1e-8,
-                                                     adam_epochs=3))
-    assert (rep.stop_reason, rep.iterations) == ("max_iter", 3)
-    rep = optimize.train(ToyProblem(), TrainSchedule(mode="theta", tolerance=1e3,
-                                                     adam_epochs=3))
+    rep = optimize.train(ToyProblem(), TrainSchedule(mode="joint", tolerance=1e3))
     assert (rep.stop_reason, rep.iterations) == ("converged", 0)
     rep = optimize.train(ToyProblem(), TrainSchedule(mode="joint", tolerance=1e-8,
                                                      joint_rounds=1, joint_gn_steps=2,
@@ -374,8 +366,6 @@ def test_train_carries_stop_reason():
 TRAIN_PINS = {
     "xi": (TrainSchedule(mode="xi", tolerance=1e-10, gn_max_iter=3), 15,
            [2.2996874441415915, 2.299687444141591, 2.299687444141591]),
-    "theta": (TrainSchedule(mode="theta", tolerance=1e-10, adam_epochs=3), 7,
-              [2.6367381422907163, 2.6365302150448175, 2.636334846013062]),
     "joint": (TrainSchedule(mode="joint", tolerance=1e-10, joint_rounds=2,
                             joint_gn_steps=2, joint_adam_steps=2), 30,
               [2.2996874441415915, 2.299687444141591, 2.2996197443109274,
@@ -467,6 +457,3 @@ def test_train_reports_the_gauss_newton_iterations_of_every_burst(monkeypatch):
     rep = optimize.train(ToyProblem(), TrainSchedule(mode="xi", tolerance=1e-10,
                                                      gn_max_iter=3))
     assert rep.gn_iterations == bursts[2] and len(rep.gn_iterations) == rep.iterations
-    rep = optimize.train(ToyProblem(), TrainSchedule(mode="theta", tolerance=1e-10,
-                                                     adam_epochs=3))
-    assert rep.gn_iterations == [] and rep.to_dict()["gn_iterations"] == []

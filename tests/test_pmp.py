@@ -25,17 +25,15 @@ def const_features(values):
     return f
 
 
-def make_unknowns(cfg, morph, u_val=0.0, nu_val=0.0, beta_val=0.0,
-                  state_features=None, costate_features=None):
+def make_unknowns(cfg, morph, u_val=0.0, nu_val=0.0, beta_val=0.0, state_features=None):
     dim = cfg.rho_init.shape[0]
     return pmp.UnknownSet(
         expr_state=ConstrainedExpression(
             state_features or const_features(np.zeros(dim)), np.eye(dim),
             [BoundaryConstraint("initial", cfg.rho_init),
              BoundaryConstraint("final", cfg.rho_target)], morph),
-        expr_costate=ConstrainedExpression(
-            costate_features or const_features(np.zeros(dim)), np.eye(dim),
-            [BoundaryConstraint("final", cfg.costate_final)], morph),
+        expr_costate=ConstrainedExpression(const_features(np.zeros(dim)), np.eye(dim), [],
+                                           morph),
         expr_control=ConstrainedExpression(const_features([u_val]), np.eye(1), [], morph),
         expr_sat_input=ConstrainedExpression(const_features([nu_val]), np.eye(1), [], morph),
         expr_multiplier=ConstrainedExpression(const_features([beta_val]), np.eye(1), [],
@@ -103,8 +101,6 @@ def test_ocp_config_validation():
         make_cfg(u_min=1.0, u_max=-1.0)
     with pytest.raises(ValueError):
         make_cfg(sat_steepness=0.0)
-    cfg = make_cfg()
-    assert np.array_equal(cfg.costate_final, np.zeros(4))
 
 
 def test_hamiltonian_trivial_cases():
@@ -217,11 +213,6 @@ def test_boundary_rows_have_no_boundary_error():
     xf, _ = unknowns.expr_state.eval(MORPH.tauf)
     assert np.max(np.abs(x0 - cfg.rho_init)) < 1e-12
     assert np.max(np.abs(xf - cfg.rho_target)) < 1e-12
-
-
-def test_costate_constraint_optional():
-    cfg = make_cfg(costate_terminal_constraint=False)
-    assert cfg.costate_terminal_constraint is False
 
 
 def monomial_features(n_rows):

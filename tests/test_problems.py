@@ -21,15 +21,15 @@ def dsigma_oracle(bank, tau, h=1e-3):
     return (4.0 * cvqnn.forward_dtau(bank, tau, h / 2) - cvqnn.forward_dtau(bank, tau, h)) / 3.0
 
 
-def qoc_problem(seed=7, n_nodes=8, **ocp):
+def qoc_problem(seed=7, n_nodes=8, t0=0.0):
     bank = cvqnn.random_bank(6, 2, 10, np.random.default_rng(seed),
                              squeeze_scale=0.1, disp_scale=0.3, kerr_scale=0.15)
     cfg = pmp.OcpConfig(time_weight=1.0, energy_weight=1.0, reg_weight=1e-2,
                         u_min=-2.0, u_max=2.0, sat_steepness=1.0,
                         rho_init=np.array([1.0, 0.0, 0.0, 0.0]),
-                        rho_target=np.array([0.05, 0.95, 0.0, 0.0]), **ocp)
+                        rho_target=np.array([0.05, 0.95, 0.0, 0.0]))
     model = lindblad.two_level_model(lindblad.TwoLevelParams())
-    morph = TimeMorph(0.0, -0.8, 0.8, 0.4)
+    morph = TimeMorph(t0, -0.8, 0.8, 0.4)
     return problems.QocProblem(bank, cfg, model, morph, n_nodes)
 
 
@@ -106,8 +106,7 @@ def test_qoc_decision_layout():
 
 
 def test_qoc_boundaries_exact_for_any_decision():
-    # lambda(t_f) is free by default; pin it so every boundary is checked
-    prob = qoc_problem(costate_terminal_constraint=True)
+    prob = qoc_problem()
     rng = np.random.default_rng(0)
     values = prob.decision.values.copy()
     values[prob.xi_mask] = rng.normal(0.0, 0.5, int(prob.xi_mask.sum()))
@@ -115,8 +114,6 @@ def test_qoc_boundaries_exact_for_any_decision():
     assert prob.terminal_state_error() < 1e-10
     x0, _ = prob.unknowns.expr_state.eval(prob.morph.tau0)
     assert np.max(np.abs(x0 - prob.cfg.rho_init)) < 1e-12
-    lamf, _ = prob.unknowns.expr_costate.eval(prob.morph.tauf)
-    assert np.max(np.abs(lamf)) < 1e-12
 
 
 def test_qoc_residual_matches_pmp_contract():
@@ -144,6 +141,15 @@ def test_qoc_verify_rk4_runs():
     assert ts.shape[0] == xs.shape[0] == 201
     assert np.max(np.abs(xs[:, 0] + xs[:, 1] - 1.0)) < 1e-9
     assert gap >= 0.0
+
+
+def test_qoc_verify_rk4_spans_the_trained_horizon():
+    # the horizon starts at the time morph's t0, whatever it is
+    prob = qoc_problem(n_nodes=6, t0=1.0)
+    ts, _, _ = prob.verify_rk4(steps=200)
+    morph = prob.morph
+    assert ts[0] == morph.t0 == 1.0
+    assert ts[-1] - ts[0] == morph.tf - morph.t0
 
 
 def test_qoc_control_function_clamps_endpoints():
@@ -255,7 +261,7 @@ def test_weighted_kernel_matches_table_and_forward():
 
 
 def test_state_through_weighted_kernel_matches_amplitude_path():
-    prob = qoc_problem(costate_terminal_constraint=True)
+    prob = qoc_problem()
     values = prob.decision.values.copy()
     values[prob.xi_mask] = np.random.default_rng(8).normal(0.0, 0.5, int(prob.xi_mask.sum()))
     prob.decision.replace(values)
@@ -289,7 +295,7 @@ def test_control_function_on_scalar_and_array_times():
 
 
 def test_array_eval_matches_scalar_calls_and_boundaries():
-    prob = qoc_problem(costate_terminal_constraint=True)
+    prob = qoc_problem()
     rng = np.random.default_rng(2)
     values = prob.decision.values.copy()
     values[prob.xi_mask] = rng.normal(0.0, 0.5, int(prob.xi_mask.sum()))
@@ -309,7 +315,6 @@ def test_array_eval_matches_scalar_calls_and_boundaries():
     x = u.expr_state.eval(taus)[0]
     assert np.max(np.abs(x[0] - prob.cfg.rho_init)) < 1e-12
     assert np.max(np.abs(x[-1] - prob.cfg.rho_target)) < 1e-12
-    assert np.max(np.abs(u.expr_costate.eval(taus)[0][-1])) < 1e-12
     with pytest.raises(ValueError):
         u.expr_state.eval(np.array([0.0, m.tauf + 1e-6]))
 
@@ -402,7 +407,7 @@ def test_closed_form_c_map_column_is_one_sided_on_the_bound():
 
 
 def test_affine_map_reproduces_expression_values():
-    prob = qoc_problem(costate_terminal_constraint=True)
+    prob = qoc_problem()
     values = prob.decision.values.copy()
     values[prob.xi_mask] = np.random.default_rng(9).normal(0.0, 0.5, int(prob.xi_mask.sum()))
     prob._sync(values)
@@ -540,10 +545,10 @@ def test_closed_form_theta_columns_match_finite_differences(preset):
     assert np.array_equal(full[:, prob.xi_mask], prob.jacobian(values))
 
 
-def test_closed_form_jacobian_with_a_pinned_costate_matches_finite_differences():
-    # lambda(t_f) pinned: the costate's maps carry switching terms, in the
+def test_closed_form_jacobian_on_every_coordinate_matches_finite_differences():
+    # the state's two-point constraints carry switching terms, in the
     # weight, theta and c_map columns alike
-    prob = qoc_problem(costate_terminal_constraint=True)
+    prob = qoc_problem()
     rng = np.random.default_rng(41)
     values = prob.decision.values.copy()
     values[prob.xi_mask] += rng.normal(0.0, 0.3, int(prob.xi_mask.sum()))
@@ -630,12 +635,12 @@ def test_joint_training_costs_one_residual_and_one_jacobian_per_adam_epoch(monke
     assert bursts == [(3, 3, ["theta"] * 3)]
 
 
-@pytest.mark.parametrize("mode", ["theta", "joint"])
+@pytest.mark.parametrize("mode", ["joint"])
 def test_train_hands_adam_the_gradient_of_its_loss(mode, monkeypatch):
     # Adam's steps barely depend on the gradient's scale, so compare the
     # gradient itself with differences of the loss Adam is given
-    prob, schedule = _two_level(mode=mode, adam_epochs=1, joint_rounds=1,
-                                joint_gn_steps=0, joint_adam_steps=1)
+    prob, schedule = _two_level(mode=mode, joint_rounds=1, joint_gn_steps=0,
+                                joint_adam_steps=1)
     xi = prob.xi_mask
     prob.decision.values[xi] = np.random.default_rng(29).normal(0.0, 0.3, int(xi.sum()))
     values = prob.decision.values.copy()
@@ -651,7 +656,7 @@ def test_train_hands_adam_the_gradient_of_its_loss(mode, monkeypatch):
     optimize.train(prob, schedule)
     (loss, exact, diff), = seen
     assert np.max(np.abs(exact - diff)) <= 1e-6 * np.max(np.abs(diff))
-    # in both modes Adam descends the residual norm: J^T r / ||r||
+    # Adam descends the residual norm: J^T r / ||r||
     r = prob.residual(values)
     assert loss == np.linalg.norm(r)
     jac = prob.jacobian(values, prob.theta_mask)
@@ -703,12 +708,12 @@ def test_xi_training_builds_each_node_map_once_per_revision(monkeypatch):
 
 
 def test_memoised_node_maps_are_read_only_and_dropped_with_the_revision():
-    prob = qoc_problem(costate_terminal_constraint=True)
+    prob = qoc_problem()
     values = prob.decision.values.copy()
     maps = prob.node_maps()
     arrays = [part for amap in maps.values() for part in amap if isinstance(part, np.ndarray)]
-    # psi and dpsi of all five unknowns, b and db of the two constrained ones
-    assert len(arrays) == 2 * 5 + 2 * 2
+    # psi and dpsi of all five unknowns, b and db of the constrained state
+    assert len(arrays) == 2 * 5 + 2
     for part in arrays:
         assert not part.flags.writeable
         with pytest.raises(ValueError):
