@@ -65,12 +65,12 @@ def preset_path(name: str) -> str:
 
 @contextlib.contextmanager
 def _building(what: str):
-    """Report a ValueError, TypeError or OSError raised while building objects
-    from a config section or command-line arguments as a ConfigError naming
-    them."""
+    """Report a ValueError, TypeError, OSError or OverflowError (an integer
+    too large for a float) raised while building objects from a config
+    section or command-line arguments as a ConfigError naming them."""
     try:
         yield
-    except (OSError, TypeError, ValueError) as exc:
+    except (OSError, OverflowError, TypeError, ValueError) as exc:
         raise ConfigError(f"bad {what}: {exc}")
 
 
@@ -81,36 +81,45 @@ def _count(section: dict, key: str) -> int:
     return value
 
 
+def _real(section: dict, key: str, vector: bool = False):
+    """A number config value, an int or a float, as a float, or with vector
+    a list of numbers as a float array; a bool or a string is an error."""
+    value = section[key]
+    entries = value if vector and type(value) is list else [value]
+    if any(type(v) not in (int, float) for v in entries):
+        raise ValueError(f"{key} must be {'numbers' if vector else 'a number'}, got {value!r}")
+    return np.array(value, dtype=float) if vector else float(value)
+
+
 def _build_bank(qnn: dict) -> cvqnn.QnnBank:
-    _check_keys(qnn, "qnn", ["n_features", "depth", "cutoff", "seed"],
-                ["passive_high", "squeeze_scale", "disp_scale", "kerr_scale"])
+    scales = ("squeeze_scale", "disp_scale", "kerr_scale")
+    _check_keys(qnn, "qnn", ["n_features", "depth", "cutoff", "seed"], scales)
     with _building("qnn section"):
         rng = np.random.default_rng(_count(qnn, "seed"))
-        kwargs = {k: float(qnn[k]) for k in
-                  ("passive_high", "squeeze_scale", "disp_scale", "kerr_scale")
-                  if k in qnn}
+        kwargs = {k: _real(qnn, k) for k in scales if k in qnn}
         return cvqnn.random_bank(_count(qnn, "n_features"), _count(qnn, "depth"),
                                  _count(qnn, "cutoff"), rng, **kwargs)
 
 
 def _build_model(system: str, params: dict) -> lindblad.SuperOperatorModel:
     """The two- or three-level model from a strictly checked system_params."""
-    if system == "two-level":
-        _check_keys(params, "system_params", [],
-                    ["gamma_eg", "gamma_ge", "omega_x", "omega_z"])
-        with _building("system_params section"):
-            return lindblad.two_level_model(lindblad.TwoLevelParams(**params))
-    _check_keys(params, "system_params", [], ["delta", "delta1"])
+    two = system == "two-level"
+    _check_keys(params, "system_params", [],
+                ["gamma_eg", "gamma_ge", "omega_x", "omega_z"] if two else ["delta", "delta1"])
     with _building("system_params section"):
+        params = {k: _real(params, k) for k in params}
+        if two:
+            return lindblad.two_level_model(lindblad.TwoLevelParams(**params))
         return lindblad.three_level_model(lindblad.ThreeLevelParams(**params))
 
 
 def _build_schedule(train: dict) -> optimize.TrainSchedule:
     _check_keys(train, "train", ["mode"],
-                ["tolerance", "gn_max_iter", "gn_damping", "adam_lr",
+                ["tolerance", "gn_max_iter", "adam_lr",
                  "joint_rounds", "joint_gn_steps", "joint_adam_steps"])
     with _building("train section"):
-        return optimize.TrainSchedule(**train)
+        return optimize.TrainSchedule(**{k: _real(train, k) if k in ("tolerance", "adam_lr")
+                                         else v for k, v in train.items()})
 
 
 def build_problem(cfg: dict):
@@ -126,30 +135,30 @@ def build_problem(cfg: dict):
         _check_keys(tfc_cfg, "tfc", ["n_nodes", "tau0", "tauf", "t0", "t_final"])
         _check_keys(cfg.get("benchmark", {}), "benchmark", ["rate", "y0"])
         with _building("benchmark section"):
-            rate, y0 = float(cfg["benchmark"]["rate"]), float(cfg["benchmark"]["y0"])
+            rate, y0 = _real(cfg["benchmark"], "rate"), _real(cfg["benchmark"], "y0")
         with _building("tfc section"):
-            morph = tfc.TimeMorph.from_times(float(tfc_cfg["t0"]), float(tfc_cfg["t_final"]),
-                                             float(tfc_cfg["tau0"]), float(tfc_cfg["tauf"]))
+            morph = tfc.TimeMorph.from_times(*(_real(tfc_cfg, k)
+                                               for k in ("t0", "t_final", "tau0", "tauf")))
             problem = problems.OdeBenchmarkProblem(bank, morph, _count(tfc_cfg, "n_nodes"),
                                                    rate=rate, y0=y0)
     elif system in ("two-level", "three-level"):
         _check_keys(tfc_cfg, "tfc", ["n_nodes", "tau0", "tauf", "t0", "c_map_init"])
         model = _build_model(system, cfg.get("system_params", {}))
-        ocp = dict(cfg.get("ocp", {}))
+        ocp = cfg.get("ocp", {})
+        states = ("rho_init", "rho_target")
         _check_keys(ocp, "ocp",
                     ["time_weight", "energy_weight", "reg_weight",
-                     "u_min", "u_max", "sat_steepness", "rho_init", "rho_target"])
+                     "u_min", "u_max", "sat_steepness", *states])
         with _building("ocp section"):
-            ocp["rho_init"] = np.asarray(ocp["rho_init"], dtype=float)
-            ocp["rho_target"] = np.asarray(ocp["rho_target"], dtype=float)
-            if ocp["rho_init"].shape != (model.dim,) or ocp["rho_target"].shape != (model.dim,):
-                raise ConfigError(f"ocp boundary states must have length {model.dim}")
-            lindblad.RealDensityVector(ocp["rho_init"])
-            lindblad.RealDensityVector(ocp["rho_target"])
+            ocp = {k: _real(ocp, k, vector=k in states) for k in ocp}
+            for k in states:
+                if ocp[k].shape != (model.dim,):
+                    raise ConfigError(f"ocp boundary states must have length {model.dim}")
+                lindblad.RealDensityVector(ocp[k])
             cfg_ocp = pmp.OcpConfig(**ocp)
         with _building("tfc section"):
-            morph = tfc.TimeMorph(float(tfc_cfg["t0"]), float(tfc_cfg["tau0"]),
-                                  float(tfc_cfg["tauf"]), float(tfc_cfg["c_map_init"]))
+            morph = tfc.TimeMorph(*(_real(tfc_cfg, k)
+                                    for k in ("t0", "tau0", "tauf", "c_map_init")))
             problem = problems.QocProblem(bank, cfg_ocp, model, morph,
                                           _count(tfc_cfg, "n_nodes"))
     else:
@@ -251,7 +260,8 @@ def cmd_propagate(args) -> int:
     prop = cfg["propagate"]
     _check_keys(prop, "propagate", ["x0", "t0", "tf", "steps"])
     model = _build_model(args.system, cfg["system_params"])
-    x0 = np.asarray(prop["x0"], dtype=float)
+    with _building("propagate section"):
+        x0 = _real(prop, "x0", vector=True)
     if x0.shape != (model.dim,):
         raise ConfigError(f"x0 must have length {model.dim}")
     header, data = read_csv(args.control)
@@ -268,7 +278,7 @@ def cmd_propagate(args) -> int:
         # np.interp needs increasing sample times
         if not (np.all(np.isfinite(t_ctrl)) and np.all(np.diff(t_ctrl) > 0)):
             raise ValueError("control times must be finite and strictly increasing")
-        t0, tf = float(prop["t0"]), float(prop["tf"])
+        t0, tf = _real(prop, "t0"), _real(prop, "tf")
         # np.interp would hold the control at its end value outside the
         # table; non-finite times are left to propagate_rk4 to name
         if (np.isfinite(t0) and np.isfinite(tf)

@@ -200,20 +200,17 @@ def forward_dtau(bank: QnnBank, tau: float, h: float = 1e-4) -> np.ndarray:
 
 
 def random_bank(n_features: int, depth: int, cutoff: int, rng: np.random.Generator,
-                passive_high: float = 2 * np.pi, squeeze_scale: float = 0.05,
-                disp_scale: float = 0.05, kerr_scale: float = 0.05) -> QnnBank:
-    """Bank with passive angles uniform in [0, passive_high) and active
-    parameters drawn normal with the given standard deviations.  depth must
-    be at least 1: a circuit without units has no parameters, and all its
-    features are the same sqrt(2) tau."""
+                squeeze_scale: float = 0.05, disp_scale: float = 0.05,
+                kerr_scale: float = 0.05) -> QnnBank:
+    """Bank with passive angles uniform in [0, 2 pi) and active parameters
+    drawn normal with the given standard deviations (QnnCircuit rejects what
+    a non-finite one draws).  depth must be at least 1: a circuit without
+    units has no parameters, and all its features are the same sqrt(2) tau."""
     if depth < 1:
         raise ValueError(f"depth must be at least 1, got {depth}")
-    # QnnCircuit rejects what a non-finite normal scale draws
-    if not np.isfinite(passive_high):
-        raise ValueError(f"passive_high must be finite, got {passive_high!r}")
     theta = np.zeros((n_features, depth, PARAMS_PER_UNIT))   # Im disp stays 0
     for row in theta.reshape(-1, PARAMS_PER_UNIT):
-        row[[0, 1, 2, 3, 5]] = (rng.uniform(0.0, passive_high), rng.normal(0.0, squeeze_scale),
-                                rng.uniform(0.0, passive_high), rng.normal(0.0, disp_scale),
+        row[[0, 1, 2, 3, 5]] = (rng.uniform(0.0, 2 * np.pi), rng.normal(0.0, squeeze_scale),
+                                rng.uniform(0.0, 2 * np.pi), rng.normal(0.0, disp_scale),
                                 rng.normal(0.0, kerr_scale))
     return QnnBank(circuits=[QnnCircuit(params, cutoff) for params in theta])

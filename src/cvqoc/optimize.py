@@ -246,7 +246,6 @@ class TrainSchedule:
     mode: str = "xi"           # xi | joint
     tolerance: float = 1e-6
     gn_max_iter: int = 50
-    gn_damping: float = 1e-8
     adam_lr: float = 0.01
     joint_rounds: int = 5
     joint_gn_steps: int = 3
@@ -259,17 +258,18 @@ class TrainSchedule:
             raise ValueError("tolerance must be positive and finite")
         if not 0 < self.adam_lr < np.inf:
             raise ValueError("adam_lr must be positive and finite")
-        if not 0 <= self.gn_damping < np.inf:
-            raise ValueError(f"gn_damping must be finite and non-negative, got {self.gn_damping!r}")
         for name in ("gn_max_iter", "joint_rounds", "joint_gn_steps", "joint_adam_steps"):
-            if type(value := getattr(self, name)) is not int or value < 0:   # bool too
-                raise ValueError(f"{name} must be a non-negative integer, got {value!r}")
+            least = int(name == "joint_rounds")   # a joint plan needs a round
+            if type(value := getattr(self, name)) is not int or value < least:   # bool too
+                raise ValueError(f"{name} must be an integer of at least {least}, got {value!r}")
 
 
 def train(problem, schedule: TrainSchedule, callback=None):
-    """Train a collocation problem: mode xi fits the output weights (and
-    scalars) by Gauss-Newton; joint alternates Gauss-Newton bursts on them
-    with Adam bursts on the circuit parameters.
+    """Train a collocation problem by a plan of bursts, each one solver on
+    one coordinate mask: mode xi is one Gauss-Newton burst on the output
+    weights (and scalars); joint is joint_rounds rounds of a Gauss-Newton
+    burst on them and an Adam burst on the circuit parameters (with no Adam
+    steps, the xi plan).
 
     The problem must expose: decision (DecisionVector), xi_mask, theta_mask
     (boolean coordinate masks), residual(values) -> array,
@@ -279,8 +279,9 @@ def train(problem, schedule: TrainSchedule, callback=None):
     fits.  Both solvers minimise the residual norm ||r||, Adam with the
     gradient J^T r / ||r||.  callback, when given, is invoked as
     callback(epoch, full_values, loss) after every accepted optimizer step.
-    The report's stop_reason is Gauss-Newton's in xi mode; joint runs that
-    end above the tolerance stop at their round budget (max_iter).
+    The plan stops after a converged burst.  The report joins the bursts
+    run: loss histories end to end, less each later burst's starting loss,
+    and the last burst's converged flag and stop_reason.
     """
     start = time.perf_counter()
     bounds = problem.bounds()
@@ -313,7 +314,7 @@ def train(problem, schedule: TrainSchedule, callback=None):
     def newton(max_iter):
         return lambda res, jac, z0, sub_bounds, cb: gauss_newton(
             res, z0, jac_fn=jac, tol=schedule.tolerance, max_iter=max_iter,
-            damping=schedule.gn_damping, bounds=sub_bounds, callback=cb)
+            bounds=sub_bounds, callback=cb)
 
     def descent(max_epochs):
         def solve(res, jac, z0, _, cb):
@@ -327,34 +328,21 @@ def train(problem, schedule: TrainSchedule, callback=None):
 
         return solve
 
-    # a joint schedule without Adam steps is exactly xi-only training
-    if schedule.mode == "xi" or (schedule.mode == "joint" and schedule.joint_adam_steps == 0):
-        report = fit(problem.xi_mask, 0, newton(schedule.gn_max_iter))
-        report.wall_time = time.perf_counter() - start
-        return report
-
-    # joint: alternate short Gauss-Newton bursts on xi with Adam bursts on theta
-    bursts = ((problem.xi_mask, newton(schedule.joint_gn_steps)),
-              (problem.theta_mask, descent(schedule.joint_adam_steps)))
-    history = [float(np.linalg.norm(problem.residual(problem.decision.values)))]
-    gn_log = []
-    iters = 0
-    converged = history[0] < schedule.tolerance
-    for _ in range(schedule.joint_rounds):
-        for mask, solve in bursts:
-            if converged:
-                break
-            report = fit(mask, iters, solve)
-            iters += report.iterations
-            history.extend(report.loss_history[1:])
-            gn_log.extend(report.gn_iterations)
-            converged = history[-1] < schedule.tolerance
-    final = float(np.linalg.norm(problem.residual(problem.decision.values)))
-    history.append(final)
-    converged = bool(final < schedule.tolerance)
+    plan = [(problem.xi_mask, newton(schedule.gn_max_iter))]
+    if schedule.mode == "joint" and schedule.joint_adam_steps:
+        plan = [(problem.xi_mask, newton(schedule.joint_gn_steps)),
+                (problem.theta_mask, descent(schedule.joint_adam_steps))] * schedule.joint_rounds
+    reports = []
+    for mask, solve in plan:
+        reports.append(fit(mask, sum(r.iterations for r in reports), solve))
+        if reports[-1].converged:
+            break
+    last = reports[-1]
     return SolveReport(
-        iterations=iters, final_loss=final, loss_history=history,
-        converged=converged, tolerance_used=schedule.tolerance,
-        wall_time=time.perf_counter() - start,
-        stop_reason="converged" if converged else "max_iter", gn_iterations=gn_log,
+        iterations=sum(r.iterations for r in reports), final_loss=last.final_loss,
+        loss_history=reports[0].loss_history[:1] + [
+            loss for r in reports for loss in r.loss_history[1:]],
+        converged=last.converged, tolerance_used=schedule.tolerance,
+        wall_time=time.perf_counter() - start, stop_reason=last.stop_reason,
+        gn_iterations=[entry for r in reports for entry in r.gn_iterations],
     )

@@ -408,6 +408,8 @@ class QocProblem(_Collocation):
 
     def __init__(self, bank: cvqnn.QnnBank, cfg: pmp.OcpConfig,
                  model: SuperOperatorModel, morph: TimeMorph, n_nodes: int):
+        if not self.c_map_bounds[0] <= morph.c_map <= self.c_map_bounds[1]:   # not clipped unseen
+            raise ValueError(f"morph rate {morph.c_map!r} outside {self.c_map_bounds}")
         dim, nc = model.dim, model.n_controls
         super().__init__(bank, morph, n_nodes, {
             "xi_state": (dim, [BoundaryConstraint("initial", cfg.rho_init),

@@ -254,12 +254,15 @@ def test_solve_benchmark_log_matches_report(mode, tmp_path):
     out = tmp_path / mode
     assert run(["solve", "--preset", "linear_ode_benchmark", "--mode", mode,
                 "--output", str(out)]) == 0
-    history = json.loads((out / "report.json").read_text())["report"]["loss_history"]
+    report = json.loads((out / "report.json").read_text())["report"]
+    history = report["loss_history"]
     with open(out / "train.jsonl") as fh:
         entries = [json.loads(ln) for ln in fh]
     assert entries
     for entry in entries:
         assert entry["L2_total"] == history[entry["epoch"]]
+    # the starting loss, then one entry per iteration
+    assert len(history) == report["iterations"] + 1
 
 
 def test_solve_benchmark_deterministic(tmp_path):
@@ -586,6 +589,9 @@ BAD_SOLVE_CONFIGS = {
     "tau0_past_tauf": ("tfc", "tau0", 1.0),
     "zero_c_map": ("tfc", "c_map_init", 0.0),
     "negative_c_map": ("tfc", "c_map_init", -0.4),
+    # outside QocProblem.c_map_bounds, where training would clip it unseen
+    "c_map_below_bounds": ("tfc", "c_map_init", 0.01),
+    "c_map_above_bounds": ("tfc", "c_map_init", 100.0),
     "zero_tolerance": ("train", "tolerance", 0.0),
     "negative_tolerance": ("train", "tolerance", -1e-3),
     "zero_adam_lr": ("train", "adam_lr", 0.0),
@@ -596,17 +602,17 @@ BAD_SOLVE_CONFIGS = {
     "removed_adam_epochs": ("train", "adam_epochs", 200),
     "removed_theta_mode": ("train", "mode", "theta"),
     "negative_joint_rounds": ("train", "joint_rounds", -1),
+    "zero_joint_rounds": ("train", "joint_rounds", 0),
     "negative_joint_gn_steps": ("train", "joint_gn_steps", -1),
     "negative_joint_adam_steps": ("train", "joint_adam_steps", -1),
     "removed_fd_h": ("train", "fd_h", 1e-6),
     "removed_costate_terminal_constraint": ("ocp", "costate_terminal_constraint", True),
     "infinite_tolerance": ("train", "tolerance", np.inf),
     "infinite_adam_lr": ("train", "adam_lr", np.inf),
-    "nan_gn_damping": ("train", "gn_damping", np.nan),
-    "negative_gn_damping": ("train", "gn_damping", -1e-3),
+    "removed_gn_damping": ("train", "gn_damping", 1e-8),
     "nan_t0": ("tfc", "t0", np.nan),
     "fractional_n_nodes": ("tfc", "n_nodes", 16.5),
-    "infinite_passive_high": ("qnn", "passive_high", np.inf),
+    "removed_passive_high": ("qnn", "passive_high", 2 * np.pi),
     "nan_squeeze_scale": ("qnn", "squeeze_scale", np.nan),
     "fractional_seed": ("qnn", "seed", 7.5),
     "fractional_n_features": ("qnn", "n_features", 6.5),
@@ -621,6 +627,19 @@ BAD_SOLVE_CONFIGS = {
     "nan_omega_x": ("system_params", "omega_x", np.nan),
     "infinite_omega_z": ("system_params", "omega_z", np.inf),
     "nan_gamma_eg": ("system_params", "gamma_eg", np.nan),
+    # a JSON bool or string is not a number, even where it would convert
+    "bool_tolerance": ("train", "tolerance", True),
+    "bool_adam_lr": ("train", "adam_lr", True),
+    "bool_time_weight": ("ocp", "time_weight", True),
+    "bool_rho_init_entry": ("ocp", "rho_init", [True, 0.0, 0.0, 0.0]),
+    "string_rho_target_entry": ("ocp", "rho_target", [0.05, "0.95", 0.0, 0.0]),
+    "bool_t0": ("tfc", "t0", True),
+    "bool_c_map_init": ("tfc", "c_map_init", True),
+    "bool_omega_x": ("system_params", "omega_x", True),
+    "string_squeeze_scale": ("qnn", "squeeze_scale", "0.1"),
+    # an integer no float can hold is a config value out of range, not a
+    # numerical failure
+    "huge_integer_t0": ("tfc", "t0", 10**400),
 }
 
 
@@ -637,6 +656,9 @@ BAD_PROPAGATE_CONFIGS = {
                                  "increasing"),
     "propagate_nan_time": ({}, {}, "0.0,0.0\nnan,0.0\n1.0,0.0\n", "propagate",
                            "increasing"),
+    "propagate_bool_tf": ({}, {"tf": True}, CONTROL_CSV, "propagate", "tf"),
+    "propagate_string_x0_entry": ({}, {"x0": [1.0, 0.0, 0.0, "0"]}, CONTROL_CSV,
+                                  "propagate", "x0"),
 }
 
 
@@ -704,3 +726,24 @@ def test_solve_reports_a_degenerate_end(preset, tmp_path):
     assert report["c_map_on_bound"] is on_bound
     assert report["max_abs_costate_nodes"] == pytest.approx(costate, rel=1e-3, abs=0)
     assert report["max_abs_control_nodes"] == pytest.approx(control, rel=1e-3, abs=0)
+
+
+# (final loss, stop reason) where each shipped preset's training ends; a
+# refactor of the solvers or the training loop must leave them unchanged.
+# Iteration counts are not pinned: in the two-level flat tails they move
+# with last-digit rounding.
+PRESET_ENDS = {
+    "linear_ode_benchmark": (0.031084479413491278, "converged"),
+    "three_level_pop_inversion": (1.0090230133173639, "max_iter"),
+    "two_level_ground_to_excited": (1.4089512093457355, "no_descent"),
+    "two_level_to_superposition": (1.573674302060843, "no_descent"),
+}
+
+
+@pytest.mark.parametrize("preset", sorted(PRESET_ENDS))
+def test_shipped_preset_training_ends_unchanged(preset):
+    problem, schedule, _ = cli.build_problem(cli.load_config(cli.preset_path(preset)))
+    report = optimize.train(problem, schedule)
+    final_loss, stop_reason = PRESET_ENDS[preset]
+    assert report.final_loss == pytest.approx(final_loss, rel=1e-9, abs=0)
+    assert report.stop_reason == stop_reason

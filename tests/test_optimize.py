@@ -302,6 +302,18 @@ def test_unknown_mode_rejected():
         TrainSchedule(mode="bogus")
 
 
+def test_joint_plan_stops_after_a_converged_burst(monkeypatch):
+    # the first Gauss-Newton burst reaches the least-squares floor of the
+    # linear xi block; with the tolerance just above it no Adam burst runs
+    prob = ToyProblem()
+    floor = np.linalg.norm(prob.a @ np.linalg.lstsq(prob.a, prob.b, rcond=None)[0] - prob.b)
+    monkeypatch.setattr(optimize, "adam", None)
+    rep = optimize.train(prob, TrainSchedule(mode="joint", tolerance=1.01 * floor,
+                                             joint_rounds=3, joint_gn_steps=4))
+    assert (rep.stop_reason, rep.converged, rep.iterations) == ("converged", True, 1)
+    assert len(rep.gn_iterations) == 1 and len(rep.loss_history) == 2
+
+
 def _counting(res):
     calls = {"n": 0}
 
@@ -367,7 +379,7 @@ TRAIN_PINS = {
     "xi": (TrainSchedule(mode="xi", tolerance=1e-10, gn_max_iter=3), 15,
            [2.2996874441415915, 2.299687444141591, 2.299687444141591]),
     "joint": (TrainSchedule(mode="joint", tolerance=1e-10, joint_rounds=2,
-                            joint_gn_steps=2, joint_adam_steps=2), 30,
+                            joint_gn_steps=2, joint_adam_steps=2), 28,
               [2.2996874441415915, 2.299687444141591, 2.2996197443109274,
                2.2995589601582256, 2.299556793229496, 2.299556793229496,
                2.2994999148290494, 2.299449056958148]),
@@ -385,9 +397,11 @@ def test_train_pins_residual_calls_and_callbacks(case):
     residual, calls = _counting(prob.residual)
     prob.residual = residual
     seen = []
-    optimize.train(prob, schedule,
-                   callback=lambda k, values, loss: seen.append((k, values.copy(), loss)))
+    rep = optimize.train(prob, schedule,
+                         callback=lambda k, values, loss: seen.append((k, values.copy(), loss)))
     assert calls["n"] == n_calls
+    # the starting loss, then one entry per iteration in every mode
+    assert len(rep.loss_history) == rep.iterations + 1
     assert [k for k, _, _ in seen] == list(range(1, len(losses) + 1))
     assert [loss for _, _, loss in seen] == pytest.approx(losses, rel=1e-12, abs=0)
     # each callback carries the full vector its loss was computed at
