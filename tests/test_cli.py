@@ -610,6 +610,9 @@ BAD_SOLVE_CONFIGS = {
     "infinite_tolerance": ("train", "tolerance", np.inf),
     "infinite_adam_lr": ("train", "adam_lr", np.inf),
     "removed_gn_damping": ("train", "gn_damping", 1e-8),
+    # a bad damping is still a config error, now as an unknown key
+    "nan_gn_damping": ("train", "gn_damping", np.nan),
+    "negative_gn_damping": ("train", "gn_damping", -1.0),
     "nan_t0": ("tfc", "t0", np.nan),
     "fractional_n_nodes": ("tfc", "n_nodes", 16.5),
     "removed_passive_high": ("qnn", "passive_high", 2 * np.pi),
