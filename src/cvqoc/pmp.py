@@ -18,8 +18,9 @@ which cannot equal -time_weight.
 
 Every unknown is a tfc.ConstrainedExpression: feature rows times the
 unknown's output weights, plus the boundary terms.  residuals gathers their
-values at the nodes, and _gradient gives grad H at every node for it and
-residual_partials alike.  residual_partials gives the residual's partials in
+values at the nodes, and the tau-derivatives of the state and costate only,
+the two that enter the residual; _gradient gives grad H at every node for it
+and residual_partials alike.  residual_partials gives the residual's partials in
 the values of the unknowns at the nodes: node i's rows depend only on node
 i's values, so they are one small dense block per node, and every Jacobian
 is those blocks times the coordinates' directions (problems._Collocation).
@@ -185,7 +186,6 @@ class _Gradient(NamedTuple):
     dnu: np.ndarray       # dH/dnu = 2 w_R nu - beta phi'(nu)
     dbeta: np.ndarray     # dH/dbeta = u - phi(nu)
     g_x: np.ndarray       # G_c x, (N, nc, dim)
-    gt_lam: np.ndarray    # G_c^T lambda, (N, nc, dim)
     phi_d: np.ndarray     # phi'(nu)
 
 
@@ -204,7 +204,7 @@ def _gradient(x, lam, u, nu, beta, gen, cfg: OcpConfig, model: SuperOperatorMode
         du=lam_g_x + 2.0 * cfg.energy_weight * u + beta,
         dnu=2.0 * cfg.reg_weight * nu - beta * phi_d,
         dbeta=u - saturation(nu, cfg),
-        g_x=g_x, gt_lam=np.einsum("cba,ib->ica", gdu, lam), phi_d=phi_d)
+        g_x=g_x, phi_d=phi_d)
 
 
 def residuals(unknowns: UnknownSet, cfg: OcpConfig, model: SuperOperatorModel,
@@ -222,10 +222,13 @@ def residuals(unknowns: UnknownSet, cfg: OcpConfig, model: SuperOperatorModel,
     # two-level preset, 80 ConstrainedExpression.eval and 17 generator calls
     # per residual; once it pins array invariants, the values come from the
     # node maps memoised per bank revision (problems._Collocation.node_maps),
-    # psi @ xi + b per unknown, as residual_partials takes them.
+    # psi @ xi + b per unknown, as residual_partials takes them.  Only x'
+    # and lambda' enter the residual, so u, nu and beta are asked for values
+    # alone.
     nodes = np.asarray(nodes, dtype=float)
-    (x, xdot), (lam, lamdot), (u, _), (nu, _), (beta, _) = (
-        map(np.array, zip(*[e.eval(tau) for tau in nodes])) for e in exprs)
+    (x, xdot), (lam, lamdot) = (map(np.array, zip(*[e.eval(tau) for tau in nodes]))
+                                for e in exprs[:2])
+    u, nu, beta = (np.array([e.eval(tau, False)[0] for tau in nodes]) for e in exprs[2:])
     gen = np.array([model.generator(row) for row in u])
     g = _gradient(x, lam, u, nu, beta, gen, cfg, model)
     terminal = hamiltonian(x[-1], lam[-1], u[-1], nu[-1], beta[-1], cfg, model) + cfg.time_weight
@@ -251,6 +254,7 @@ def residual_partials(maps: list, weights: list, c_map: float, cfg: OcpConfig,
     nc = u.shape[1]
     gen = model.generator(np.zeros(nc)) + np.einsum("ic,cab->iab", u, model.generator_du)
     g = _gradient(x, lam, u, nu, beta, gen, cfg, model)
+    gt_lam = np.einsum("cba,ib->ica", model.generator_du, lam)             # G_c^T lambda
     # where each of the C values starts; family k's rows are as wide as value k
     at = np.cumsum([0, dim, dim, nc, nc, nc, dim, dim, 1])
     d = np.zeros((n, at[5], at[-1]))
@@ -269,11 +273,11 @@ def residual_partials(maps: list, weights: list, c_map: float, cfg: OcpConfig,
     put(0, 7, xdot[..., None])
     # costate: c lambda' + G(u)^T lambda
     put(1, 1, gen.transpose(0, 2, 1))
-    put(1, 2, g.gt_lam.transpose(0, 2, 1))
+    put(1, 2, gt_lam.transpose(0, 2, 1))
     diag(1, 6, c_map)
     put(1, 7, lamdot[..., None])
     # control: lambda^T G_c x + 2 w_E u + beta
-    put(2, 0, g.gt_lam)
+    put(2, 0, gt_lam)
     put(2, 1, g.g_x)
     diag(2, 2, 2.0 * cfg.energy_weight)
     diag(2, 4, 1.0)

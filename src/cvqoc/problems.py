@@ -12,9 +12,10 @@ work, so the trained solution on a fine grid (trajectories, the RK4
 control) costs one form per output column, whatever the number of circuits.
 Every unknown is a tfc.ConstrainedExpression over FeatureCache.features and
 its own weight block, which the expression reads on every call.  The cache's
-one memo per bank revision holds the forms, the node table, the theta rows
-and every unknown's affine map at the nodes (psi, psi', b, b'), since the
-nodes and the domain are fixed.  Both
+one memo per bank revision holds the forms, the node table, the theta rows,
+every unknown's affine map at the nodes (psi, psi', b, b') and the node
+values' directions along the weights and scalars, since the nodes and the
+domain are fixed.  Both
 problems share one base, _Collocation, which owns that layout: its _sync is
 the only writer of the weights (in place) and hands theta to the bank, whose
 set_flat is the only writer of the circuit parameters.
@@ -24,8 +25,8 @@ rule in _Collocation: every coordinate reaches the residual only through
 the values of the unknowns at the nodes, so the Jacobian is the residual's
 partials in those values (the subclass's _partials) times the coordinates'
 directions in them, which come from the expressions' affine maps over the
-features (read-only, from the memo) and over the exact d sigma / d theta
-(FeatureCache.theta_features).
+features (read-only, from the memo, once per revision for every weight and
+scalar) and over the exact d sigma / d theta (FeatureCache.theta_features).
 QocProblem.residual_vector keeps its last evaluation, so a point evaluated
 twice in a row (Gauss-Newton's accepted trial, then the training callback
 and the next iteration) costs one evaluation.
@@ -41,10 +42,12 @@ from .optimize import DecisionVector
 from .tfc import BoundaryConstraint, ConstrainedExpression, TimeMorph, chebyshev_lobatto_nodes
 
 
-# Points per row block of FeatureCache._quadratic: a block's phase rows and
-# products y R stay a few hundred kB.  A trajectory grid (201 points) is one
-# block, the 8001 stage times of an RK4 control are eight.
-_ROW_BLOCK = 1024
+# Bytes of the products y R per row block of FeatureCache._quadratic: every
+# block buffer stays under glibc's default 128 kB mmap threshold, so it comes
+# from the heap rather than from freshly mapped pages.  One output column at
+# cutoff 10 gives 512 rows: a trajectory grid (201 points) is one block, the
+# 8001 stage times of an RK4 control are sixteen.
+_BLOCK_BYTES = 80 * 1024
 
 
 class FeatureCache:
@@ -62,9 +65,10 @@ class FeatureCache:
     At the fixed points `taus` (the nodes and domain endpoints) y is fixed,
     so a tau, or an array of them, made only of such points is a lookup in
     a table built with the forms.  Any other tau goes through _quadratic,
-    in row blocks of _ROW_BLOCK points, so a long grid (the 8001 stage times
-    of an RK4 control) allocates no multi-MB phase or product temporaries,
-    which would be mapped afresh, and page-faulted, at every call.
+    in row blocks of at most _BLOCK_BYTES of products y R: its work buffers
+    are allocated once per call, under glibc's mmap threshold, and filled
+    in place block by block, so a long grid (the 8001 stage times of an RK4
+    control) maps no multi-MB or per-block temporaries afresh.
     Output weights W contract into the forms before any per-tau work,
     phi(tau) W = z^H (sum_l W_l O_l) z, so `weighted` costs one quadratic
     form per output column, whatever the number of circuits.  theta_p of
@@ -74,8 +78,10 @@ class FeatureCache:
     Everything that depends only on the circuits sits in one memo, dropped
     when QnnBank.revision changes: the forms (with U_l B) and the table,
     built on first use; the theta rows, once a theta Jacobian asks; and the
-    unknowns' affine maps at the nodes, once any Jacobian asks
-    (_Collocation.node_maps).  `memoised` adds the last two.
+    unknowns' affine maps at the nodes and the directions of the node values
+    along the weights and scalars, once any Jacobian asks
+    (_Collocation.node_maps, _Collocation._xi_directions).  `memoised` adds
+    the last three.
     """
 
     def __init__(self, bank: cvqnn.QnnBank, taus=()):
@@ -92,10 +98,16 @@ class FeatureCache:
                                      [c.params.size for c in bank.circuits])
         self._memo = {"revision": None}
 
-    def _phases(self, taus: np.ndarray) -> np.ndarray:
-        """The phase rows y = [cos tau w, sin tau w], shape (K, 2D)."""
-        phase = np.multiply.outer(taus, self._w)
-        return np.concatenate([np.cos(phase), np.sin(phase)], axis=1)
+    def _phases(self, taus: np.ndarray, out: np.ndarray = None) -> np.ndarray:
+        """The phase rows y = [cos tau w, sin tau w], shape (K, 2D), filled
+        into out when it is given; the angles tau w pass through the sine
+        half."""
+        d = self._w.size
+        y = np.empty((taus.size, 2 * d)) if out is None else out
+        phase = np.multiply.outer(taus, self._w, out=y[:, d:])
+        np.cos(phase, out=y[:, :d])
+        np.sin(phase, out=phase)
+        return y
 
     @staticmethod
     def _real_form(q: np.ndarray) -> np.ndarray:
@@ -108,19 +120,28 @@ class FeatureCache:
         r[:, d:, :d] = -q.imag
         return r
 
-    def _contract(self, y: np.ndarray, r: np.ndarray, derivative: bool = True):
+    def _contract(self, y: np.ndarray, r: np.ndarray, derivative: bool = True,
+                  out=(None, None, None, None)):
         """(y_k R_j y_k^T, 2 y_k R_j (dy_k / dtau)^T) for every row y_k of the
         (K, 2D) y and every R_j of the (n, 2D, 2D) symmetric stack r, each of
         shape (K, n): one matrix product, then one row-wise dot each.  With
-        derivative=False the second item is None."""
+        derivative=False the second item is None.  out holds the arrays to
+        fill in place of new ones, each None or of its shape: the products
+        y R (K, n 2D), dy / dtau (K, 2D), and the two results."""
         n, m = r.shape[:2]
-        yr = (y @ r.transpose(1, 0, 2).reshape(m, n * m)).reshape(len(y), n, m)   # y_k R_j
-        val = np.einsum("kjm,km->kj", yr, y)
+        yr, dy, val, dval = out
+        yr = np.matmul(y, r.transpose(1, 0, 2).reshape(m, n * m), out=yr)
+        yr = yr.reshape(len(y), n, m)                                     # y_k R_j
+        val = np.einsum("kjm,km->kj", yr, y, out=val)
         if not derivative:
             return val, None
         d = m // 2   # d/dtau [cos tau w, sin tau w] = [-w sin tau w, w cos tau w]
-        dy = np.concatenate([-self._w * y[:, d:], self._w * y[:, :d]], axis=1)
-        return val, 2.0 * np.einsum("kjm,km->kj", yr, dy)
+        dy = np.empty_like(y) if dy is None else dy
+        np.multiply(-self._w, y[:, d:], out=dy[:, :d])
+        np.multiply(self._w, y[:, :d], out=dy[:, d:])
+        dval = np.einsum("kjm,km->kj", yr, dy, out=dval)
+        dval *= 2.0
+        return val, dval
 
     def _current(self) -> dict:
         """The memo at the bank's revision: U_l B, the real forms R and the
@@ -173,14 +194,20 @@ class FeatureCache:
         forms = self._current()["forms"]
         if weights is not None:
             forms = np.tensordot(weights, forms, axes=(0, 0))            # (d, 2D, 2D)
+        n, m = forms.shape[:2]
         flat = np.atleast_1d(taus)
-        val = np.empty((flat.size, forms.shape[0]))
+        rows = max(1, min(flat.size, _BLOCK_BYTES // (8 * n * m)))
+        # the block buffers and the results, filled in place block by block
+        y, yr = np.empty((rows, m)), np.empty((rows, n * m))
+        dy = np.empty_like(y) if derivative else None
+        val = np.empty((flat.size, n))
         dval = np.empty_like(val) if derivative else None
-        for first in range(0, flat.size, _ROW_BLOCK):
-            rows = slice(first, first + _ROW_BLOCK)
-            val[rows], block_dval = self._contract(self._phases(flat[rows]), forms, derivative)
-            if derivative:
-                dval[rows] = block_dval
+        for first in range(0, flat.size, rows):
+            k = min(rows, flat.size - first)
+            work = [None if a is None else a[:k] for a in (yr, dy)]
+            results = [None if a is None else a[first:first + k] for a in (val, dval)]
+            self._contract(self._phases(flat[first:first + k], y[:k]), forms, derivative,
+                           work + results)
         if taus.ndim == 0:
             return val[0], dval[0] if derivative else None
         return val, dval
@@ -292,10 +319,14 @@ class _Collocation:
             jac[:, theta] = self.jacobian(values, mask & self.theta_mask)
             return jac
         self._sync(values)
-        maps = self.node_maps()
-        d, h = self._partials(list(maps.values()))
-        cols = np.flatnonzero(mask)
-        a = self._theta_directions(cols) if theta.all() else self._xi_directions(maps, cols)
+        d, h = self._partials(list(self.node_maps().values()))
+        if theta.all():
+            a = self._theta_directions(np.flatnonzero(mask))
+        else:
+            a = self.cache.memoised("xi_directions", self._xi_directions)
+            taken = mask[self.xi_mask]
+            if not taken.all():
+                a = a[:, :, taken]
         n, _, q = a.shape
         jac = np.empty((n * self._families[-1][1] + (h is not None), q))
         for lo, hi in self._families:
@@ -326,10 +357,14 @@ class _Collocation:
         return {name: amap.psi @ self._xi[name] + amap.b
                 for name, amap in self.node_maps().items()}
 
-    def _xi_directions(self, maps: dict, cols: np.ndarray) -> np.ndarray:
-        """A on the weight and scalar coordinates cols.  Weight (l, v) of an
-        unknown moves its v-th value by psi[:, l] of its affine map and its
-        v-th tau-derivative by dpsi[:, l]; a scalar is a node value itself."""
+    def _xi_directions(self) -> np.ndarray:
+        """A on every weight and scalar coordinate, read-only: it depends only
+        on the node maps, so it is built once per bank revision and every xi
+        mask takes its columns.  Weight (l, v) of an unknown moves its v-th
+        value by psi[:, l] of its affine map and its v-th tau-derivative by
+        dpsi[:, l]; a scalar is a node value itself."""
+        maps = self.node_maps()
+        cols = np.flatnonzero(self.xi_mask)
         a = np.zeros((self.nodes.size, self._n_values, cols.size))
         for name, (value, rate) in self._slots.items():
             block = self.decision.blocks[name]
@@ -341,6 +376,7 @@ class _Collocation:
         # the scalars are the last coordinates and the last values
         q = np.flatnonzero(cols >= self.decision.blocks["theta"].stop)
         a[:, self._n_values - self.xi_mask.size + cols[q], q] = 1.0
+        a.flags.writeable = False
         return a
 
     def _theta_directions(self, cols: np.ndarray) -> np.ndarray:

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from cvqoc import lindblad, pmp
+from cvqoc import cli, lindblad, pmp
 from cvqoc.tfc import BoundaryConstraint, ConstrainedExpression, TimeMorph, chebyshev_lobatto_nodes
 
 
@@ -275,3 +275,22 @@ def test_residuals_match_per_node_reference(system):
                            atol=1e-14)
     assert rv.terminal == pytest.approx(
         pmp.hamiltonian(x, lam, u, nu, beta, cfg, model) + cfg.time_weight, rel=1e-12)
+
+
+def test_residual_asks_only_the_state_and_costate_for_tau_derivatives(monkeypatch):
+    # only x' and lambda' enter the residual: u, nu and beta are read as values
+    problem = cli.build_problem(cli.load_config(cli.preset_path("two_level_ground_to_excited")))[0]
+    asked = []
+    evaluate = ConstrainedExpression.eval
+
+    def recorded(self, tau, derivative=True):
+        asked.append((self, derivative))
+        return evaluate(self, tau, derivative)
+
+    monkeypatch.setattr(ConstrainedExpression, "eval", recorded)
+    problem.residual(problem.decision.values)
+    unknowns = problem.unknowns
+    assert len(asked) == 16 * 5   # nodes x unknowns
+    with_rate = [e for e, derivative in asked if derivative]
+    assert len(with_rate) == 16 * 2
+    assert {id(e) for e in with_rate} == {id(unknowns.expr_state), id(unknowns.expr_costate)}

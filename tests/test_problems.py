@@ -239,7 +239,7 @@ def test_weighted_kernel_matches_table_and_forward():
     assert np.allclose(val, sig @ w, rtol=0, atol=1e-13)
     assert np.allclose(dval, dsig @ w, rtol=0, atol=1e-13)
     # without the derivative, over the whole grid: several row blocks of the kernel
-    assert taus.size > 2 * problems._ROW_BLOCK
+    assert taus.size > 2 * problems._BLOCK_BYTES // (8 * w.shape[1] * 2 * bank.cutoff)
     full, none = weighted(taus, derivative=False)
     assert none is None and full.shape == (taus.size, 3)
     assert np.array_equal(full, val)
@@ -736,3 +736,94 @@ def test_node_values_match_the_expressions_and_evaluate_no_residual(monkeypatch)
     assert list(got) == list(prob._exprs)
     for name, expr in prob._exprs.items():
         assert np.allclose(got[name], expr.eval(prob.nodes)[0], rtol=0, atol=1e-12)
+
+
+def _blockwise_reference(cache, taus, forms):
+    """The tabulation as written before its block buffers: per row block,
+    fresh phase rows, y R and dy, then the two row-wise dots."""
+    n, m = forms.shape[:2]
+    rows = problems._BLOCK_BYTES // (8 * n * m)
+    vals, dvals = [], []
+    for first in range(0, taus.size, rows):
+        phase = np.multiply.outer(taus[first:first + rows], cache._w)
+        y = np.concatenate([np.cos(phase), np.sin(phase)], axis=1)
+        yr = (y @ forms.transpose(1, 0, 2).reshape(m, n * m)).reshape(len(y), n, m)
+        dy = np.concatenate([-cache._w * y[:, m // 2:], cache._w * y[:, :m // 2]], axis=1)
+        vals.append(np.einsum("kjm,km->kj", yr, y))
+        dvals.append(2.0 * np.einsum("kjm,km->kj", yr, dy))
+    return np.concatenate(vals), np.concatenate(dvals)
+
+
+@pytest.mark.parametrize("columns", [None, 1, 3])
+def test_tabulation_in_block_buffers_matches_the_blockwise_formula(columns):
+    bank = small_bank()
+    cache = problems.FeatureCache(bank)
+    rng = np.random.default_rng(41)
+    forms = cache._current()["forms"]
+    weights = None if columns is None else rng.normal(0.0, 1.0, (bank.n_features, columns))
+    if weights is not None:
+        forms = np.tensordot(weights, forms, axes=(0, 0))
+    rows = problems._BLOCK_BYTES // (8 * forms.shape[0] * forms.shape[1])
+    # more than two blocks with a ragged last one, a single point, a scalar
+    taus = np.sort(rng.uniform(-0.8, 0.8, 2 * rows + rows // 3))
+    for points in (taus, taus[:1]):
+        ref, dref = _blockwise_reference(cache, points, forms)
+        val, dval = cache._quadratic(points, weights, True)
+        assert np.array_equal(val, ref) and np.array_equal(dval, dref)
+        val, none = cache._quadratic(points, weights, False)
+        assert none is None and np.array_equal(val, ref)
+    val, dval = cache._quadratic(taus[5], weights, True)
+    ref, dref = _blockwise_reference(cache, taus[5:6], forms)
+    assert np.array_equal(val, ref[0]) and np.array_equal(dval, dref[0])
+
+
+def test_xi_training_builds_the_xi_directions_once(monkeypatch):
+    prob, schedule = _two_level(mode="xi", gn_max_iter=6)
+    built = _counting(monkeypatch, problems._Collocation, "_xi_directions")
+    jacobians = _counting(monkeypatch, problems._Collocation, "jacobian")
+    report = optimize.train(prob, schedule)
+    assert report.iterations == 6 and jacobians["n"] == 6
+    assert built["n"] == 1
+
+
+def test_memoised_xi_directions_are_read_only_and_dropped_with_the_revision():
+    prob = qoc_problem()
+    values = prob.decision.values.copy()
+    values[prob.xi_mask] = np.random.default_rng(43).normal(0.0, 0.5, int(prob.xi_mask.sum()))
+
+    def kept():
+        return prob.cache.memoised("xi_directions", lambda: pytest.fail("not memoised"))
+
+    prob.jacobian(values)
+    a = kept()
+    assert a.shape == (prob.nodes.size, prob._n_values, int(prob.xi_mask.sum()))
+    assert not a.flags.writeable
+    with pytest.raises(ValueError):
+        a[...] = 0.0
+    values[prob.xi_mask] += 1.0
+    prob.jacobian(values)
+    assert kept() is a
+    values[prob.theta_mask] += 1e-3
+    prob.jacobian(values)
+    assert kept() is not a
+    # the new revision's directions are those a fresh build gives
+    assert np.array_equal(kept(), prob._xi_directions())
+
+
+@pytest.mark.parametrize("preset", ["two_level_ground_to_excited",
+                                    "three_level_pop_inversion"])
+def test_jacobian_on_a_xi_sub_mask_is_those_columns_of_the_full_one(preset):
+    prob = _preset_problem(preset)
+    rng = np.random.default_rng(47)
+    values = prob.decision.values.copy()
+    values[prob.xi_mask] += rng.normal(0.0, 0.3, int(prob.xi_mask.sum()))
+    full = prob.jacobian(values)
+    xi = np.flatnonzero(prob.xi_mask)
+    c_map = prob.decision.blocks["c_map"].start
+    # a weight block, a random pick with c_map, and c_map alone
+    for cols in (xi[prob.decision.blocks["xi_u"]],
+                 np.union1d(rng.choice(xi, xi.size // 3, replace=False), [c_map]),
+                 np.array([c_map])):
+        mask = np.zeros_like(prob.xi_mask)
+        mask[cols] = True
+        assert np.array_equal(prob.jacobian(values, mask), full[:, np.searchsorted(xi, cols)])
