@@ -413,14 +413,15 @@ def cmd_verify(args) -> int:
         raise ConfigError(f"grid mismatch: {traj.shape} vs {ver.shape}")
     if np.max(np.abs(traj[:, 0] - ver[:, 0])) > 1e-9:
         raise ConfigError("time grids differ")
-    names = head_a[1:] if head_a else [f"c{i}" for i in range(1, traj.shape[1])]
+    names = head_a[1:] if head_a else [f"col{i}" for i in range(1, traj.shape[1])]
     state_cols = [i for i, n in enumerate(names, start=1)
                   if n not in ("trace",) and not n.startswith("u")]
+    if not state_cols:
+        raise ConfigError("no state column to compare (only t, u* and trace)")
     max_dev = 0.0
     for i in state_cols:
         dev = float(np.max(np.abs(traj[:, i] - ver[:, i])))
-        name = names[i - 1] if head_a else f"col{i}"
-        print(f"max deviation {name}: {dev:.6e}")
+        print(f"max deviation {names[i - 1]}: {dev:.6e}")
         max_dev = max(max_dev, dev)
     drift = 0.0
     if head_a and "trace" in names:

@@ -4,16 +4,24 @@ Density operators are mapped to real vectors: first the populations, then
 Re/Im of each upper-triangle coherence in lexicographic order.  For a qubit
 with basis (|g>, |e>) this is (rho_gg, rho_ee, Re rho_ge, Im rho_ge).
 hbar = 1 throughout.
+
+Each shipped model is built from its physics: a drift Hamiltonian, one
+Hamiltonian per control and the jumps go through master_equation, which
+vectorizes the Lindblad equation (lindblad_vectorize) into the drift G(0)
+and one constant G_c per control, once per parameter set.  Every generator
+is then G(u) = G(0) + sum_c u_c G_c; no generator entry is written by hand.
 """
 
 from __future__ import annotations
 
+import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 
-@dataclass
+@dataclass(frozen=True)
 class TwoLevelParams:
     gamma_eg: float = 0.1   # absorption rate, jump |e><g|
     gamma_ge: float = 0.3   # emission rate, jump |g><e|
@@ -27,7 +35,7 @@ class TwoLevelParams:
             raise ValueError("damping rates must be non-negative")
 
 
-@dataclass
+@dataclass(frozen=True)
 class ThreeLevelParams:
     delta: float = 0.1    # two-photon detuning
     delta1: float = 1.0   # one-photon detuning (no reference value; configurable)
@@ -59,32 +67,46 @@ class RealDensityVector:
 
 @dataclass
 class SuperOperatorModel:
-    """Affine-in-control real generator x_dot = L(u) x.
+    """Real generator x_dot = G(u) x, affine in the control by construction:
+    G(u) = drift + sum_c u[c] generator_du[c].
 
-    generator(u) accepts a control vector of length n_controls;
-    generator_du[c] is the constant derivative with respect to control c,
-    held as one read-only float array of shape (n_controls, dim, dim).
-    The model must be affine: generator(u) == generator(0) + sum_c u[c] *
-    generator_du[c] for every u.  The closed-form Jacobian in pmp and the
-    batched propagate_rk4 build G(u) from that form, not from generator(u).
+    drift, G(0), is one read-only (dim, dim) float array and generator_du,
+    the G_c, one read-only (n_controls, dim, dim) array; dim and n_controls
+    are read off their shapes.  The closed-form Jacobian in pmp and the
+    batched propagate_rk4 build G(u) from them.  generator(u) gives G(u) at
+    one control vector; the shipped models compute that same sum, through
+    the named functions two_level_generator and three_level_generator.
     """
 
-    dim: int
-    n_controls: int
     generator: callable
+    drift: np.ndarray
     generator_du: np.ndarray
 
     def __post_init__(self):
-        if self.dim not in (4, 9):
-            raise ValueError("supported dims are 4 and 9")
-        du = np.array(self.generator_du)
-        if du.shape != (self.n_controls, self.dim, self.dim):
-            raise ValueError(f"generator_du must hold one {self.dim}x{self.dim} matrix "
-                             f"per control ({self.n_controls})")
-        if du.dtype.kind not in "iuf" or not np.all(np.isfinite(du)):
-            raise ValueError("generator_du entries must be real and finite")
-        self.generator_du = du.astype(float)
-        self.generator_du.flags.writeable = False
+        self.drift = _read_only_real(self.drift, "drift")
+        self.generator_du = du = _read_only_real(self.generator_du, "generator_du")
+        if self.drift.shape not in ((4, 4), (9, 9)):
+            raise ValueError("drift must be 4x4 or 9x9 (supported dims are 4 and 9)")
+        if du.ndim != 3 or du.shape[1:] != self.drift.shape:
+            raise ValueError(f"generator_du must hold one {self.dim}x{self.dim} "
+                             "matrix per control")
+
+    @property
+    def dim(self) -> int:
+        return self.drift.shape[0]
+
+    @property
+    def n_controls(self) -> int:
+        return self.generator_du.shape[0]
+
+
+def _read_only_real(a, name: str) -> np.ndarray:
+    a = np.array(a)
+    if a.dtype.kind not in "iuf" or not np.all(np.isfinite(a)):
+        raise ValueError(f"{name} entries must be real and finite")
+    a = a.astype(float)
+    a.flags.writeable = False
+    return a
 
 
 def real_basis(d: int) -> list:
@@ -162,27 +184,33 @@ def lindblad_vectorize(hamiltonian: np.ndarray, jumps: list) -> np.ndarray:
     return np.column_stack(cols)
 
 
+def master_equation(h0: np.ndarray, h_controls: list, jumps: list) -> tuple:
+    """(G(0), [G_c]) of the master equation with H(u) = h0 + sum_c u_c
+    h_controls[c]: read-only arrays of shape (dim, dim) and (n_controls,
+    dim, dim).  The jumps enter G(0) alone, and each G_c is the commutator
+    with h_c alone, so it is exact whatever h0 holds; vectorize(h0 + h_c) -
+    vectorize(h0) would round with h0's scale.  Adding 0.0 makes every zero
+    +0.0, so equal parameters give equal bits.
+    """
+    drift = lindblad_vectorize(h0, jumps) + 0.0
+    du = np.array([lindblad_vectorize(h, []) for h in h_controls]) + 0.0
+    return _read_only_real(drift, "drift"), _read_only_real(du, "generator_du")
+
+
+# the control Hamiltonians: u sigma_ee on the qubit; u_p and u_s on the
+# lambda system's 1-3 and 2-3 transitions
+_SIGMA_EE = np.array([[0, 0], [0, 1]], dtype=complex)                       # |e><e|
+_PUMP = 0.5 * np.array([[0, 0, 1], [0, 0, 0], [1, 0, 0]], dtype=complex)    # (|1><3| + h.c.) / 2
+_STOKES = 0.5 * np.array([[0, 0, 0], [0, 0, 1], [0, 1, 0]], dtype=complex)  # (|2><3| + h.c.) / 2
+
+
 def two_level_generator(p: TwoLevelParams, u: float) -> np.ndarray:
     """Qubit superoperator for drift (omega_x, omega_z), phase-damping
     control u on |e><e|, and absorption/emission jumps."""
-    if not np.isfinite(u):
+    if not math.isfinite(u):
         raise ValueError("control must be finite")
-    geg, gge, wx, wz = p.gamma_eg, p.gamma_ge, p.omega_x, p.omega_z
-    gbar = 0.5 * (gge + geg)
-    rot = 2.0 * wz + u
-    return np.array([
-        [-geg,  gge,  0.0,  -2.0 * wx],
-        [geg,  -gge,  0.0,   2.0 * wx],
-        [0.0,   0.0, -gbar, -rot],
-        [wx,   -wx,   rot,  -gbar],
-    ])
-
-
-def two_level_generator_du(p: TwoLevelParams) -> np.ndarray:
-    out = np.zeros((4, 4))
-    out[2, 3] = -1.0
-    out[3, 2] = 1.0
-    return out
+    drift, du = _two_level_parts(p)
+    return drift + u * du[0]
 
 
 def two_level_hamiltonian(p: TwoLevelParams, u: float) -> np.ndarray:
@@ -190,8 +218,8 @@ def two_level_hamiltonian(p: TwoLevelParams, u: float) -> np.ndarray:
     + u sigma_ee, in the basis (|g>, |e>)."""
     return np.array([
         [-p.omega_z, p.omega_x],
-        [p.omega_x, p.omega_z + u],
-    ], dtype=complex)
+        [p.omega_x, p.omega_z],
+    ], dtype=complex) + u * _SIGMA_EE
 
 
 def two_level_jumps(p: TwoLevelParams) -> list:
@@ -200,76 +228,46 @@ def two_level_jumps(p: TwoLevelParams) -> list:
     return [(sigma_eg, p.gamma_eg), (sigma_ge, p.gamma_ge)]
 
 
+@functools.cache
+def _two_level_parts(p: TwoLevelParams) -> tuple:
+    return master_equation(two_level_hamiltonian(p, 0.0), [_SIGMA_EE], two_level_jumps(p))
+
+
 def two_level_model(p: TwoLevelParams) -> SuperOperatorModel:
-    du = two_level_generator_du(p)
+    drift, du = _two_level_parts(p)
     return SuperOperatorModel(
-        dim=4, n_controls=1,
         generator=lambda u: two_level_generator(p, float(np.atleast_1d(u)[0])),
-        generator_du=[du],
+        drift=drift, generator_du=du,
     )
 
 
 def three_level_generator(p: ThreeLevelParams, u_p: float, u_s: float) -> np.ndarray:
-    """Closed lambda-system generator, hand-derived from rho_dot = -i[H, rho].
-
-    Coordinates: (r11, r22, r33, Re r12, Im r12, Re r13, Im r13, Re r23, Im r23).
-    H couples 1-3 with u_p/2 and 2-3 with u_s/2; levels 2 and 3 sit at the
-    detunings delta and delta1.
-    """
-    if not (np.isfinite(u_p) and np.isfinite(u_s)):
+    """Closed lambda-system generator of rho_dot = -i[H, rho], H from
+    three_level_hamiltonian."""
+    if not (math.isfinite(u_p) and math.isfinite(u_s)):
         raise ValueError("controls must be finite")
-    d, d1 = p.delta, p.delta1
-    hp, hs = 0.5 * u_p, 0.5 * u_s
-    g = np.zeros((9, 9))
-    # populations
-    g[0, 6] = -2.0 * hp          # r11' = -u_p Im r13
-    g[1, 8] = -2.0 * hs          # r22' = -u_s Im r23
-    g[2, 6] = 2.0 * hp           # r33' = u_p Im r13 + u_s Im r23
-    g[2, 8] = 2.0 * hs
-    # r12 = a + ib
-    g[3, 4] = -d                 # a' = -delta b - hp Im r23 - hs Im r13
-    g[3, 8] = -hp
-    g[3, 6] = -hs
-    g[4, 3] = d                  # b' = delta a + hs Re r13 - hp Re r23
-    g[4, 5] = hs
-    g[4, 7] = -hp
-    # r13 = c + id
-    g[5, 4] = -hs                # c' = -hs Im r12 - delta1 Im r13
-    g[5, 6] = -d1
-    g[6, 0] = hp                 # d' = hp (r11 - r33) + hs Re r12 + delta1 Re r13
-    g[6, 2] = -hp
-    g[6, 3] = hs
-    g[6, 5] = d1
-    # r23 = e + if
-    g[7, 8] = d - d1             # e' = (delta - delta1) Im r23 + hp Im r12
-    g[7, 4] = hp
-    g[8, 7] = d1 - d             # f' = (delta1 - delta) Re r23 + hs (r22 - r33) + hp Re r12
-    g[8, 1] = hs
-    g[8, 2] = -hs
-    g[8, 3] = hp
-    return g
+    drift, du = _three_level_parts(p)
+    return drift + u_p * du[0] + u_s * du[1]
 
 
 def three_level_hamiltonian(p: ThreeLevelParams, u_p: float, u_s: float) -> np.ndarray:
-    return np.array([
-        [0.0, 0.0, 0.5 * u_p],
-        [0.0, p.delta, 0.5 * u_s],
-        [0.5 * u_p, 0.5 * u_s, p.delta1],
-    ], dtype=complex)
+    """H couples 1-3 with u_p/2 and 2-3 with u_s/2; levels 2 and 3 sit at the
+    detunings delta and delta1."""
+    return np.diag([0.0, p.delta, p.delta1]).astype(complex) + u_p * _PUMP + u_s * _STOKES
+
+
+@functools.cache
+def _three_level_parts(p: ThreeLevelParams) -> tuple:
+    return master_equation(three_level_hamiltonian(p, 0.0, 0.0), [_PUMP, _STOKES], [])
 
 
 def three_level_model(p: ThreeLevelParams) -> SuperOperatorModel:
     """Closed lambda-system dynamics with controls (u_p, u_s)."""
-
-    def gen(u):
-        u = np.atleast_1d(u)
-        return three_level_generator(p, float(u[0]), float(u[1]))
-
-    drift = three_level_generator(p, 0.0, 0.0)
-    du_p = three_level_generator(p, 1.0, 0.0) - drift
-    du_s = three_level_generator(p, 0.0, 1.0) - drift
-    return SuperOperatorModel(dim=9, n_controls=2, generator=gen,
-                              generator_du=[du_p, du_s])
+    drift, du = _three_level_parts(p)
+    return SuperOperatorModel(
+        generator=lambda u: three_level_generator(p, *np.asarray(u, dtype=float).tolist()),
+        drift=drift, generator_du=du,
+    )
 
 
 # Steps per batch of generators and step matrices in propagate_rk4: large
@@ -296,10 +294,10 @@ def propagate_rk4(model: SuperOperatorModel, x0: np.ndarray, u_of_t: callable,
     shape (n_controls,) broadcasts.  Non-finite times, a non-finite initial
     state or a non-finite control raise ValueError.
 
-    The model is affine in u, so the generator is built once, as the drift
-    G(0), and G(t) = G(0) + sum_c u_c(t) generator_du[c] at every stage time
-    of a batch comes from one matrix product.  With A_s, A_m, A_e the
-    generators at a step's start, middle and end, the step is x <- M x with
+    The model is affine in u, so G(t) = drift + sum_c u_c(t) generator_du[c]
+    at every stage time of a batch comes from one matrix product.  With A_s,
+    A_m, A_e the generators at a step's start, middle and end, the step is
+    x <- M x with
 
         P2 = A_m (I + h/2 A_s),  P3 = A_m (I + h/2 P2),  P4 = A_e (I + h P3),
         M  = I + h/6 (A_s + 2 P2 + 2 P3 + P4),
@@ -336,7 +334,7 @@ def propagate_rk4(model: SuperOperatorModel, x0: np.ndarray, u_of_t: callable,
                          (stages.shape[0], n_controls))
     if not np.all(np.isfinite(us)):
         raise ValueError("control must be finite")
-    drift = model.generator(np.zeros(n_controls)).reshape(dim * dim)
+    drift = model.drift.reshape(dim * dim)
     du = model.generator_du.reshape(n_controls, dim * dim)
     eye = np.eye(dim)
     xs = np.empty((steps + 1, dim))

@@ -246,13 +246,13 @@ def residual_partials(maps: list, weights: list, c_map: float, cfg: OcpConfig,
     (N, R, C), holds those of node i's R rows, family by family, in its C
     values x, lambda, u, nu, beta, x', lambda' (d/dtau) and c_map; h, shape
     (C,), those of the terminal Hamiltonian row in the last node's: grad H
-    there.  The generator must be affine in u: G(u) = G(0) + sum_c u_c G_c.
+    there.  G(u) is the model's drift + sum_c u_c generator_du[c].
     """
     x, lam, u, nu, beta = (m.psi @ w + m.b for m, w in zip(maps, weights))
     xdot, lamdot = (m.dpsi @ w + m.db for m, w in zip(maps[:2], weights[:2]))
     n, dim = x.shape
     nc = u.shape[1]
-    gen = model.generator(np.zeros(nc)) + np.einsum("ic,cab->iab", u, model.generator_du)
+    gen = model.drift + np.einsum("ic,cab->iab", u, model.generator_du)
     g = _gradient(x, lam, u, nu, beta, gen, cfg, model)
     gt_lam = np.einsum("cba,ib->ica", model.generator_du, lam)             # G_c^T lambda
     # where each of the C values starts; family k's rows are as wide as value k

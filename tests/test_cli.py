@@ -437,6 +437,33 @@ def test_verify_grid_mismatch(tmp_path, capsys):
                 "--tol", "0.1"]) == 2
 
 
+@pytest.mark.parametrize("head", [["t", "u"], ["t", "u", "u_s", "trace"], ["t"]])
+def test_verify_without_a_state_column_exits_2(head, tmp_path, capsys):
+    # nothing to compare is no pass: the files' controls differ and no
+    # state column would show it
+    a = tmp_path / "a.csv"
+    b = tmp_path / "b.csv"
+    cli.write_csv(str(a), head, [[0.0] + [1.0] * (len(head) - 1), [1.0] * len(head)])
+    cli.write_csv(str(b), head, [[0.0] + [2.0] * (len(head) - 1), [1.0] * len(head)])
+    assert run(["verify", "--trajectory", str(a), "--verify", str(b),
+                "--tol", "0.1"]) == 2
+    captured = capsys.readouterr()
+    assert "no state column" in captured.err
+    assert "PASS" not in captured.out
+
+
+def test_verify_names_headerless_columns_as_it_prints_them(tmp_path, capsys):
+    a = tmp_path / "a.csv"
+    b = tmp_path / "b.csv"
+    a.write_text("0.0,1.0,0.5\n1.0,1.0,0.5\n")
+    b.write_text("0.0,1.0,0.5\n1.0,1.0,0.25\n")
+    assert run(["verify", "--trajectory", str(a), "--verify", str(b),
+                "--tol", "0.1"]) == 4
+    out = capsys.readouterr().out
+    assert "max deviation col1: 0.000000e+00" in out
+    assert "max deviation col2: 2.500000e-01" in out
+
+
 @pytest.mark.parametrize("tol", ["nan", "-1", "0", "inf"])
 def test_verify_tolerance_must_be_finite_and_positive(tol, tmp_path, capsys):
     traj = tmp_path / "a.csv"

@@ -3,16 +3,135 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from cvqoc import lindblad
+from cvqoc import cli, lindblad
 from cvqoc.lindblad import (RealDensityVector, ThreeLevelParams, TwoLevelParams,
-                            from_real, lindblad_vectorize, propagate_rk4,
-                            three_level_generator, three_level_hamiltonian,
-                            three_level_model, to_real, two_level_generator,
-                            two_level_generator_du, two_level_hamiltonian,
+                            from_real, lindblad_vectorize, master_equation,
+                            propagate_rk4, three_level_generator,
+                            three_level_hamiltonian, three_level_model, to_real,
+                            two_level_generator, two_level_hamiltonian,
                             two_level_jumps, two_level_model)
 
 
 P = TwoLevelParams()
+
+
+# --- the hand-derived generators: the independent oracle for the models that
+# lindblad builds from their Hamiltonians and jumps
+
+
+def hand_two_level(p: TwoLevelParams, u: float) -> np.ndarray:
+    """Qubit superoperator for drift (omega_x, omega_z), phase-damping
+    control u on |e><e|, and absorption/emission jumps."""
+    geg, gge, wx, wz = p.gamma_eg, p.gamma_ge, p.omega_x, p.omega_z
+    gbar = 0.5 * (gge + geg)
+    rot = 2.0 * wz + u
+    return np.array([
+        [-geg,  gge,  0.0,  -2.0 * wx],
+        [geg,  -gge,  0.0,   2.0 * wx],
+        [0.0,   0.0, -gbar, -rot],
+        [wx,   -wx,   rot,  -gbar],
+    ])
+
+
+def hand_two_level_du() -> np.ndarray:
+    out = np.zeros((4, 4))
+    out[2, 3] = -1.0
+    out[3, 2] = 1.0
+    return out
+
+
+def hand_three_level(p: ThreeLevelParams, u_p: float, u_s: float) -> np.ndarray:
+    """Closed lambda-system generator, hand-derived from rho_dot = -i[H, rho].
+
+    Coordinates: (r11, r22, r33, Re r12, Im r12, Re r13, Im r13, Re r23, Im r23).
+    H couples 1-3 with u_p/2 and 2-3 with u_s/2; levels 2 and 3 sit at the
+    detunings delta and delta1.
+    """
+    d, d1 = p.delta, p.delta1
+    hp, hs = 0.5 * u_p, 0.5 * u_s
+    g = np.zeros((9, 9))
+    # populations
+    g[0, 6] = -2.0 * hp          # r11' = -u_p Im r13
+    g[1, 8] = -2.0 * hs          # r22' = -u_s Im r23
+    g[2, 6] = 2.0 * hp           # r33' = u_p Im r13 + u_s Im r23
+    g[2, 8] = 2.0 * hs
+    # r12 = a + ib
+    g[3, 4] = -d                 # a' = -delta b - hp Im r23 - hs Im r13
+    g[3, 8] = -hp
+    g[3, 6] = -hs
+    g[4, 3] = d                  # b' = delta a + hs Re r13 - hp Re r23
+    g[4, 5] = hs
+    g[4, 7] = -hp
+    # r13 = c + id
+    g[5, 4] = -hs                # c' = -hs Im r12 - delta1 Im r13
+    g[5, 6] = -d1
+    g[6, 0] = hp                 # d' = hp (r11 - r33) + hs Re r12 + delta1 Re r13
+    g[6, 2] = -hp
+    g[6, 3] = hs
+    g[6, 5] = d1
+    # r23 = e + if
+    g[7, 8] = d - d1             # e' = (delta - delta1) Im r23 + hp Im r12
+    g[7, 4] = hp
+    g[8, 7] = d1 - d             # f' = (delta1 - delta) Re r23 + hs (r22 - r33) + hp Re r12
+    g[8, 1] = hs
+    g[8, 2] = -hs
+    g[8, 3] = hp
+    return g
+
+
+def _preset_params(name):
+    cfg = cli.load_config(cli.preset_path(name))
+    kind = TwoLevelParams if cfg["system"] == "two-level" else ThreeLevelParams
+    return kind(**cfg["system_params"])
+
+
+# every parameter set this file builds a model at, plus the presets'
+TWO_LEVEL_PARAMS = [P, _preset_params("two_level_ground_to_excited"),
+                    _preset_params("two_level_to_superposition"),
+                    TwoLevelParams(0.2, 0.05, 0.7, -1.3),
+                    TwoLevelParams(0.1, 0.3, 0.0, 0.0),
+                    TwoLevelParams(0.0, 0.0, 0.0, 2.0)]
+THREE_LEVEL_PARAMS = [ThreeLevelParams(), _preset_params("three_level_pop_inversion"),
+                      ThreeLevelParams(0.1, 1.0), ThreeLevelParams(0.0, 0.0),
+                      ThreeLevelParams(0.3, -0.8)]
+
+
+@pytest.mark.parametrize("p", TWO_LEVEL_PARAMS, ids=str)
+def test_two_level_drift_and_control_equal_the_hand_oracle(p):
+    model = two_level_model(p)
+    assert np.array_equal(model.drift, hand_two_level(p, 0.0))
+    assert model.generator_du.shape == (1, 4, 4)
+    assert np.array_equal(model.generator_du[0], hand_two_level_du())
+
+
+@pytest.mark.parametrize("p", THREE_LEVEL_PARAMS, ids=str)
+def test_three_level_drift_and_controls_equal_the_hand_oracle(p):
+    model = three_level_model(p)
+    drift = hand_three_level(p, 0.0, 0.0)
+    assert np.array_equal(model.drift, drift)
+    # the hand matrix writes -2 hp at u_p = 0 as -0.0; the built drift's
+    # zeros are all +0.0, so the two differ only in the sign of zeros
+    flipped = np.signbit(model.drift) != np.signbit(drift)
+    assert np.all(model.drift[flipped] == 0.0)
+    assert not np.any(np.signbit(model.drift[model.drift == 0.0]))
+    assert model.generator_du.shape == (2, 9, 9)
+    for du, unit in zip(model.generator_du, ((1.0, 0.0), (0.0, 1.0))):
+        assert np.array_equal(du, hand_three_level(p, *unit) - drift)
+
+
+@pytest.mark.parametrize("system", ["two-level", "three-level"])
+def test_model_generator_equals_the_hand_oracle_at_random_controls(system):
+    rng = np.random.default_rng(25)
+    if system == "two-level":
+        cases = [(two_level_model(p), lambda u, p=p: hand_two_level(p, u[0]))
+                 for p in TWO_LEVEL_PARAMS]
+    else:
+        cases = [(three_level_model(p), lambda u, p=p: hand_three_level(p, *u))
+                 for p in THREE_LEVEL_PARAMS]
+    for model, hand in cases:
+        for _ in range(200):
+            u = rng.normal(scale=rng.choice([0.1, 1.0, 3.0]), size=model.n_controls)
+            assert np.array_equal(model.generator(u), hand(u))
 
 
 @pytest.mark.parametrize("u", [-2.0, 0.0, 2.0])
@@ -28,8 +147,8 @@ def test_two_level_population_rows_sum_zero():
 
 
 def test_two_level_affine_in_control():
-    g0 = two_level_generator(P, 0.0)
-    du = two_level_generator_du(P)
+    model = two_level_model(P)
+    g0, du = model.drift, model.generator_du[0]
     for u in (-1.3, 0.4, 2.0):
         assert np.array_equal(two_level_generator(P, u), g0 + u * du)
     # finite difference of the generator reproduces du exactly
@@ -44,17 +163,45 @@ def test_three_level_matches_vectorizer():
         direct = three_level_generator(p, up, us)
         generic = lindblad_vectorize(three_level_hamiltonian(p, up, us), [])
         assert np.max(np.abs(direct - generic)) < 1e-12
+    model = three_level_model(p)
+    assert np.array_equal(model.drift, three_level_generator(p, 0.0, 0.0))
+    generic = lindblad_vectorize(three_level_hamiltonian(p, 0.0, 0.0), [])
+    assert np.max(np.abs(model.drift - generic)) < 1e-12
 
 
 def test_three_level_zero_hamiltonian():
     p = ThreeLevelParams(delta=0.0, delta1=0.0)
     assert np.max(np.abs(three_level_generator(p, 0.0, 0.0))) == 0.0
+    assert np.max(np.abs(three_level_model(p).drift)) == 0.0
 
 
 def test_three_level_population_rows():
     p = ThreeLevelParams()
     g = three_level_generator(p, 0.7, -1.1)
     assert np.max(np.abs(g[0] + g[1] + g[2])) < 1e-14
+    model = three_level_model(p)
+    for m in (model.drift, *model.generator_du):
+        assert np.max(np.abs(m[0] + m[1] + m[2])) == 0.0
+
+
+def test_master_equation_splits_drift_jumps_and_controls():
+    # jumps enter the drift only; each control's derivative is its commutator
+    h0, hc = two_level_hamiltonian(P, 0.0), np.diag([0.0, 1.0]).astype(complex)
+    drift, du = master_equation(h0, [hc], two_level_jumps(P))
+    assert np.array_equal(drift, lindblad_vectorize(h0, two_level_jumps(P)))
+    assert np.array_equal(du, lindblad_vectorize(hc, [])[None])
+    assert not (drift.flags.writeable or du.flags.writeable)
+    assert not np.any(np.signbit(drift[drift == 0.0])) and not np.any(np.signbit(du[du == 0.0]))
+
+
+def test_control_derivative_is_exact_where_a_difference_of_generators_rounds():
+    # at omega_z = 0.65, 2 omega_z + 1 rounds, so G(1) - G(0) misses the unit
+    # entries of G_c by an ulp; the commutator with sigma_ee alone does not
+    p = TwoLevelParams(omega_z=0.65)
+    h0, h1 = two_level_hamiltonian(p, 0.0), two_level_hamiltonian(p, 1.0)
+    difference = lindblad_vectorize(h1, []) - lindblad_vectorize(h0, [])
+    assert not np.array_equal(difference, hand_two_level_du())
+    assert np.array_equal(two_level_model(p).generator_du[0], hand_two_level_du())
 
 
 def test_vectorizer_rejects_bad_inputs():
@@ -152,7 +299,8 @@ def test_rk4_input_validation():
 def test_shipped_models_are_affine(model):
     # propagate_rk4 and the pmp Jacobian build G(u) as G(0) + sum_c u_c G_c
     rng = np.random.default_rng(3)
-    g0 = model.generator(np.zeros(model.n_controls))
+    g0 = model.drift
+    assert np.array_equal(model.generator(np.zeros(model.n_controls)), g0)
     for _ in range(5):
         u = rng.normal(scale=3.0, size=model.n_controls)
         affine = g0 + sum(uc * gc for uc, gc in zip(u, model.generator_du))
@@ -163,18 +311,55 @@ def test_model_holds_generator_du_as_one_read_only_array():
     for model in (two_level_model(P), three_level_model(ThreeLevelParams())):
         du = model.generator_du
         assert du.dtype == float and du.shape == (model.n_controls, model.dim, model.dim)
+        assert model.drift.dtype == float and model.drift.shape == (model.dim, model.dim)
         with pytest.raises(ValueError):
             du[0, 0, 0] = 1.0
+        with pytest.raises(ValueError):
+            model.drift[0, 0] = 1.0
 
-    def never(u):   # the model checks its derivatives without building a generator
+    def never(u):   # the model checks its arrays without building a generator
         raise AssertionError("generator called")
 
-    du = two_level_generator_du(P)
-    lindblad.SuperOperatorModel(dim=4, n_controls=1, generator=never, generator_du=[du])
-    for bad in ([du, du], [du[:3, :3]], [np.where(du == 0.0, np.nan, du)], [1j * du]):
+    drift, du = hand_two_level(P, 0.0), hand_two_level_du()
+    model = lindblad.SuperOperatorModel(generator=never, drift=drift, generator_du=[du])
+    assert (model.dim, model.n_controls) == (4, 1)
+    # the control count is read off the stack's length
+    assert lindblad.SuperOperatorModel(never, drift, [du, du]).n_controls == 2
+    for bad in (du, [du[:3, :3]], [np.where(du == 0.0, np.nan, du)], [1j * du]):
         with pytest.raises(ValueError, match="generator_du"):
-            lindblad.SuperOperatorModel(dim=4, n_controls=1, generator=never,
-                                        generator_du=bad)
+            lindblad.SuperOperatorModel(generator=never, drift=drift, generator_du=bad)
+    for bad in (drift[:3, :3], np.zeros((4, 9)), np.zeros(4), 1j * drift,
+                np.where(drift == 0.0, np.inf, drift)):
+        with pytest.raises(ValueError, match="drift"):
+            lindblad.SuperOperatorModel(generator=never, drift=bad, generator_du=[du])
+
+
+def test_no_vectorizer_call_per_residual_jacobian_or_equal_rebuild(monkeypatch):
+    # one vectorizer call costs about 0.1 ms, against 17 generator calls per
+    # residual: the models build their (G(0), G_c) once per parameter set
+    calls = []
+    vectorize = lindblad.lindblad_vectorize
+    monkeypatch.setattr(lindblad, "lindblad_vectorize",
+                        lambda *a: calls.append(1) or vectorize(*a))
+    for name in ("two_level_ground_to_excited", "two_level_to_superposition",
+                 "three_level_pop_inversion"):
+        prob = cli.build_problem(cli.load_config(cli.preset_path(name)))[0]
+        values = prob.decision.values.copy()   # off the set-up's memoised point
+        values[prob.xi_mask] += 1e-3
+        del calls[:]
+        prob.residual(values)
+        assert calls == []
+        prob.jacobian(values)
+        assert calls == []
+    p = TwoLevelParams(0.0123, 0.0456, 0.789, -1.011)   # one no other test builds
+    two_level_model(p)
+    assert len(calls) == 2                             # G(0) and one G_c
+    two_level_model(TwoLevelParams(0.0123, 0.0456, 0.789, -1.011))
+    assert len(calls) == 2
+    q = ThreeLevelParams(0.0123, -0.456)
+    three_level_model(q)
+    three_level_model(ThreeLevelParams(0.0123, -0.456))
+    assert len(calls) == 2 + 3
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -270,8 +455,8 @@ def _rk4_matrix_form(model, x0, us, t0, tf, steps):
     product and sum: eye + c X, stacked products, one scan per batch."""
     dim, block, chunk = model.dim, lindblad._BLOCK_STEPS, lindblad._CHUNK
     h = (tf - t0) / steps
-    drift = model.generator(np.zeros(model.n_controls)).reshape(dim * dim)
-    du = np.asarray(model.generator_du).reshape(model.n_controls, dim * dim)
+    drift = model.drift.reshape(dim * dim)
+    du = model.generator_du.reshape(model.n_controls, dim * dim)
     eye = np.eye(dim)
     x = np.asarray(x0, dtype=float)
     xs = [x]
