@@ -96,7 +96,7 @@ THREE_LEVEL_PARAMS = [ThreeLevelParams(), _preset_params("three_level_pop_invers
                       ThreeLevelParams(0.3, -0.8)]
 
 
-@pytest.mark.parametrize("p", TWO_LEVEL_PARAMS, ids=str)
+@pytest.mark.parametrize("p", TWO_LEVEL_PARAMS)
 def test_two_level_drift_and_control_equal_the_hand_oracle(p):
     model = two_level_model(p)
     assert np.array_equal(model.drift, hand_two_level(p, 0.0))
@@ -104,7 +104,7 @@ def test_two_level_drift_and_control_equal_the_hand_oracle(p):
     assert np.array_equal(model.generator_du[0], hand_two_level_du())
 
 
-@pytest.mark.parametrize("p", THREE_LEVEL_PARAMS, ids=str)
+@pytest.mark.parametrize("p", THREE_LEVEL_PARAMS)
 def test_three_level_drift_and_controls_equal_the_hand_oracle(p):
     model = three_level_model(p)
     drift = hand_three_level(p, 0.0, 0.0)
@@ -163,10 +163,7 @@ def test_three_level_matches_vectorizer():
         direct = three_level_generator(p, up, us)
         generic = lindblad_vectorize(three_level_hamiltonian(p, up, us), [])
         assert np.max(np.abs(direct - generic)) < 1e-12
-    model = three_level_model(p)
-    assert np.array_equal(model.drift, three_level_generator(p, 0.0, 0.0))
-    generic = lindblad_vectorize(three_level_hamiltonian(p, 0.0, 0.0), [])
-    assert np.max(np.abs(model.drift - generic)) < 1e-12
+    assert np.array_equal(three_level_model(p).drift, three_level_generator(p, 0.0, 0.0))
 
 
 def test_three_level_zero_hamiltonian():
@@ -389,7 +386,8 @@ def test_rk4_builds_the_generator_once_whatever_the_step_count():
         propagate_rk4(model, x0, lambda t: np.column_stack([np.sin(t), np.cos(t)]),
                       0.0, 2.0, steps)
         counts.append(len(calls))
-    assert counts[0] == counts[1] <= 1
+    # the drift and the G_c are the model's arrays: no generator is built
+    assert counts == [0, 0]
 
 
 def test_two_level_params_validation():
