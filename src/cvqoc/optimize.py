@@ -36,6 +36,9 @@ class DecisionVector:
 # trial step lowered the loss, or the damped normal equations were singular
 STOP_REASONS = ("converged", "max_iter", "no_descent", "singular")
 
+# Adam's moment decay rates and denominator guard (Kingma & Ba's defaults)
+ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
+
 
 @dataclass
 class SolveReport:
@@ -147,6 +150,7 @@ def gauss_newton(res_fn, z0: np.ndarray, *, jac_fn, tol: float = 1e-6,
         if not np.all(np.isfinite(jac)):
             raise FloatingPointError("non-finite Jacobian entry")
         jtj = jac.T @ jac
+        undamped = jtj.diagonal().copy()   # each trial damps jtj's diagonal in place
         jtr = jac.T @ r
         loss = float(np.linalg.norm(r))
         accepted = False
@@ -156,7 +160,8 @@ def gauss_newton(res_fn, z0: np.ndarray, *, jac_fn, tol: float = 1e-6,
         for _ in range(9):
             entry = {"damping": lam, "step_scale": step_scale}
             try:
-                delta = np.linalg.solve(jtj + lam * np.eye(jtj.shape[0]), -jtr)
+                np.fill_diagonal(jtj, undamped + lam)
+                delta = np.linalg.solve(jtj, -jtr)
             except np.linalg.LinAlgError:
                 stall = "singular"
                 break
@@ -195,8 +200,7 @@ def gauss_newton(res_fn, z0: np.ndarray, *, jac_fn, tol: float = 1e-6,
 
 
 def adam(loss_fn, z0: np.ndarray, *, grad_fn, lr: float = 0.01, max_epochs: int = 200,
-         tol: float = 0.0, beta1: float = 0.9, beta2: float = 0.999,
-         eps: float = 1e-8, callback=None):
+         tol: float = 0.0, callback=None):
     """Adam with bias correction on a scalar loss.
 
     grad_fn(z) returns the gradient of loss_fn at z.  Each epoch takes the
@@ -218,12 +222,12 @@ def adam(loss_fn, z0: np.ndarray, *, grad_fn, lr: float = 0.01, max_epochs: int 
         if not np.all(np.isfinite(grad)):
             raise FloatingPointError(f"non-finite gradient entry in epoch {epoch + 1}")
         epoch += 1
-        m = beta1 * m + (1 - beta1) * grad
-        v = beta2 * v + (1 - beta2) * grad**2
-        m_hat = m / (1 - beta1**epoch)
-        v_hat = v / (1 - beta2**epoch)
+        m = ADAM_BETA1 * m + (1 - ADAM_BETA1) * grad
+        v = ADAM_BETA2 * v + (1 - ADAM_BETA2) * grad**2
+        m_hat = m / (1 - ADAM_BETA1**epoch)
+        v_hat = v / (1 - ADAM_BETA2**epoch)
         with np.errstate(over="ignore"):   # an overflow is reported just below
-            z = z - lr * m_hat / (np.sqrt(v_hat) + eps)
+            z = z - lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
         if not np.all(np.isfinite(z)):
             raise FloatingPointError(f"non-finite parameter after epoch {epoch}")
         loss = _finite_loss(loss_fn(z), f"after epoch {epoch}")
@@ -246,7 +250,7 @@ class TrainSchedule:
     mode: str = "xi"           # xi | joint
     tolerance: float = 1e-6
     gn_max_iter: int = 50
-    adam_lr: float = 0.01
+    adam_lr: float = 1e-6
     joint_rounds: int = 5
     joint_gn_steps: int = 3
     joint_adam_steps: int = 25

@@ -8,17 +8,17 @@ and so is its exact tau-derivative.  FeatureCache builds the forms once per
 bank revision and evaluates them at the collocation nodes and domain
 endpoints into a table, so weight-only perturbations never re-run the
 quantum simulation.  Output weights fold into the forms before any per-tau
-work, so the trained solution on a fine grid (trajectories, the RK4
-control) costs one form per output column, whatever the number of circuits.
-Every unknown is a tfc.ConstrainedExpression over FeatureCache.features and
-its own weight block, which the expression reads on every call.  The cache's
-one memo per bank revision holds the forms, the node table, the theta rows,
+work, so the trained solution off the nodes (_Collocation._tabulate) costs
+one form per output column, whatever the number of circuits.  Every unknown
+is a tfc.ConstrainedExpression over FeatureCache.features and its own
+weight block, which the expression reads on every call.  The cache's one
+memo per bank revision holds the forms, the node table, the theta rows,
 every unknown's affine map at the nodes (psi, psi', b, b') and the node
 values' directions along the weights and scalars, since the nodes and the
-domain are fixed.  Both
-problems share one base, _Collocation, which owns that layout: its _sync is
-the only writer of the weights (in place) and hands theta to the bank, whose
-set_flat is the only writer of the circuit parameters.
+domain are fixed.  Both problems share one base, _Collocation, which owns
+that layout: its _sync is the only writer of the weights (in place) and
+hands theta to the bank, whose set_flat is the only writer of the circuit
+parameters.
 
 Every problem's jacobian is closed form in every coordinate, by one chain
 rule in _Collocation: every coordinate reaches the residual only through
@@ -34,6 +34,8 @@ and the next iteration) costs one evaluation.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 from . import cvqnn, fock, lindblad, pmp
@@ -42,11 +44,9 @@ from .optimize import DecisionVector
 from .tfc import BoundaryConstraint, ConstrainedExpression, TimeMorph, chebyshev_lobatto_nodes
 
 
-# Bytes of the products y R per row block of FeatureCache._quadratic: every
-# block buffer stays under glibc's default 128 kB mmap threshold, so it comes
-# from the heap rather than from freshly mapped pages.  One output column at
-# cutoff 10 gives 512 rows: a trajectory grid (201 points) is one block, the
-# 8001 stage times of an RK4 control are sixteen.
+# Bytes of the products y R per row block of FeatureCache._quadratic, which
+# bounds its temporaries on a long grid.  A row of y R can round differently
+# with the block's row count, so the block size is part of the results.
 _BLOCK_BYTES = 80 * 1024
 
 
@@ -65,10 +65,7 @@ class FeatureCache:
     At the fixed points `taus` (the nodes and domain endpoints) y is fixed,
     so a tau, or an array of them, made only of such points is a lookup in
     a table built with the forms.  Any other tau goes through _quadratic,
-    in row blocks of at most _BLOCK_BYTES of products y R: its work buffers
-    are allocated once per call, under glibc's mmap threshold, and filled
-    in place block by block, so a long grid (the 8001 stage times of an RK4
-    control) maps no multi-MB or per-block temporaries afresh.
+    one _contract per row block of at most _BLOCK_BYTES of products y R.
     Output weights W contract into the forms before any per-tau work,
     phi(tau) W = z^H (sum_l W_l O_l) z, so `weighted` costs one quadratic
     form per output column, whatever the number of circuits.  theta_p of
@@ -98,12 +95,10 @@ class FeatureCache:
                                      [c.params.size for c in bank.circuits])
         self._memo = {"revision": None}
 
-    def _phases(self, taus: np.ndarray, out: np.ndarray = None) -> np.ndarray:
-        """The phase rows y = [cos tau w, sin tau w], shape (K, 2D), filled
-        into out when it is given; the angles tau w pass through the sine
-        half."""
+    def _phases(self, taus: np.ndarray) -> np.ndarray:
+        """The phase rows y = [cos tau w, sin tau w], shape (K, 2D)."""
         d = self._w.size
-        y = np.empty((taus.size, 2 * d)) if out is None else out
+        y = np.empty((taus.size, 2 * d))
         phase = np.multiply.outer(taus, self._w, out=y[:, d:])
         np.cos(phase, out=y[:, :d])
         np.sin(phase, out=phase)
@@ -120,28 +115,19 @@ class FeatureCache:
         r[:, d:, :d] = -q.imag
         return r
 
-    def _contract(self, y: np.ndarray, r: np.ndarray, derivative: bool = True,
-                  out=(None, None, None, None)):
+    def _contract(self, y: np.ndarray, r: np.ndarray, derivative: bool = True):
         """(y_k R_j y_k^T, 2 y_k R_j (dy_k / dtau)^T) for every row y_k of the
         (K, 2D) y and every R_j of the (n, 2D, 2D) symmetric stack r, each of
         shape (K, n): one matrix product, then one row-wise dot each.  With
-        derivative=False the second item is None.  out holds the arrays to
-        fill in place of new ones, each None or of its shape: the products
-        y R (K, n 2D), dy / dtau (K, 2D), and the two results."""
+        derivative=False the second item is None."""
         n, m = r.shape[:2]
-        yr, dy, val, dval = out
-        yr = np.matmul(y, r.transpose(1, 0, 2).reshape(m, n * m), out=yr)
-        yr = yr.reshape(len(y), n, m)                                     # y_k R_j
-        val = np.einsum("kjm,km->kj", yr, y, out=val)
+        yr = (y @ r.transpose(1, 0, 2).reshape(m, n * m)).reshape(len(y), n, m)   # y_k R_j
+        val = np.einsum("kjm,km->kj", yr, y)
         if not derivative:
             return val, None
-        d = m // 2   # d/dtau [cos tau w, sin tau w] = [-w sin tau w, w cos tau w]
-        dy = np.empty_like(y) if dy is None else dy
-        np.multiply(-self._w, y[:, d:], out=dy[:, :d])
-        np.multiply(self._w, y[:, :d], out=dy[:, d:])
-        dval = np.einsum("kjm,km->kj", yr, dy, out=dval)
-        dval *= 2.0
-        return val, dval
+        dy = np.roll(y, m // 2, axis=1)             # [sin tau w, cos tau w], times
+        dy *= np.concatenate([-self._w, self._w])   # [-w, w] is d/dtau [cos tau w, sin tau w]
+        return val, 2.0 * np.einsum("kjm,km->kj", yr, dy)
 
     def _current(self) -> dict:
         """The memo at the bank's revision: U_l B, the real forms R and the
@@ -196,18 +182,11 @@ class FeatureCache:
             forms = np.tensordot(weights, forms, axes=(0, 0))            # (d, 2D, 2D)
         n, m = forms.shape[:2]
         flat = np.atleast_1d(taus)
-        rows = max(1, min(flat.size, _BLOCK_BYTES // (8 * n * m)))
-        # the block buffers and the results, filled in place block by block
-        y, yr = np.empty((rows, m)), np.empty((rows, n * m))
-        dy = np.empty_like(y) if derivative else None
-        val = np.empty((flat.size, n))
-        dval = np.empty_like(val) if derivative else None
-        for first in range(0, flat.size, rows):
-            k = min(rows, flat.size - first)
-            work = [None if a is None else a[:k] for a in (yr, dy)]
-            results = [None if a is None else a[first:first + k] for a in (val, dval)]
-            self._contract(self._phases(flat[first:first + k], y[:k]), forms, derivative,
-                           work + results)
+        rows = max(1, _BLOCK_BYTES // (8 * n * m))
+        blocks = [self._contract(self._phases(flat[first:first + rows]), forms, derivative)
+                  for first in range(0, max(flat.size, 1), rows)]   # no tau: one empty block
+        val = np.concatenate([v for v, _ in blocks])
+        dval = np.concatenate([dv for _, dv in blocks]) if derivative else None
         if taus.ndim == 0:
             return val[0], dval[0] if derivative else None
         return val, dval
@@ -396,20 +375,15 @@ class _Collocation:
                 a[:, rate:rate + w.shape[0]] = t.dpsi[:, None, p] * w
         return a
 
-    def _value_function(self, expr):
-        """tau -> expr's value, through the cache's weighted kernel: the
-        weights fold into the circuits' forms, constrained ends included."""
-        features = self.cache.weighted(expr.weights)
-
-        def value(tau):
-            psi, _, b, _ = expr.affine(tau, derivative=False, features=features)
-            return psi + b
-
-        return value
-
-    def _eval_grid(self, expr, t_grid):
+    def _tabulate(self, expr, t):
+        """expr's value at the times t (a scalar or a 1-D array) at the decision
+        values, over FeatureCache.weighted, with tau clamped to the domain."""
         self._sync(self.decision.values)
-        return self._value_function(expr)(self.morph.to_tau(t_grid))
+        morph = self.morph
+        tau = np.clip(morph.to_tau(t), morph.tau0, morph.tauf)
+        psi, _, b, _ = expr.affine(tau, derivative=False,
+                                   features=self.cache.weighted(expr.weights))
+        return psi + b
 
 
 class OdeBenchmarkProblem(_Collocation):
@@ -432,7 +406,7 @@ class OdeBenchmarkProblem(_Collocation):
         return np.array([[[-self.rate, self.morph.c_map]]]), None
 
     def solution(self, t_grid: np.ndarray) -> np.ndarray:
-        return self._eval_grid(self.expr, t_grid)[:, 0]
+        return self._tabulate(self.expr, t_grid)[:, 0]
 
 
 class QocProblem(_Collocation):
@@ -489,23 +463,15 @@ class QocProblem(_Collocation):
     # --- trained-solution accessors -------------------------------------
 
     def state_trajectory(self, t_grid):
-        return self._eval_grid(self.unknowns.expr_state, t_grid)
+        return self._tabulate(self.unknowns.expr_state, t_grid)
 
     def control_trajectory(self, t_grid):
-        return self._eval_grid(self.unknowns.expr_control, t_grid)
+        return self._tabulate(self.unknowns.expr_control, t_grid)
 
     def control_function(self):
-        """u(t) for the RK4 verifier: a scalar t gives shape (n_controls,), a
-        1-D array of K times (K, n_controls).  tau is clamped to the domain
-        edge to tolerate endpoint rounding."""
-        self._sync(self.decision.values)
-        morph = self.morph
-        value = self._value_function(self.unknowns.expr_control)
-
-        def u_of_t(t):
-            return value(np.clip(morph.to_tau(t), morph.tau0, morph.tauf))
-
-        return u_of_t
+        """u(t) for the RK4 verifier by control_trajectory's path: shape
+        (n_controls,) for a scalar t, (K, n_controls) for K times."""
+        return functools.partial(self._tabulate, self.unknowns.expr_control)
 
     def final_time(self) -> float:
         self._sync(self.decision.values)
@@ -519,9 +485,8 @@ class QocProblem(_Collocation):
 
     def verify_rk4(self, steps: int = 2000):
         """Propagate the learned control with RK4 and report the endpoint gap."""
-        self._sync(self.decision.values)
         ts, xs = lindblad.propagate_rk4(self.model, self.cfg.rho_init,
                                         self.control_function(),
-                                        self.morph.t0, self.morph.tf, steps)
+                                        self.morph.t0, self.final_time(), steps)
         gap = float(np.linalg.norm(xs[-1] - self.cfg.rho_target))
         return ts, xs, gap

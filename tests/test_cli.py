@@ -217,6 +217,16 @@ def test_solve_theta_overflow_exits_3(tmp_path, capsys):
     assert "non-finite parameter after epoch 1" in capsys.readouterr().err
 
 
+def test_solve_joint_at_the_default_learning_rate_ends_below_its_start(tmp_path):
+    # at adam_lr 0.01 the first Adam burst took this preset from 3.75 to ~1e4
+    out = tmp_path / "out"
+    assert run(["solve", "--preset", "two_level_ground_to_excited", "--mode", "joint",
+                "--output", str(out)]) == 0
+    history = json.loads((out / "report.json").read_text())["report"]["loss_history"]
+    assert history[-1] < history[0]
+    assert max(history) == history[0]
+
+
 def test_solve_qoc_reports_jacobian_conditioning(tmp_path):
     cfg = cli.load_config(cli.preset_path("two_level_ground_to_excited"))
     cfg["train"]["gn_max_iter"] = 2

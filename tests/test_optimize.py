@@ -378,7 +378,7 @@ def test_train_carries_stop_reason():
 TRAIN_PINS = {
     "xi": (TrainSchedule(mode="xi", tolerance=1e-10, gn_max_iter=3), 15,
            [2.2996874441415915, 2.299687444141591, 2.299687444141591]),
-    "joint": (TrainSchedule(mode="joint", tolerance=1e-10, joint_rounds=2,
+    "joint": (TrainSchedule(mode="joint", tolerance=1e-10, adam_lr=0.01, joint_rounds=2,
                             joint_gn_steps=2, joint_adam_steps=2), 28,
               [2.2996874441415915, 2.299687444141591, 2.2996197443109274,
                2.2995589601582256, 2.299556793229496, 2.299556793229496,

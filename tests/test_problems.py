@@ -294,6 +294,17 @@ def test_control_function_on_scalar_and_array_times():
         assert np.allclose(row, table[k], rtol=0, atol=1e-14)
 
 
+def test_control_function_and_trajectory_tabulate_by_one_path():
+    prob = qoc_problem()
+    values = prob.decision.values.copy()
+    values[prob.xi_mask] = np.random.default_rng(10).normal(0.0, 0.5, int(prob.xi_mask.sum()))
+    prob.decision.replace(values)
+    tf = prob.final_time()
+    # the solve's 201-point grid, and a time just past tf that both clamp
+    ts = np.append(np.linspace(prob.morph.t0, tf, 201), tf + 1e-12)
+    assert np.array_equal(prob.control_function()(ts), prob.control_trajectory(ts))
+
+
 def test_array_eval_matches_scalar_calls_and_boundaries():
     prob = qoc_problem()
     rng = np.random.default_rng(2)
@@ -739,8 +750,8 @@ def test_node_values_match_the_expressions_and_evaluate_no_residual(monkeypatch)
 
 
 def _blockwise_reference(cache, taus, forms):
-    """The tabulation as written before its block buffers: per row block,
-    fresh phase rows, y R and dy, then the two row-wise dots."""
+    """The tabulation written out per row block of _BLOCK_BYTES: the phase
+    rows, y R and dy, then the two row-wise dots."""
     n, m = forms.shape[:2]
     rows = problems._BLOCK_BYTES // (8 * n * m)
     vals, dvals = [], []
@@ -755,7 +766,7 @@ def _blockwise_reference(cache, taus, forms):
 
 
 @pytest.mark.parametrize("columns", [None, 1, 3])
-def test_tabulation_in_block_buffers_matches_the_blockwise_formula(columns):
+def test_tabulation_matches_the_blockwise_formula(columns):
     bank = small_bank()
     cache = problems.FeatureCache(bank)
     rng = np.random.default_rng(41)
