@@ -157,10 +157,6 @@ class QnnBank:
     def cutoff(self) -> int:
         return self.circuits[0].cutoff
 
-    @property
-    def version(self) -> tuple:
-        return tuple(c.version for c in self.circuits)
-
     def get_flat(self) -> np.ndarray:
         return self._theta.copy()
 

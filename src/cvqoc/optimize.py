@@ -42,10 +42,10 @@ ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
 
 @dataclass
 class SolveReport:
-    iterations: int
-    final_loss: float
-    loss_history: list
-    converged: bool
+    """A solve's record.  The iteration count, final loss and converged
+    flag are read from the loss history and the stop reason."""
+
+    loss_history: list   # the starting loss, then one entry per iteration
     tolerance_used: float
     wall_time: float = 0.0
     stop_reason: str = "max_iter"
@@ -57,12 +57,20 @@ class SolveReport:
     def __post_init__(self):
         if not self.loss_history:
             raise ValueError("loss history must not be empty")
-        if self.loss_history[-1] != self.final_loss:
-            raise ValueError("final loss must equal the last history entry")
         if self.stop_reason not in STOP_REASONS:
             raise ValueError(f"unknown stop reason {self.stop_reason!r}")
-        if (self.stop_reason == "converged") != self.converged:
-            raise ValueError("stop reason contradicts the converged flag")
+
+    @property
+    def iterations(self) -> int:
+        return len(self.loss_history) - 1
+
+    @property
+    def final_loss(self) -> float:
+        return self.loss_history[-1]
+
+    @property
+    def converged(self) -> bool:
+        return self.stop_reason == "converged"
 
     def to_dict(self) -> dict:
         return {
@@ -115,20 +123,24 @@ def gauss_newton(res_fn, z0: np.ndarray, *, jac_fn, tol: float = 1e-6,
                  max_iter: int = 50, damping: float = 1e-8, bounds=None, callback=None):
     """Damped Gauss-Newton iteration on the residual L2 norm.
 
-    jac_fn(z) returns the Jacobian of res_fn at z.  Rejected steps are
-    halved up to 8 times while the damping escalates tenfold; accepted
-    steps relax it.  bounds, when given, is a list of (index, lo, hi) box
-    constraints applied by projection after each step.  A non-finite loss
+    jac_fn(z) returns the Jacobian of res_fn at z.  res_fn is asked once
+    for the start and once per trial point; an accepted trial's residual is
+    the next iteration's r.  Rejected steps are halved up to 8 times while
+    the damping escalates tenfold; accepted steps relax it.  bounds, when
+    given, is a list of (index, lo, hi) box constraints applied by
+    projection after each step.  A non-finite loss
     at the starting point or a non-finite Jacobian entry raises
     FloatingPointError; a trial step with a non-finite loss is rejected, so
     every accepted point has a finite loss.  The iteration stops when the
     loss is under tol, after max_iter iterations, when all 9 trial steps
     fail to lower the loss (no_descent), or when the damped system cannot be
-    solved (singular).  The report's gn_iterations records, per iteration,
-    the damping and step scale of the last trial (`damping`, `step_scale`),
-    the trial points evaluated (`trials`), whether one was `accepted`, and
-    res_fn's calls so far (`residual_calls`), which costs no evaluation.
-    Returns (z, SolveReport).
+    solved (singular).  callback(k, z, loss), when given, runs after every
+    iteration k, also after a last one that accepted no step (z and loss
+    then repeat the previous iteration's).  The report's gn_iterations
+    records, per iteration, the damping and step scale of the last trial
+    (`damping`, `step_scale`), the trial points evaluated (`trials`),
+    whether one was `accepted`, and res_fn's calls so far
+    (`residual_calls`, 1 + the trials so far).  Returns (z, SolveReport).
     """
     if tol <= 0:
         raise ValueError("tolerance must be positive")
@@ -137,22 +149,19 @@ def gauss_newton(res_fn, z0: np.ndarray, *, jac_fn, tol: float = 1e-6,
     start = time.perf_counter()
     z = np.asarray(z0, dtype=float).copy()
     lam = damping
-    history = [_finite_loss(np.linalg.norm(res_fn(z)), "at the starting point")]
+    r = np.asarray(res_fn(z))
+    loss = _finite_loss(np.linalg.norm(r), "at the starting point")
+    history = [loss]
     calls = 1
     log = []
-    converged = history[0] < tol
-    reason = "converged" if converged else "max_iter"
-    iters = 0
-    while not converged and iters < max_iter:
-        r = np.asarray(res_fn(z))
-        calls += 1
+    reason = "converged" if loss < tol else "max_iter"
+    while reason == "max_iter" and len(log) < max_iter:
         jac = np.asarray(jac_fn(z), dtype=float)
         if not np.all(np.isfinite(jac)):
             raise FloatingPointError("non-finite Jacobian entry")
         jtj = jac.T @ jac
         undamped = jtj.diagonal().copy()   # each trial damps jtj's diagonal in place
         jtr = jac.T @ r
-        loss = float(np.linalg.norm(r))
         accepted = False
         stall = "no_descent"
         step_scale = 1.0
@@ -169,34 +178,28 @@ def gauss_newton(res_fn, z0: np.ndarray, *, jac_fn, tol: float = 1e-6,
             if bounds:
                 for idx, lo, hi in bounds:
                     z_try[idx] = min(max(z_try[idx], lo), hi)
-            loss_try = float(np.linalg.norm(res_fn(z_try)))
+            r_try = np.asarray(res_fn(z_try))
+            loss_try = float(np.linalg.norm(r_try))
             calls += 1
             trials += 1
             if np.isfinite(loss_try) and loss_try < loss:
-                z = z_try
-                loss = loss_try
+                z, r, loss = z_try, r_try, loss_try
                 lam = max(lam / 10.0, 1e-14)
                 accepted = True
                 break
             step_scale *= 0.5
             lam = min(lam * 10.0, 1e8) if lam > 0 else 1e-8
-        iters += 1
         history.append(loss)
         log.append(dict(entry, trials=trials, accepted=accepted, residual_calls=calls))
         if callback:
-            callback(iters, z, loss)
+            callback(len(log), z, loss)
         if loss < tol:
-            converged = True
             reason = "converged"
         elif not accepted:
             reason = stall
-            break
-    report = SolveReport(
-        iterations=iters, final_loss=history[-1], loss_history=history,
-        converged=bool(converged), tolerance_used=tol,
-        wall_time=time.perf_counter() - start, stop_reason=reason, gn_iterations=log,
-    )
-    return z, report
+    return z, SolveReport(loss_history=history, tolerance_used=tol,
+                          wall_time=time.perf_counter() - start, stop_reason=reason,
+                          gn_iterations=log)
 
 
 def adam(loss_fn, z0: np.ndarray, *, grad_fn, lr: float = 0.01, max_epochs: int = 200,
@@ -215,9 +218,9 @@ def adam(loss_fn, z0: np.ndarray, *, grad_fn, lr: float = 0.01, max_epochs: int 
     m = np.zeros_like(z)
     v = np.zeros_like(z)
     history = [_finite_loss(loss_fn(z), "at the starting point")]
-    converged = history[0] < tol
+    reason = "converged" if history[0] < tol else "max_iter"
     epoch = 0
-    while not converged and epoch < max_epochs:
+    while reason == "max_iter" and epoch < max_epochs:
         grad = np.asarray(grad_fn(z), dtype=float)
         if not np.all(np.isfinite(grad)):
             raise FloatingPointError(f"non-finite gradient entry in epoch {epoch + 1}")
@@ -235,14 +238,9 @@ def adam(loss_fn, z0: np.ndarray, *, grad_fn, lr: float = 0.01, max_epochs: int 
         if callback:
             callback(epoch, z, loss)
         if loss < tol:
-            converged = True
-    report = SolveReport(
-        iterations=epoch, final_loss=history[-1], loss_history=history,
-        converged=bool(converged), tolerance_used=tol,
-        wall_time=time.perf_counter() - start,
-        stop_reason="converged" if converged else "max_iter",
-    )
-    return z, report
+            reason = "converged"
+    return z, SolveReport(loss_history=history, tolerance_used=tol,
+                          wall_time=time.perf_counter() - start, stop_reason=reason)
 
 
 @dataclass
@@ -282,10 +280,11 @@ def train(problem, schedule: TrainSchedule, callback=None):
     full coordinates.  Each solver is handed the Jacobian on the mask it
     fits.  Both solvers minimise the residual norm ||r||, Adam with the
     gradient J^T r / ||r||.  callback, when given, is invoked as
-    callback(epoch, full_values, loss) after every accepted optimizer step.
+    callback(epoch, full_values, loss) after every Gauss-Newton iteration
+    (also one that accepted no step) and every Adam epoch.
     The plan stops after a converged burst.  The report joins the bursts
     run: loss histories end to end, less each later burst's starting loss,
-    and the last burst's converged flag and stop_reason.
+    and the last burst's stop_reason.
     """
     start = time.perf_counter()
     bounds = problem.bounds()
@@ -341,12 +340,10 @@ def train(problem, schedule: TrainSchedule, callback=None):
         reports.append(fit(mask, sum(r.iterations for r in reports), solve))
         if reports[-1].converged:
             break
-    last = reports[-1]
     return SolveReport(
-        iterations=sum(r.iterations for r in reports), final_loss=last.final_loss,
         loss_history=reports[0].loss_history[:1] + [
             loss for r in reports for loss in r.loss_history[1:]],
-        converged=last.converged, tolerance_used=schedule.tolerance,
-        wall_time=time.perf_counter() - start, stop_reason=last.stop_reason,
+        tolerance_used=schedule.tolerance, wall_time=time.perf_counter() - start,
+        stop_reason=reports[-1].stop_reason,
         gn_iterations=[entry for r in reports for entry in r.gn_iterations],
     )

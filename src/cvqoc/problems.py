@@ -27,9 +27,8 @@ partials in those values (the subclass's _partials) times the coordinates'
 directions in them, which come from the expressions' affine maps over the
 features (read-only, from the memo, once per revision for every weight and
 scalar) and over the exact d sigma / d theta (FeatureCache.theta_features).
-QocProblem.residual_vector keeps its last evaluation, so a point evaluated
-twice in a row (Gauss-Newton's accepted trial, then the training callback
-and the next iteration) costs one evaluation.
+QocProblem.residual_vector keeps its last evaluation, so the training
+callback at the point Gauss-Newton just accepted costs no evaluation.
 """
 
 from __future__ import annotations
@@ -442,8 +441,9 @@ class QocProblem(_Collocation):
 
     def residual_vector(self, values: np.ndarray) -> pmp.ResidualVector:
         """The residual families at values.  The last evaluation is kept with a
-        copy of its values and returned again for equal values: _sync derives
-        all problem state from the values, so it cannot go stale."""
+        copy of its values and returned again for equal values (the training
+        callback and Adam's gradient read the point just evaluated): _sync
+        derives all problem state from the values, so it cannot go stale."""
         self._sync(values)
         if self._last is None or not np.array_equal(values, self._last[0]):
             self._last = (np.array(values, dtype=float),

@@ -609,10 +609,9 @@ def test_xi_training_evaluates_each_point_once_and_builds_no_circuit(monkeypatch
     report = optimize.train(prob, schedule, callback=lambda k, values, loss: seen.append(
         prob.residual_vector(values).breakdown()["L2_total"] == loss))
     assert report.iterations == 6 and all(seen) and len(seen) == 6
-    # Gauss-Newton calls the residual at the start, at the top of each
-    # iteration and at each trial step; only the start and the trials are new
-    trials = direct["n"] - 1 - report.iterations
-    assert evaluations["n"] == 1 + trials
+    # Gauss-Newton calls the residual at the start and at each trial point,
+    # every one new
+    assert evaluations["n"] == direct["n"] == report.gn_iterations[-1]["residual_calls"]
     assert units["n"] == 0   # no unit matrix, with or without derivatives
 
 
