@@ -317,10 +317,11 @@ def _solve_artifacts_qoc(problem, report, outdir: str, system: str) -> dict:
     write_csv(os.path.join(outdir, "trajectory.csv"), head,
               np.column_stack([grid, xs, us, xs[:, :n_pop].sum(axis=1)]))
 
-    # RK4 verification on the same grid (20 substeps per sample interval)
-    sub = 20
-    _, vx, gap = problem.verify_rk4(sub * (grid.shape[0] - 1))
-    vx = vx[::sub]
+    # RK4 verification at the step count its error estimate needs, a
+    # multiple of the grid's intervals, so a stride of the states is the grid
+    _, vx, gap, estimate = problem.verify_rk4()
+    steps = vx.shape[0] - 1
+    vx = vx[::steps // (grid.shape[0] - 1)]
     write_csv(os.path.join(outdir, "verify.csv"), head,
               np.column_stack([grid, vx, us, vx[:, :n_pop].sum(axis=1)]))
 
@@ -335,6 +336,8 @@ def _solve_artifacts_qoc(problem, report, outdir: str, system: str) -> dict:
         "c_map": problem.morph.c_map,
         "terminal_error_trained": problem.terminal_state_error(),
         "terminal_error_rk4": gap,
+        "rk4_steps": steps,
+        "rk4_error_estimate": estimate,
         "loss_breakdown": problem.residual_vector(problem.decision.values).breakdown(),
         "jacobian_singular_values": [float(sv[0]), float(sv[-1])],
         "jacobian_cond": float(sv[0] / sv[-1]),

@@ -279,7 +279,7 @@ def three_level_model(p: ThreeLevelParams) -> SuperOperatorModel:
 # _CHUNK, so only a run's last batch can end in a ragged chunk.
 _BLOCK_STEPS = 256
 # Steps per chunk of propagate_rk4's blocked scan: its Python loop turns once
-# per chunk, not once per step (4000 steps per verification of a solve).
+# per chunk, not once per step.
 _CHUNK = 16
 
 

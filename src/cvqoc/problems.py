@@ -27,8 +27,9 @@ partials in those values (the subclass's _partials) times the coordinates'
 directions in them, which come from the expressions' affine maps over the
 features (read-only, from the memo, once per revision for every weight and
 scalar) and over the exact d sigma / d theta (FeatureCache.theta_features).
-QocProblem.residual_vector keeps its last evaluation, so the training
-callback at the point Gauss-Newton just accepted costs no evaluation.
+QocProblem.residual_vector keeps its last evaluation and the point held,
+so the training callback at the point Gauss-Newton holds costs no
+evaluation, whether the iteration accepted a step or not.
 """
 
 from __future__ import annotations
@@ -47,6 +48,14 @@ from .tfc import BoundaryConstraint, ConstrainedExpression, TimeMorph, chebyshev
 # bounds its temporaries on a long grid.  A row of y R can round differently
 # with the block's row count, so the block size is part of the results.
 _BLOCK_BYTES = 80 * 1024
+
+# QocProblem.verify_rk4's step doubling: its first run has RK4_BASE_STEPS
+# steps, the intervals of the 201-point grid `cvqoc solve` samples, so every
+# run's states at a stride land on that grid.  RK4's global error is
+# O(h^4), so x_N - x_{N/2} is 15 times x_N's error to leading order.
+RK4_BASE_STEPS = 200
+RK4_TOLERANCE = 1e-8
+RK4_MAX_STEPS = RK4_BASE_STEPS * 2**8
 
 
 class FeatureCache:
@@ -429,7 +438,8 @@ class QocProblem(_Collocation):
         self.cfg = cfg
         self.model = model
         self.unknowns = pmp.UnknownSet(*self._exprs.values())
-        self._last = None   # (values, ResidualVector) of the last evaluation
+        # (values, ResidualVector) of the last evaluation and of the held point
+        self._last = self._held = None
 
     def bounds(self):
         return [(self.decision.blocks["c_map"].start, *self.c_map_bounds)]
@@ -440,14 +450,23 @@ class QocProblem(_Collocation):
         super()._sync(values)
 
     def residual_vector(self, values: np.ndarray) -> pmp.ResidualVector:
-        """The residual families at values.  The last evaluation is kept with a
-        copy of its values and returned again for equal values (the training
-        callback and Adam's gradient read the point just evaluated): _sync
-        derives all problem state from the values, so it cannot go stale."""
+        """The residual families at values.  Two evaluations are kept, each
+        with a copy of its values, and returned again for equal values: the
+        last one (the training callback and Adam's gradient read the point
+        just evaluated) and the held one, the last asked for again, or the
+        first before any such ask.  The callback asks again for every point
+        Gauss-Newton accepts, so after an iteration whose trials were all
+        rejected it finds the point still held.  _sync derives all problem
+        state from the values, so neither can go stale."""
         self._sync(values)
-        if self._last is None or not np.array_equal(values, self._last[0]):
-            self._last = (np.array(values, dtype=float),
-                          pmp.residuals(self.unknowns, self.cfg, self.model, self.nodes))
+        for entry in (self._last, self._held):
+            if entry is not None and np.array_equal(values, entry[0]):
+                self._held = entry
+                return entry[1]
+        self._last = (np.array(values, dtype=float),
+                      pmp.residuals(self.unknowns, self.cfg, self.model, self.nodes))
+        if self._held is None:
+            self._held = self._last
         return self._last[1]
 
     def residual(self, values: np.ndarray) -> np.ndarray:
@@ -483,10 +502,37 @@ class QocProblem(_Collocation):
         x_end, _ = self.unknowns.expr_state.eval(self.morph.tauf)
         return float(np.linalg.norm(x_end - self.cfg.rho_target))
 
-    def verify_rk4(self, steps: int = 2000):
-        """Propagate the learned control with RK4 and report the endpoint gap."""
-        ts, xs = lindblad.propagate_rk4(self.model, self.cfg.rho_init,
-                                        self.control_function(),
-                                        self.morph.t0, self.final_time(), steps)
-        gap = float(np.linalg.norm(xs[-1] - self.cfg.rho_target))
-        return ts, xs, gap
+    def verify_rk4(self, steps: int = None):
+        """Propagate the learned control from rho_init with RK4 and report
+        the endpoint gap to rho_target.
+
+        With steps given, one run of that many steps: (times, states, gap).
+        With none, the step count comes from an error estimate: runs of
+        RK4_BASE_STEPS, twice as many, and so on, until the step-doubling
+        (Richardson) estimate of the last run's error on the grid of
+        RK4_BASE_STEPS intervals, max over its states of
+        |x_N - x_{N/2}| / (2^4 - 1), is at most RK4_TOLERANCE, or the run
+        has RK4_MAX_STEPS steps, where it stops whatever the estimate.
+        Returns (times, states, gap, estimate) of that last run; its step
+        count is a multiple of RK4_BASE_STEPS, so its states at a stride of
+        steps // RK4_BASE_STEPS lie on the grid.
+        """
+        u = self.control_function()
+        t0, tf = self.morph.t0, self.final_time()
+
+        def run(n):
+            ts, xs = lindblad.propagate_rk4(self.model, self.cfg.rho_init, u, t0, tf, n)
+            return ts, xs, float(np.linalg.norm(xs[-1] - self.cfg.rho_target))
+
+        if steps is not None:
+            return run(steps)
+        steps = RK4_BASE_STEPS
+        _, xs, _ = run(steps)
+        while True:
+            coarse = xs[::steps // RK4_BASE_STEPS]
+            steps *= 2
+            ts, xs, gap = run(steps)
+            diff = xs[::steps // RK4_BASE_STEPS] - coarse
+            estimate = float(np.max(np.linalg.norm(diff, axis=1))) / 15.0
+            if estimate <= RK4_TOLERANCE or steps >= RK4_MAX_STEPS:
+                return ts, xs, gap, estimate

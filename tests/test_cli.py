@@ -787,3 +787,33 @@ def test_shipped_preset_training_ends_unchanged(preset):
     final_loss, stop_reason = PRESET_ENDS[preset]
     assert report.final_loss == pytest.approx(final_loss, rel=1e-9, abs=0)
     assert report.stop_reason == stop_reason
+
+
+@pytest.mark.parametrize("preset", sorted(set(PRESET_ENDS) - {"linear_ode_benchmark"}))
+def test_solve_verifies_within_the_tolerance_of_a_4000_step_run(preset, tmp_path):
+    # linear_ode_benchmark's verify.csv is its exact solution, so no RK4 runs
+    out = tmp_path / "out"
+    assert run(["solve", "--preset", preset, "--output", str(out)]) == 0
+    report = json.loads((out / "report.json").read_text())
+    assert report["rk4_steps"] % problems.RK4_BASE_STEPS == 0
+    assert report["rk4_error_estimate"] <= problems.RK4_TOLERANCE
+    problem, schedule, _ = cli.build_problem(cli.load_config(cli.preset_path(preset)))
+    optimize.train(problem, schedule)
+    _, xs, gap = problem.verify_rk4(4000)
+    _, verify = cli.read_csv(str(out / "verify.csv"))
+    states = verify[:, 1:1 + problem.model.dim]
+    assert np.max(np.abs(states - xs[::4000 // problems.RK4_BASE_STEPS])) <= 1e-8
+    assert abs(report["terminal_error_rk4"] - gap) <= 1e-8
+
+
+def test_solve_evaluates_no_residual_beyond_gauss_newton(tmp_path, monkeypatch):
+    # the preset stops at no_descent, so its last iteration accepts no step
+    # and the train.jsonl callback asks again for the point still held
+    calls = []
+    residuals = pmp.residuals
+    monkeypatch.setattr(pmp, "residuals", lambda *a: calls.append(1) or residuals(*a))
+    out = tmp_path / "out"
+    assert run(["solve", "--preset", "two_level_ground_to_excited", "--output", str(out)]) == 0
+    report = json.loads((out / "report.json").read_text())["report"]
+    assert report["stop_reason"] == "no_descent"
+    assert len(calls) == report["gn_iterations"][-1]["residual_calls"]

@@ -417,7 +417,7 @@ def _rk4_reference(model, x0, u_scalar, t0, tf, steps):
 
 # 10 steps: shorter than one scan chunk; 260: a full batch, then a batch
 # shorter than one chunk; 500: a ragged last chunk in the second batch;
-# 4000: the count `cvqoc solve` verifies with
+# 4000: fifteen full batches and a shorter last one, as in a long verification
 @pytest.mark.parametrize("steps", [10, 260, 500, 4000])
 @pytest.mark.parametrize("system", ["two-level", "three-level"])
 def test_rk4_tabulated_control_matches_per_step_reference(system, steps):

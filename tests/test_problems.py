@@ -152,6 +152,67 @@ def test_qoc_verify_rk4_spans_the_trained_horizon():
     assert ts[-1] - ts[0] == morph.tf - morph.t0
 
 
+def test_verify_rk4_stops_where_a_known_fourth_order_error_meets_the_tolerance(monkeypatch):
+    # a closed qubit under a constant control: the coherence turns at
+    # omega = 2 omega_z + u with radius r, so RK4's error after N steps is
+    # r (omega T)^5 / (120 N^4) to leading order.  omega T = 23 puts it at
+    # 6.4e-8 for 800 steps and 4.0e-9 for 1600, either side of the tolerance.
+    params = lindblad.TwoLevelParams(gamma_eg=0.0, gamma_ge=0.0, omega_x=0.0, omega_z=2.0)
+    u, span, r = 1.75, 4.0, 0.5
+    x0 = np.array([0.5, 0.5, r, 0.0])
+    cfg = pmp.OcpConfig(time_weight=1.0, energy_weight=1.0, reg_weight=1e-2,
+                        u_min=-2.0, u_max=2.0, sat_steepness=1.0,
+                        rho_init=x0, rho_target=np.array([0.5, 0.5, 0.0, r]))
+    prob = problems.QocProblem(small_bank(), cfg, lindblad.two_level_model(params),
+                               TimeMorph(0.0, -0.8, 0.8, 1.6 / span), 8)
+    monkeypatch.setattr(prob, "control_function", lambda: lambda t: np.full(1, u))
+    ts, xs, gap, estimate = prob.verify_rk4()
+    steps = xs.shape[0] - 1
+    assert steps == 1600 and ts[-1] == span
+    predicted = r * ((2 * params.omega_z + u) * span) ** 5 / (120 * steps ** 4)
+    assert estimate == pytest.approx(predicted, rel=1e-3)
+    # the exact states, exp(G t) x0, against the grid states the estimate covers
+    w, v = np.linalg.eig(prob.model.drift + u * prob.model.generator_du[0])
+    grid = np.linspace(0.0, span, problems.RK4_BASE_STEPS + 1)
+    exact = np.real(np.einsum("ij,kj,j->ki", v, np.exp(np.multiply.outer(grid, w)),
+                              np.linalg.solve(v, x0)))
+    error = np.max(np.linalg.norm(xs[::steps // problems.RK4_BASE_STEPS] - exact, axis=1))
+    assert error == pytest.approx(estimate, rel=1e-3)
+    assert error <= problems.RK4_TOLERANCE
+    assert gap == np.linalg.norm(xs[-1] - cfg.rho_target)
+
+
+def fast_control_problem():
+    """qoc_problem with every control weight 50: |u| reaches about 70 over
+    the horizon of 4."""
+    prob = qoc_problem()
+    values = prob.decision.values.copy()
+    values[prob.decision.blocks["xi_u"]] = 50.0
+    prob.decision.replace(values)
+    return prob
+
+
+def test_verify_rk4_doubles_past_4000_steps_for_a_fast_control():
+    prob = fast_control_problem()
+    _, xs, _, estimate = prob.verify_rk4()
+    steps = xs.shape[0] - 1
+    assert steps > 4000 and steps % problems.RK4_BASE_STEPS == 0
+    assert estimate <= problems.RK4_TOLERANCE
+    _, finer, _ = prob.verify_rk4(2 * steps)
+    stride = steps // problems.RK4_BASE_STEPS
+    assert np.max(np.linalg.norm(xs[::stride] - finer[::2 * stride], axis=1)) \
+        <= 2 * problems.RK4_TOLERANCE
+
+
+def test_verify_rk4_stops_at_its_cap_whatever_the_estimate(monkeypatch):
+    # with a cap of 800 steps the fast control above cannot meet the
+    # tolerance: the ladder stops there and reports what it estimates
+    monkeypatch.setattr(problems, "RK4_MAX_STEPS", 4 * problems.RK4_BASE_STEPS)
+    _, xs, _, estimate = fast_control_problem().verify_rk4()
+    assert xs.shape[0] - 1 == 800
+    assert estimate > problems.RK4_TOLERANCE
+
+
 def test_qoc_control_function_clamps_endpoints():
     prob = qoc_problem()
     u = prob.control_function()
