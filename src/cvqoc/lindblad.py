@@ -291,8 +291,9 @@ def propagate_rk4(model: SuperOperatorModel, x0: np.ndarray, u_of_t: callable,
     The control is tabulated up front: u_of_t is called once, on the array of
     the 2 * steps + 1 stage times t0 + k h / 2, and returns one control
     vector per time, shape (2 * steps + 1, n_controls); a constant control of
-    shape (n_controls,) broadcasts.  Non-finite times, a non-finite initial
-    state or a non-finite control raise ValueError.
+    shape (n_controls,) broadcasts, and any other shape raises ValueError.
+    Non-finite times, a non-finite initial state or a non-finite control
+    raise ValueError too.
 
     The model is affine in u, so G(t) = drift + sum_c u_c(t) generator_du[c]
     at every stage time of a batch comes from one matrix product.  With A_s,
@@ -330,8 +331,11 @@ def propagate_rk4(model: SuperOperatorModel, x0: np.ndarray, u_of_t: callable,
     dim, n_controls = model.dim, model.n_controls
     h = (tf - t0) / steps
     stages = np.linspace(t0, tf, 2 * steps + 1)
-    us = np.broadcast_to(np.asarray(u_of_t(stages), dtype=float),
-                         (stages.shape[0], n_controls))
+    us = np.asarray(u_of_t(stages), dtype=float)
+    if us.shape not in ((stages.size, n_controls), (n_controls,)):
+        raise ValueError(f"control has shape {us.shape}, expected ({stages.size}, {n_controls}) "
+                         f"(one row per stage time) or ({n_controls},) (constant)")
+    us = np.broadcast_to(us, (stages.size, n_controls))
     if not np.all(np.isfinite(us)):
         raise ValueError("control must be finite")
     drift = model.drift.reshape(dim * dim)

@@ -45,8 +45,11 @@ from .tfc import BoundaryConstraint, ConstrainedExpression, TimeMorph, chebyshev
 
 
 # Bytes of the products y R per row block of FeatureCache._quadratic, which
-# bounds its temporaries on a long grid.  A row of y R can round differently
-# with the block's row count, so the block size is part of the results.
+# bounds its temporaries on a long grid.  A one-row block is a matrix-vector
+# product, which can round differently from a row of a larger block, so a
+# one-row tail joins the block before it, and a point's value does not depend
+# on the other points of its call (blocks of 2 to 1024 rows measured equal
+# with OpenBLAS 0.3.31).  QocProblem.verify_rk4's reuse of rows relies on it.
 _BLOCK_BYTES = 80 * 1024
 
 # QocProblem.verify_rk4's step doubling: its first run has RK4_BASE_STEPS
@@ -73,7 +76,7 @@ class FeatureCache:
     At the fixed points `taus` (the nodes and domain endpoints) y is fixed,
     so a tau, or an array of them, made only of such points is a lookup in
     a table built with the forms.  Any other tau goes through _quadratic,
-    one _contract per row block of at most _BLOCK_BYTES of products y R.
+    one _contract per row block of about _BLOCK_BYTES of products y R.
     Output weights W contract into the forms before any per-tau work,
     phi(tau) W = z^H (sum_l W_l O_l) z, so `weighted` costs one quadratic
     form per output column, whatever the number of circuits.  theta_p of
@@ -191,8 +194,11 @@ class FeatureCache:
         n, m = forms.shape[:2]
         flat = np.atleast_1d(taus)
         rows = max(1, _BLOCK_BYTES // (8 * n * m))
-        blocks = [self._contract(self._phases(flat[first:first + rows]), forms, derivative)
-                  for first in range(0, max(flat.size, 1), rows)]   # no tau: one empty block
+        cuts = list(range(rows, flat.size, rows))
+        if cuts and flat.size - cuts[-1] == 1:   # a one-row tail joins the block before it
+            cuts.pop()
+        blocks = [self._contract(self._phases(part), forms, derivative)
+                  for part in np.split(flat, cuts)]   # no tau: one empty block
         val = np.concatenate([v for v, _ in blocks])
         dval = np.concatenate([dv for _, dv in blocks]) if derivative else None
         if taus.ndim == 0:
@@ -516,22 +522,43 @@ class QocProblem(_Collocation):
         Returns (times, states, gap, estimate) of that last run; its step
         count is a multiple of RK4_BASE_STEPS, so its states at a stride of
         steps // RK4_BASE_STEPS lie on the grid.
+
+        The ladder asks control_function() for the control at each stage
+        time once.  A run of N steps has the 2N + 1 stage times
+        linspace(t0, tf, 2N + 1), and the run before it (N / 2 steps) had
+        exactly its even ones, since the step halves exactly; once they are
+        checked equal, the run takes that run's control rows as its even
+        rows and tabulates only its N odd stage times.  A row does not
+        depend on the other times of its tabulation (see _BLOCK_BYTES), so
+        each run equals a fresh run of its step count bit for bit.
         """
         u = self.control_function()
         t0, tf = self.morph.t0, self.final_time()
 
-        def run(n):
-            ts, xs = lindblad.propagate_rk4(self.model, self.cfg.rho_init, u, t0, tf, n)
+        def run(n, control):
+            ts, xs = lindblad.propagate_rk4(self.model, self.cfg.rho_init, control, t0, tf, n)
             return ts, xs, float(np.linalg.norm(xs[-1] - self.cfg.rho_target))
 
         if steps is not None:
-            return run(steps)
+            return run(steps, u)
+        last = None   # the last run's stage times and control rows
+
+        def reusing(stages):
+            nonlocal last
+            if last is None or not np.array_equal(stages[::2], last[0]):
+                rows = u(stages)
+            else:
+                rows = np.empty((stages.size, self.model.n_controls))
+                rows[::2], rows[1::2] = last[1], u(stages[1::2])
+            last = (stages, rows)
+            return rows
+
         steps = RK4_BASE_STEPS
-        _, xs, _ = run(steps)
+        _, xs, _ = run(steps, reusing)
         while True:
             coarse = xs[::steps // RK4_BASE_STEPS]
             steps *= 2
-            ts, xs, gap = run(steps)
+            ts, xs, gap = run(steps, reusing)
             diff = xs[::steps // RK4_BASE_STEPS] - coarse
             estimate = float(np.max(np.linalg.norm(diff, axis=1))) / 15.0
             if estimate <= RK4_TOLERANCE or steps >= RK4_MAX_STEPS:

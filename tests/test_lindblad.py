@@ -376,6 +376,17 @@ def test_rk4_rejects_nonfinite_control(bad):
                       lambda t: np.array([bad]), 0.0, 1.0, 50)
 
 
+def test_rk4_names_a_control_of_the_wrong_shape():
+    # 50 steps have 101 stage times; a flat vector for the one control and
+    # three columns for the model's two are named, not left to broadcasting
+    with pytest.raises(ValueError, match=r"control has shape \(101,\), expected \(101, 1\)"):
+        propagate_rk4(two_level_model(P), np.array([1.0, 0.0, 0.0, 0.0]),
+                      np.sin, 0.0, 1.0, 50)
+    with pytest.raises(ValueError, match=r"shape \(101, 3\), expected \(101, 2\) .* or \(2,\)"):
+        propagate_rk4(three_level_model(ThreeLevelParams()), np.eye(9)[0],
+                      lambda t: np.column_stack([t, t, t]), 0.0, 1.0, 50)
+
+
 def test_rk4_builds_the_generator_once_whatever_the_step_count():
     x0 = np.array([1.0, 0, 0, 0, 0, 0, 0, 0, 0])
     counts = []

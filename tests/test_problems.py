@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from cvqoc import cvqnn, lindblad, optimize, pmp, problems, tfc
+from cvqoc import cli, cvqnn, lindblad, optimize, pmp, problems, tfc
 from cvqoc.tfc import TimeMorph
 
 
@@ -202,6 +202,66 @@ def test_verify_rk4_doubles_past_4000_steps_for_a_fast_control():
     stride = steps // problems.RK4_BASE_STEPS
     assert np.max(np.linalg.norm(xs[::stride] - finer[::2 * stride], axis=1)) \
         <= 2 * problems.RK4_TOLERANCE
+
+
+def three_level_problem(seed=1):
+    """A three-level point whose two controls are nonzero: its xi_u weights
+    are drawn at scale 5."""
+    bank = cvqnn.random_bank(6, 2, 10, np.random.default_rng(seed),
+                             squeeze_scale=0.1, disp_scale=0.3, kerr_scale=0.15)
+    cfg = pmp.OcpConfig(time_weight=1.0, energy_weight=1.0, reg_weight=1e-2,
+                        u_min=-2.0, u_max=2.0, sat_steepness=1.0,
+                        rho_init=np.eye(9)[0], rho_target=np.eye(9)[8])
+    prob = problems.QocProblem(bank, cfg, lindblad.three_level_model(lindblad.ThreeLevelParams()),
+                               TimeMorph(0.0, -0.8, 0.8, 0.4), 8)
+    values = prob.decision.values.copy()
+    block = prob.decision.blocks["xi_u"]
+    values[block] = np.random.default_rng(seed).normal(0.0, 5.0, block.stop - block.start)
+    prob.decision.replace(values)
+    return prob
+
+
+def trained_two_level_preset():
+    problem, schedule, _ = cli.build_problem(
+        cli.load_config(cli.preset_path("two_level_ground_to_excited")))
+    optimize.train(problem, schedule)
+    return problem
+
+
+@pytest.mark.parametrize("make, steps", [(trained_two_level_preset, 1600),
+                                         (fast_control_problem, 12800)])
+def test_verify_rk4_asks_for_each_stage_time_once(monkeypatch, make, steps):
+    # each run after the first tabulates only its odd stage times, so the
+    # ladder asks 2 steps + 1 times in all: 3201 and 25 601, where fresh
+    # runs of 200, 400, ... steps ask 6004 and 50 807
+    prob = make()
+    asked, u = [], prob.control_function()
+    monkeypatch.setattr(prob, "control_function",
+                        lambda: lambda t: asked.append(np.array(t, ndmin=1)) or u(t))
+    ts, xs, _, _ = prob.verify_rk4()
+    assert xs.shape[0] - 1 == steps
+    times = np.concatenate(asked)
+    assert times.size == np.unique(times).size == 2 * steps + 1
+    assert np.array_equal(np.sort(times), np.linspace(ts[0], ts[-1], 2 * steps + 1))
+
+
+@pytest.mark.parametrize("make, cap", [(fast_control_problem, None), (three_level_problem, None),
+                                       (trained_two_level_preset, 6400)])
+def test_verify_rk4_ladder_equals_a_fresh_run_at_its_step_count(monkeypatch, make, cap):
+    # the reused control rows are bit for bit what one tabulation gives,
+    # also at 6400 steps, where one tabulation's 12 801 stage times would
+    # end in a one-row block
+    if cap is not None:
+        monkeypatch.setattr(problems, "RK4_TOLERANCE", 0.0)
+        monkeypatch.setattr(problems, "RK4_MAX_STEPS", cap)
+    prob = make()
+    ts, xs, gap, _ = prob.verify_rk4()
+    steps = xs.shape[0] - 1
+    assert steps > 2 * problems.RK4_BASE_STEPS and np.any(prob.control_trajectory(ts) != 0)
+    fresh_ts, fresh_xs, fresh_gap = prob.verify_rk4(steps)
+    assert np.array_equal(ts, fresh_ts)
+    assert np.array_equal(xs, fresh_xs)
+    assert gap == fresh_gap
 
 
 def test_verify_rk4_stops_at_its_cap_whatever_the_estimate(monkeypatch):
@@ -810,13 +870,17 @@ def test_node_values_match_the_expressions_and_evaluate_no_residual(monkeypatch)
 
 
 def _blockwise_reference(cache, taus, forms):
-    """The tabulation written out per row block of _BLOCK_BYTES: the phase
-    rows, y R and dy, then the two row-wise dots."""
+    """The tabulation written out per row block of _BLOCK_BYTES, a one-row
+    tail joined to the block before it: the phase rows, y R and dy, then the
+    two row-wise dots."""
     n, m = forms.shape[:2]
     rows = problems._BLOCK_BYTES // (8 * n * m)
+    firsts = list(range(0, taus.size, rows))
+    if len(firsts) > 1 and taus.size - firsts[-1] == 1:
+        firsts.pop()
     vals, dvals = [], []
-    for first in range(0, taus.size, rows):
-        phase = np.multiply.outer(taus[first:first + rows], cache._w)
+    for first, end in zip(firsts, firsts[1:] + [taus.size]):
+        phase = np.multiply.outer(taus[first:end], cache._w)
         y = np.concatenate([np.cos(phase), np.sin(phase)], axis=1)
         yr = (y @ forms.transpose(1, 0, 2).reshape(m, n * m)).reshape(len(y), n, m)
         dy = np.concatenate([-cache._w * y[:, m // 2:], cache._w * y[:, :m // 2]], axis=1)
@@ -835,9 +899,10 @@ def test_tabulation_matches_the_blockwise_formula(columns):
     if weights is not None:
         forms = np.tensordot(weights, forms, axes=(0, 0))
     rows = problems._BLOCK_BYTES // (8 * forms.shape[0] * forms.shape[1])
-    # more than two blocks with a ragged last one, a single point, a scalar
+    # more than two blocks with a ragged last one, two blocks and a one-row
+    # tail, a single point, a scalar
     taus = np.sort(rng.uniform(-0.8, 0.8, 2 * rows + rows // 3))
-    for points in (taus, taus[:1]):
+    for points in (taus, taus[:2 * rows + 1], taus[:1]):
         ref, dref = _blockwise_reference(cache, points, forms)
         val, dval = cache._quadratic(points, weights, True)
         assert np.array_equal(val, ref) and np.array_equal(dval, dref)
