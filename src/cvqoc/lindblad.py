@@ -72,8 +72,11 @@ class SuperOperatorModel:
 
     drift, G(0), is one read-only (dim, dim) float array and generator_du,
     the G_c, one read-only (n_controls, dim, dim) array; dim and n_controls
-    are read off their shapes.  The closed-form Jacobian in pmp and the
-    batched propagate_rk4 build G(u) from them.  generator(u) gives G(u) at
+    are read off their shapes.  The closed-form Jacobian in pmp builds G(u)
+    from them, and propagate_rk4 builds its step tensor from the stack
+    (G(0), G_1, ..., G_C): one dim x dim matrix for each of the
+    (n_controls + 1)^4 monomials of a step's stage controls, 16 for the
+    two-level model and 81 for the three-level one.  generator(u) gives G(u) at
     one control vector; the shipped models compute that same sum, through
     the named functions two_level_generator and three_level_generator.
     """
@@ -270,19 +273,59 @@ def three_level_model(p: ThreeLevelParams) -> SuperOperatorModel:
     )
 
 
-# Steps per batch of generators and step matrices in propagate_rk4: large
-# enough that the NumPy calls of a batch cost little per step, small enough
-# that a batch stays about 1 MB whatever the step count.  One batch holds
-# 2 * _BLOCK_STEPS + 1 stage generators and five stacks of _BLOCK_STEPS
-# dim x dim matrices (a work matrix, P2, P3, P4 and the step matrices that
-# the scan turns into prefix products): 1.2 MB at dim 9.  A multiple of
-# _CHUNK, so only a run's last batch can end in a ragged chunk.
-_BLOCK_STEPS = 256
+# Steps per batch of step matrices in propagate_rk4: large enough that the
+# NumPy calls of a batch cost little per step, small enough that a batch
+# stays under 2 MB whatever the step count.  A batch holds its stage
+# controls, the (n_controls + 1)^4 monomials of each step and the step
+# matrices that the scan turns into prefix products: about 1.5 MB at dim 9
+# with 81 monomials.  A multiple of _CHUNK, so only a run's last batch can
+# end in a ragged chunk.
+_BLOCK_STEPS = 1024
 # Steps per chunk of propagate_rk4's blocked scan: its Python loop turns once
 # per chunk, not once per step.
 _CHUNK = 16
 
 
+def _rk4_step_tensor(model: SuperOperatorModel, h: float) -> np.ndarray:
+    """The RK4 step of size h as one matrix per monomial of the stage
+    controls, shape ((n_controls + 1)^4, dim * dim).
+
+    With v = (1, u_1, ..., u_C) at a stage time, A(v) = sum_k v_k G_k for the
+    stack G = (G(0), G_1, ..., G_C), and with v_s, v_m, v_e at a step's start,
+    middle and end the step is x <- M x with
+
+        P2 = A_m (I + h/2 A_s),  P3 = A_m (I + h/2 P2),  P4 = A_e (I + h P3),
+        M  = I + h/6 (A_s + 2 P2 + 2 P3 + P4),
+
+    the classic RK4 step written as a matrix.  M - I is a sum over the
+    monomials v_e[a] v_m[b] v_m[c] v_s[d]: row ((a * K + b) * K + c) * K + d
+    (K = n_controls + 1) of the tensor is its coefficient.  Since v[0] = 1, a
+    term that does not depend on a stage sits at index 0 there, so the
+    formula above runs unchanged on the stack, each identity at the
+    all-zero monomial.  The identity of M itself is left out; propagate_rk4
+    adds it after the product with the monomials, which rounds less.
+    """
+    gens = np.concatenate([model.drift[None], model.generator_du])
+    k, dim = gens.shape[0], model.dim
+    eye = np.eye(dim)
+    x = (0.5 * h) * gens
+    x[0] += eye
+    p2 = gens[:, None] @ x[None]
+    x = (0.5 * h) * p2
+    x[0, 0] += eye
+    p3 = gens[:, None, None] @ x[None]
+    x = h * p3
+    x[0, 0, 0] += eye
+    step = gens[:, None, None, None] @ x[None]
+    step[0] += 2.0 * p3
+    step[0, 0] += 2.0 * p2
+    step[0, 0, 0] += gens
+    step *= h / 6.0
+    return step.reshape(k ** 4, dim * dim)
+
+
+# a blow-up is named by the FloatingPointError below, not left as warnings
+@np.errstate(over="ignore", invalid="ignore")
 def propagate_rk4(model: SuperOperatorModel, x0: np.ndarray, u_of_t: callable,
                   t0: float, tf: float, steps: int):
     """Fixed-step RK4 on x_dot = L(u(t)) x; returns (times, states) including
@@ -293,29 +336,23 @@ def propagate_rk4(model: SuperOperatorModel, x0: np.ndarray, u_of_t: callable,
     vector per time, shape (2 * steps + 1, n_controls); a constant control of
     shape (n_controls,) broadcasts, and any other shape raises ValueError.
     Non-finite times, a non-finite initial state or a non-finite control
-    raise ValueError too.
+    raise ValueError too.  A state that is not finite (a control or step too
+    large for RK4's stable range) raises FloatingPointError.
 
-    The model is affine in u, so G(t) = drift + sum_c u_c(t) generator_du[c]
-    at every stage time of a batch comes from one matrix product.  With A_s,
-    A_m, A_e the generators at a step's start, middle and end, the step is
-    x <- M x with
-
-        P2 = A_m (I + h/2 A_s),  P3 = A_m (I + h/2 P2),  P4 = A_e (I + h P3),
-        M  = I + h/6 (A_s + 2 P2 + 2 P3 + P4),
-
-    which is the classic RK4 step written as a matrix.  Generators and step
-    matrices are formed in batches of _BLOCK_STEPS steps, so memory does not
-    grow with the step count.  The batch buffers are allocated once per call
-    and every batch fills them in place (out= products, I + c X as c X plus
-    1 on the diagonal), with the operations of the formula above in its
-    order.  The states are a blocked scan over the step matrices (Blelloch,
-    CMU-CS-90-190, 1990): a batch's steps are grouped in chunks of _CHUNK,
-    padded with identities (which is exact), the prefix products
-    M_j ... M_1 of every chunk come from _CHUNK - 1 stacked matrix products,
-    a loop of one mat-vec per chunk carries the state from chunk to chunk,
-    and one stacked mat-vec of the prefix products with the chunk start
-    states gives every state.  So Python turns once per chunk, not once per
-    step.
+    The model is affine in u, so every step matrix M is a polynomial in the
+    stage controls: M - I is the row of (n_controls + 1)^4 monomials of the
+    step's controls (16 for one control, 81 for two) times the step tensor
+    of _rk4_step_tensor, built once per call.  A batch of _BLOCK_STEPS steps
+    forms its monomials and gets all its step matrices from one matrix
+    product, then adds the identity on their diagonals, so memory does not
+    grow with the step count.  The states are a blocked scan over the step
+    matrices (Blelloch, CMU-CS-90-190, 1990): a batch's steps are grouped
+    in chunks of _CHUNK, padded with identities (which is exact), the prefix
+    products M_j ... M_1 of every chunk come from _CHUNK - 1 stacked matrix
+    products, a loop of one mat-vec per chunk carries the state from chunk
+    to chunk, and one stacked mat-vec of the prefix products with the chunk
+    start states gives every state.  So Python turns once per chunk, not
+    once per step.
     """
     if steps < 10:
         raise ValueError("use at least 10 steps")
@@ -338,55 +375,48 @@ def propagate_rk4(model: SuperOperatorModel, x0: np.ndarray, u_of_t: callable,
     us = np.broadcast_to(us, (stages.size, n_controls))
     if not np.all(np.isfinite(us)):
         raise ValueError("control must be finite")
-    drift = model.drift.reshape(dim * dim)
-    du = model.generator_du.reshape(n_controls, dim * dim)
+    k = n_controls + 1
+    tensor = _rk4_step_tensor(model, h)
     eye = np.eye(dim)
     xs = np.empty((steps + 1, dim))
     xs[0] = x
     width = min(_BLOCK_STEPS, -(-steps // _CHUNK) * _CHUNK)
-    gen_buf = np.empty((2 * width + 1, dim * dim))
-    work_buf, p2_buf, p3_buf, p4_buf, pre_buf = np.empty((5, width, dim, dim))
+    # the stage vectors v = (1, u) and the monomials are held one column per
+    # stage or step, so the elementwise products run along the steps
+    v_buf = np.empty((k, 2 * width + 1))
+    v_buf[0] = 1.0
+    mon_buf = np.empty(k ** 4 * width)
+    pre_buf = np.empty((width, dim, dim))
+    products = np.empty((width // _CHUNK, dim, dim))
     for first in range(0, steps, _BLOCK_STEPS):
         last = min(first + _BLOCK_STEPS, steps)
         n = last - first
         n_chunks = -(-n // _CHUNK)
-        gens = np.matmul(us[2 * first:2 * last + 1], du, out=gen_buf[:2 * n + 1])
-        gens += drift
-        gens = gens.reshape(-1, dim, dim)
-        a_s, a_m, a_e = gens[:-1:2], gens[1::2], gens[2::2]
-        work, p2, p3, p4 = work_buf[:n], p2_buf[:n], p3_buf[:n], p4_buf[:n]
-        # I + c X as c X with 1 added on the diagonal, every entry in place
-        diag = work.reshape(n, dim * dim)[:, ::dim + 1]
-        np.multiply(a_s, 0.5 * h, out=work)
-        diag += 1.0
-        np.matmul(a_m, work, out=p2)
-        np.multiply(p2, 0.5 * h, out=work)
-        diag += 1.0
-        np.matmul(a_m, work, out=p3)
-        np.multiply(p3, h, out=work)
-        diag += 1.0
-        np.matmul(a_e, work, out=p4)
+        v = v_buf[:, :2 * n + 1]
+        v[1:] = us[2 * first:2 * last + 1].T
+        v_s, v_m, v_e = v[:, :-1:2], v[:, 1::2], v[:, 2::2]
+        mon = np.multiply((v_e[:, None] * v_m)[:, :, None, None], v_m[:, None] * v_s,
+                          out=mon_buf[:k ** 4 * n].reshape(k, k, k, k, n))
         prefix = pre_buf[:n_chunks * _CHUNK]
-        step = prefix[:n]
-        np.multiply(p2, 2.0, out=step)
-        step += a_s
-        p3 *= 2.0
-        step += p3
-        step += p4
-        step *= h / 6.0
-        step.reshape(n, dim * dim)[:, ::dim + 1] += 1.0
+        step = prefix[:n].reshape(n, dim * dim)
+        np.matmul(mon.reshape(k ** 4, n).T, tensor, out=step)
+        step[:, ::dim + 1] += 1.0
         prefix[n:] = eye
         prefix = prefix.reshape(n_chunks, _CHUNK, dim, dim)
-        # the work matrices are free by now; a product written over its own
-        # factor would make NumPy copy that factor first
-        products = work_buf[:n_chunks]
+        # a product written over its own factor would make NumPy copy it first
         for j in range(1, _CHUNK):
-            np.matmul(prefix[:, j], prefix[:, j - 1], out=products)
-            prefix[:, j] = products
+            np.matmul(prefix[:, j], prefix[:, j - 1], out=products[:n_chunks])
+            prefix[:, j] = products[:n_chunks]
         starts = np.empty((n_chunks, dim))
         for c in range(n_chunks):
             starts[c] = x
             x = prefix[c, -1].dot(x)
-        states = (prefix @ starts[:, None, :, None]).reshape(-1, dim)
-        xs[first + 1:last + 1] = states[:n]
+        states = (prefix.reshape(n_chunks, _CHUNK * dim, dim) @ starts[:, :, None])
+        states = states.reshape(-1, dim)[:n]
+        if not np.all(np.isfinite(states)):
+            bad = first + 1 + int(np.argmin(np.isfinite(states).all(axis=1)))
+            raise FloatingPointError(
+                f"RK4 state not finite at t = {stages[2 * bad]:.6g} (step {bad} of {steps}, "
+                f"h = {h:.3g}): the control or the step is too large for RK4")
+        xs[first + 1:last + 1] = states
     return stages[::2].copy(), xs

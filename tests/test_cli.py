@@ -359,6 +359,26 @@ def test_propagate_nonfinite_control_exits_2(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_propagate_blow_up_exits_3(tmp_path, capsys):
+    # a finite control far outside RK4's stable range: the states overflow,
+    # which is a numerical failure, not a NaN CSV
+    cfg = tmp_path / "sys.json"
+    cfg.write_text(json.dumps({
+        "system_params": {},
+        "propagate": {"x0": [1.0, 0.0, 0.0, 0.0], "t0": 0.0, "tf": 10.0,
+                      "steps": 200},
+    }))
+    ctrl = tmp_path / "u.csv"
+    ctrl.write_text("0.0,1e6\n10.0,1e6\n")
+    out = tmp_path / "o.csv"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run(["propagate", "--system", "two-level", "--config", str(cfg),
+                    "--control", str(ctrl), "--output", str(out)]) == 3
+    assert "numerical failure: RK4 state not finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("times", [{"tf": float("inf")}, {"t0": float("-inf")}])
 def test_propagate_nonfinite_time_exits_2(times, tmp_path, capsys):
     # tf = inf passes `tf > t0`, so it must be caught before it reaches the control

@@ -1,4 +1,5 @@
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -426,10 +427,10 @@ def _rk4_reference(model, x0, u_scalar, t0, tf, steps):
     return np.array(out)
 
 
-# 10 steps: shorter than one scan chunk; 260: a full batch, then a batch
-# shorter than one chunk; 500: a ragged last chunk in the second batch;
-# 4000: fifteen full batches and a shorter last one, as in a long verification
-@pytest.mark.parametrize("steps", [10, 260, 500, 4000])
+# 10 steps: shorter than one scan chunk; 260 and 500: one batch ending in a
+# ragged chunk; 1030: a full batch, then a batch shorter than one chunk;
+# 4000: three full batches and a shorter last one, as in a long verification
+@pytest.mark.parametrize("steps", [10, 260, 500, 1030, 4000])
 @pytest.mark.parametrize("system", ["two-level", "three-level"])
 def test_rk4_tabulated_control_matches_per_step_reference(system, steps):
     # a fixed step, so every count stays in RK4's stable range
@@ -459,27 +460,59 @@ def test_rk4_tabulated_control_matches_per_step_reference(system, steps):
     assert np.max(np.abs(xs - ref)) < 1e-13
 
 
-def _rk4_matrix_form(model, x0, us, t0, tf, steps):
+def _classic_step_matrix(model, u_s, u_m, u_e, h):
+    """The RK4 step x <- M x at start, middle and end controls u_s, u_m, u_e,
+    stage by stage: P2 = A_m (I + h/2 A_s), P3 = A_m (I + h/2 P2),
+    P4 = A_e (I + h P3), M = I + h/6 (A_s + 2 P2 + 2 P3 + P4)."""
+    eye = np.eye(model.dim)
+    a_s, a_m, a_e = (model.generator(u) for u in (u_s, u_m, u_e))
+    p2 = a_m @ (eye + (0.5 * h) * a_s)
+    p3 = a_m @ (eye + (0.5 * h) * p2)
+    p4 = a_e @ (eye + h * p3)
+    return eye + (h / 6.0) * (a_s + 2.0 * p2 + 2.0 * p3 + p4)
+
+
+# |u| up to 70 is the fast-control fixture of test_problems; h = 0.02 puts
+# h |G(u)| near 1 there
+@pytest.mark.parametrize("scale, h", [(1.0, 0.02), (70.0, 0.02), (70.0, 3e-4)])
+@pytest.mark.parametrize("model", [two_level_model(P), three_level_model(ThreeLevelParams())],
+                         ids=["two-level", "three-level"])
+def test_step_tensor_gives_the_classic_step_matrix(model, scale, h):
+    # M - I is the row of monomials v_e[a] v_m[b] v_m[c] v_s[d] of the stage
+    # vectors v = (1, u) times the tensor, (n_controls + 1)^4 rows: 16 and 81
+    rng = np.random.default_rng(17)
+    k = model.n_controls + 1
+    tensor = lindblad._rk4_step_tensor(model, h)
+    assert tensor.shape == (k ** 4, model.dim ** 2)
+    for _ in range(50):
+        u_s, u_m, u_e = rng.uniform(-scale, scale, (3, k - 1))
+        v_s, v_m, v_e = (np.concatenate([[1.0], u]) for u in (u_s, u_m, u_e))
+        monomials = np.einsum("a,b,c,d->abcd", v_e, v_m, v_m, v_s).reshape(k ** 4)
+        step = (monomials @ tensor).reshape(model.dim, model.dim) + np.eye(model.dim)
+        classic = _classic_step_matrix(model, u_s, u_m, u_e, h)
+        assert np.max(np.abs(step - classic)) <= 4 * np.finfo(float).eps * np.max(np.abs(classic))
+
+
+def _rk4_step_tensor_form(model, x0, us, t0, tf, steps):
     """propagate_rk4's batch formula with a fresh temporary for every
-    product and sum: eye + c X, stacked products, one scan per batch."""
+    product and sum: each step's monomials, one column per step, times the
+    step tensor plus the identity; one scan per batch."""
     dim, block, chunk = model.dim, lindblad._BLOCK_STEPS, lindblad._CHUNK
-    h = (tf - t0) / steps
-    drift = model.drift.reshape(dim * dim)
-    du = model.generator_du.reshape(model.n_controls, dim * dim)
+    k = model.n_controls + 1
+    tensor = lindblad._rk4_step_tensor(model, (tf - t0) / steps)
+    v = np.vstack([np.ones(len(us)), us.T])
     eye = np.eye(dim)
     x = np.asarray(x0, dtype=float)
     xs = [x]
     for first in range(0, steps, block):
         last = min(first + block, steps)
-        gens = (us[2 * first:2 * last + 1] @ du + drift).reshape(-1, dim, dim)
-        a_s, a_m, a_e = gens[:-1:2], gens[1::2], gens[2::2]
-        p2 = a_m @ (eye + (0.5 * h) * a_s)
-        p3 = a_m @ (eye + (0.5 * h) * p2)
-        p4 = a_e @ (eye + h * p3)
         n = last - first
         n_chunks = -(-n // chunk)
+        batch = v[:, 2 * first:2 * last + 1]
+        v_s, v_m, v_e = batch[:, :-1:2], batch[:, 1::2], batch[:, 2::2]
+        monomials = (v_e[:, None] * v_m)[:, :, None, None] * (v_m[:, None] * v_s)
         prefix = np.empty((n_chunks * chunk, dim, dim))
-        prefix[:n] = eye + (h / 6.0) * (a_s + 2.0 * p2 + 2.0 * p3 + p4)
+        prefix[:n] = (monomials.reshape(k ** 4, n).T @ tensor).reshape(n, dim, dim) + eye
         prefix[n:] = eye
         prefix = prefix.reshape(n_chunks, chunk, dim, dim)
         for j in range(1, chunk):
@@ -488,11 +521,12 @@ def _rk4_matrix_form(model, x0, us, t0, tf, steps):
         for c in range(n_chunks):
             starts[c] = x
             x = prefix[c, -1].dot(x)
-        xs.extend((prefix @ starts[:, None, :, None]).reshape(-1, dim)[:n])
+        states = prefix.reshape(n_chunks, chunk * dim, dim) @ starts[:, :, None]
+        xs.extend(states.reshape(-1, dim)[:n])
     return np.array(xs)
 
 
-@pytest.mark.parametrize("steps", [10, 260, 500, 4000])
+@pytest.mark.parametrize("steps", [10, 260, 500, 1030, 4000])
 @pytest.mark.parametrize("system", ["two-level", "three-level"])
 def test_rk4_states_are_bit_identical_to_the_matrix_form(system, steps):
     # the batch buffers are reused in place; every operation and its order
@@ -510,14 +544,24 @@ def test_rk4_states_are_bit_identical_to_the_matrix_form(system, steps):
     tf = 3.0
     _, xs = propagate_rk4(model, x0, u_table, 0.0, tf, steps)
     us = u_table(np.linspace(0.0, tf, 2 * steps + 1))
-    assert np.array_equal(xs, _rk4_matrix_form(model, x0, us, 0.0, tf, steps))
+    assert np.array_equal(xs, _rk4_step_tensor_form(model, x0, us, 0.0, tf, steps))
+
+
+def test_rk4_blow_up_raises_instead_of_returning_nan():
+    # u = 1e6 with h = 0.05 is far outside RK4's stable range: the states
+    # overflow within the first batch
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(FloatingPointError, match=r"RK4 state not finite at t = .* of 200"):
+            propagate_rk4(two_level_model(P), np.array([1.0, 0.0, 0.0, 0.0]),
+                          lambda t: np.array([1e6]), 0.0, 10.0, 200)
 
 
 def test_rk4_transient_memory_is_bounded_by_a_batch():
     # every batch reuses buffers of _BLOCK_STEPS steps, so what a call holds
-    # beyond its outputs is a few stacks of 9 x 9 matrices plus the stage
-    # times; one (steps, 9, 9) array of step matrices would be 2.6 MB at
-    # 4000 steps and 26 MB at 40 000
+    # beyond its outputs is one stack of 9 x 9 step matrices, the batch's 81
+    # monomials per step and the stage times; one (steps, 9, 9) array of
+    # step matrices would be 2.6 MB at 4000 steps and 26 MB at 40 000
     model, x0 = three_level_model(ThreeLevelParams()), np.eye(9)[0]
     control = np.array([0.5, -0.3])
     for steps in (4000, 40000):

@@ -273,6 +273,19 @@ def test_verify_rk4_stops_at_its_cap_whatever_the_estimate(monkeypatch):
     assert estimate > problems.RK4_TOLERANCE
 
 
+def test_verify_rk4_raises_at_its_first_run_when_the_states_blow_up(monkeypatch):
+    # a NaN estimate never meets the tolerance, so without the raise the
+    # ladder would run on to RK4_MAX_STEPS and report a NaN gap
+    prob = qoc_problem()
+    monkeypatch.setattr(prob, "control_function", lambda: lambda t: np.full(1, 1e6))
+    runs, propagate = [], lindblad.propagate_rk4
+    monkeypatch.setattr(lindblad, "propagate_rk4",
+                        lambda *args: runs.append(args[-1]) or propagate(*args))
+    with pytest.raises(FloatingPointError, match="RK4 state not finite"):
+        prob.verify_rk4()
+    assert runs == [problems.RK4_BASE_STEPS]
+
+
 def test_qoc_control_function_clamps_endpoints():
     prob = qoc_problem()
     u = prob.control_function()
