@@ -249,7 +249,7 @@ def cmd_qnn_eval(args) -> int:
     _check_keys(cfg, "<top level>", ["qnn"])
     bank = _build_bank(cfg["qnn"])
     with _building("--tau"):
-        sigma = cvqnn.forward(bank, args.tau)
+        sigma = problems.FeatureCache(bank).features(args.tau, False)[0]
     print(",".join(f"{v:.12e}" for v in sigma))
     return 0
 
@@ -293,8 +293,10 @@ def cmd_propagate(args) -> int:
     return 0
 
 
-def _sample_grid(t0: float, tf: float, n: int = 201) -> np.ndarray:
-    return np.linspace(t0, tf, n)
+def _sample_grid(t0: float, tf: float) -> np.ndarray:
+    """The points `cvqoc solve` writes: RK4_BASE_STEPS equal intervals, so the
+    states of every run of QocProblem.verify_rk4 land on them at a stride."""
+    return np.linspace(t0, tf, problems.RK4_BASE_STEPS + 1)
 
 
 def _feature_basis(problem) -> dict:
@@ -321,7 +323,7 @@ def _solve_artifacts_qoc(problem, report, outdir: str, system: str) -> dict:
     # multiple of the grid's intervals, so a stride of the states is the grid
     _, vx, gap, estimate = problem.verify_rk4()
     steps = vx.shape[0] - 1
-    vx = vx[::steps // (grid.shape[0] - 1)]
+    vx = vx[::steps // problems.RK4_BASE_STEPS]
     write_csv(os.path.join(outdir, "verify.csv"), head,
               np.column_stack([grid, vx, us, vx[:, :n_pop].sum(axis=1)]))
 

@@ -6,6 +6,9 @@ and the Kerr gate are diagonal in the Fock basis, so they act as phase
 vectors; squeeze and displacement come from fock's spectral kernel.  A bank
 of L independent circuits maps a scalar input tau (encoded as a displacement
 of the vacuum) to the feature vector sigma(tau) in R^L via <x> measurements.
+This module builds the circuits; problems.FeatureCache computes sigma(tau)
+and its exact derivative from their unitaries, the one feature path of
+`cvqoc solve` and `cvqoc qnn-eval`.
 
 The bank holds every gate parameter once, in one flat array theta, of which
 each circuit's params is a (depth, 6) view; QnnBank.set_flat is its only
@@ -174,25 +177,6 @@ class QnnBank:
             if not np.array_equal(part, c.params.ravel()):
                 c.params.flat = part
                 c.version += 1
-
-
-def forward(bank: QnnBank, tau: float) -> np.ndarray:
-    """Feature vector sigma(tau): per circuit, <x> on the output state."""
-    cutoff = bank.cutoff
-    state = encode_input(tau, cutoff)
-    x_op = fock.quadrature_x(cutoff)
-    out = np.empty(bank.n_features)
-    for l, circ in enumerate(bank.circuits):
-        psi = FockVector(circ.unitary() @ state.amplitudes, cutoff)
-        out[l] = fock.expectation(x_op, psi)
-    return out
-
-
-def forward_dtau(bank: QnnBank, tau: float, h: float = 1e-4) -> np.ndarray:
-    """Central finite difference d sigma / d tau, error O(h^2)."""
-    if h <= 0:
-        raise ValueError("step must be positive")
-    return (forward(bank, tau + h) - forward(bank, tau - h)) / (2.0 * h)
 
 
 def random_bank(n_features: int, depth: int, cutoff: int, rng: np.random.Generator,

@@ -343,16 +343,16 @@ def propagate_rk4(model: SuperOperatorModel, x0: np.ndarray, u_of_t: callable,
     stage controls: M - I is the row of (n_controls + 1)^4 monomials of the
     step's controls (16 for one control, 81 for two) times the step tensor
     of _rk4_step_tensor, built once per call.  A batch of _BLOCK_STEPS steps
-    forms its monomials and gets all its step matrices from one matrix
-    product, then adds the identity on their diagonals, so memory does not
-    grow with the step count.  The states are a blocked scan over the step
-    matrices (Blelloch, CMU-CS-90-190, 1990): a batch's steps are grouped
-    in chunks of _CHUNK, padded with identities (which is exact), the prefix
-    products M_j ... M_1 of every chunk come from _CHUNK - 1 stacked matrix
-    products, a loop of one mat-vec per chunk carries the state from chunk
-    to chunk, and one stacked mat-vec of the prefix products with the chunk
-    start states gives every state.  So Python turns once per chunk, not
-    once per step.
+    forms its monomials in arrays of its own and gets all its step matrices
+    from one matrix product, then adds the identity on their diagonals, so
+    memory does not grow with the step count.  The states are a blocked scan
+    over the step matrices (Blelloch, CMU-CS-90-190, 1990): a batch's steps
+    are grouped in chunks of _CHUNK, padded with identities (which is
+    exact), the prefix products M_j ... M_1 of every chunk come from
+    _CHUNK - 1 stacked matrix products, a loop of one mat-vec per chunk
+    carries the state from chunk to chunk, and one stacked mat-vec of the
+    prefix products with the chunk start states gives every state.  So
+    Python turns once per chunk, not once per step.
     """
     if steps < 10:
         raise ValueError("use at least 10 steps")
@@ -380,33 +380,27 @@ def propagate_rk4(model: SuperOperatorModel, x0: np.ndarray, u_of_t: callable,
     eye = np.eye(dim)
     xs = np.empty((steps + 1, dim))
     xs[0] = x
-    width = min(_BLOCK_STEPS, -(-steps // _CHUNK) * _CHUNK)
-    # the stage vectors v = (1, u) and the monomials are held one column per
-    # stage or step, so the elementwise products run along the steps
-    v_buf = np.empty((k, 2 * width + 1))
-    v_buf[0] = 1.0
-    mon_buf = np.empty(k ** 4 * width)
-    pre_buf = np.empty((width, dim, dim))
-    products = np.empty((width // _CHUNK, dim, dim))
     for first in range(0, steps, _BLOCK_STEPS):
         last = min(first + _BLOCK_STEPS, steps)
         n = last - first
         n_chunks = -(-n // _CHUNK)
-        v = v_buf[:, :2 * n + 1]
+        # the stage vectors v = (1, u) and the monomials are held one column
+        # per stage or step, so the elementwise products run along the steps
+        v = np.ones((k, 2 * n + 1))
         v[1:] = us[2 * first:2 * last + 1].T
         v_s, v_m, v_e = v[:, :-1:2], v[:, 1::2], v[:, 2::2]
-        mon = np.multiply((v_e[:, None] * v_m)[:, :, None, None], v_m[:, None] * v_s,
-                          out=mon_buf[:k ** 4 * n].reshape(k, k, k, k, n))
-        prefix = pre_buf[:n_chunks * _CHUNK]
+        mon = (v_e[:, None] * v_m)[:, :, None, None] * (v_m[:, None] * v_s)
+        prefix = np.empty((n_chunks * _CHUNK, dim, dim))
         step = prefix[:n].reshape(n, dim * dim)
         np.matmul(mon.reshape(k ** 4, n).T, tensor, out=step)
         step[:, ::dim + 1] += 1.0
         prefix[n:] = eye
         prefix = prefix.reshape(n_chunks, _CHUNK, dim, dim)
         # a product written over its own factor would make NumPy copy it first
+        products = np.empty((n_chunks, dim, dim))
         for j in range(1, _CHUNK):
-            np.matmul(prefix[:, j], prefix[:, j - 1], out=products[:n_chunks])
-            prefix[:, j] = products[:n_chunks]
+            np.matmul(prefix[:, j], prefix[:, j - 1], out=products)
+            prefix[:, j] = products
         starts = np.empty((n_chunks, dim))
         for c in range(n_chunks):
             starts[c] = x

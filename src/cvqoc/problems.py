@@ -53,8 +53,8 @@ from .tfc import BoundaryConstraint, ConstrainedExpression, TimeMorph, chebyshev
 _BLOCK_BYTES = 80 * 1024
 
 # QocProblem.verify_rk4's step doubling: its first run has RK4_BASE_STEPS
-# steps, the intervals of the 201-point grid `cvqoc solve` samples, so every
-# run's states at a stride land on that grid.  RK4's global error is
+# steps, the intervals of the grid `cvqoc solve` samples (cli._sample_grid),
+# so every run's states at a stride land on that grid.  RK4's global error is
 # O(h^4), so x_N - x_{N/2} is 15 times x_N's error to leading order.
 RK4_BASE_STEPS = 200
 RK4_TOLERANCE = 1e-8

@@ -8,6 +8,8 @@ import pytest
 
 from cvqoc import cli, lindblad, optimize, pmp, problems
 
+import oracles
+
 
 def run(argv):
     return cli.main(argv)
@@ -62,6 +64,28 @@ def test_qnn_eval(tmp_path, capsys):
     assert run(["qnn-eval", "--config", str(cfg), "--tau", "0.3"]) == 0
     values = [float(v) for v in capsys.readouterr().out.strip().split(",")]
     assert len(values) == 3
+
+
+@pytest.mark.parametrize("bank", ["test", "linear_ode_benchmark", "three_level_pop_inversion",
+                                  "two_level_ground_to_excited", "two_level_to_superposition"])
+def test_qnn_eval_prints_the_feature_cache_sigma(bank, tmp_path, capsys):
+    # qnn-eval prints the features every solve trains on, checked through the
+    # CLI at every fourth point; the state-vector oracle agrees within 1.8e-15
+    # at all 401 points on these banks, where |sigma| <= 2.4
+    qnn = ({"n_features": 3, "depth": 1, "cutoff": 8, "seed": 1} if bank == "test"
+           else cli.load_config(cli.preset_path(bank))["qnn"])
+    cfg = tmp_path / "qnn.json"
+    cfg.write_text(json.dumps({"qnn": qnn}))
+    built = cli._build_bank(qnn)
+    cache = problems.FeatureCache(built)
+    taus = np.linspace(-2.0, 2.0, 401)
+    for tau in taus[::4]:
+        assert run(["qnn-eval", "--config", str(cfg), "--tau", repr(float(tau))]) == 0
+        sigma = cache.features(float(tau), False)[0]
+        assert capsys.readouterr().out == ",".join(f"{v:.12e}" for v in sigma) + "\n"
+    worst = max(np.max(np.abs(cache.features(float(t), False)[0] - oracles.forward(built, t)))
+                for t in taus)
+    assert worst <= 2e-15
 
 
 def test_missing_system_key_exits_2(tmp_path, capsys):
@@ -824,6 +848,25 @@ def test_solve_verifies_within_the_tolerance_of_a_4000_step_run(preset, tmp_path
     states = verify[:, 1:1 + problem.model.dim]
     assert np.max(np.abs(states - xs[::4000 // problems.RK4_BASE_STEPS])) <= 1e-8
     assert abs(report["terminal_error_rk4"] - gap) <= 1e-8
+
+
+def test_solve_samples_the_grid_of_rk4_base_steps(tmp_path, monkeypatch):
+    # the grid and the stride of the verification states both follow
+    # RK4_BASE_STEPS, so a changed grid size keeps verify.csv aligned
+    monkeypatch.setattr(problems, "RK4_BASE_STEPS", 100)
+    out = tmp_path / "out"
+    assert run(["solve", "--preset", "two_level_ground_to_excited", "--output", str(out)]) == 0
+    steps = json.loads((out / "report.json").read_text())["rk4_steps"]
+    _, trajectory = cli.read_csv(str(out / "trajectory.csv"))
+    _, verify = cli.read_csv(str(out / "verify.csv"))
+    assert trajectory.shape[0] == verify.shape[0] == 101 and steps % 100 == 0
+    assert np.array_equal(trajectory[:, 0], verify[:, 0])
+    problem, schedule, _ = cli.build_problem(cli.load_config(
+        cli.preset_path("two_level_ground_to_excited")))
+    optimize.train(problem, schedule)
+    ts, xs, _ = problem.verify_rk4(steps)
+    assert np.allclose(ts[::steps // 100], verify[:, 0], rtol=1e-12, atol=0)
+    assert np.max(np.abs(xs[::steps // 100] - verify[:, 1:5])) <= 1e-12
 
 
 def test_solve_evaluates_no_residual_beyond_gauss_newton(tmp_path, monkeypatch):

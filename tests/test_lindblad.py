@@ -429,8 +429,10 @@ def _rk4_reference(model, x0, u_scalar, t0, tf, steps):
 
 # 10 steps: shorter than one scan chunk; 260 and 500: one batch ending in a
 # ragged chunk; 1030: a full batch, then a batch shorter than one chunk;
-# 4000: three full batches and a shorter last one, as in a long verification
-@pytest.mark.parametrize("steps", [10, 260, 500, 1030, 4000])
+# 1600: two-level's verification ladder's one run of two batches, the second
+# of whole chunks; 1601: the same with a ragged last chunk; 4000: three full
+# batches and a shorter last one, as in a long verification
+@pytest.mark.parametrize("steps", [10, 260, 500, 1030, 1600, 1601, 4000])
 @pytest.mark.parametrize("system", ["two-level", "three-level"])
 def test_rk4_tabulated_control_matches_per_step_reference(system, steps):
     # a fixed step, so every count stays in RK4's stable range
@@ -526,11 +528,11 @@ def _rk4_step_tensor_form(model, x0, us, t0, tf, steps):
     return np.array(xs)
 
 
-@pytest.mark.parametrize("steps", [10, 260, 500, 1030, 4000])
+@pytest.mark.parametrize("steps", [10, 260, 500, 1030, 1600, 1601, 4000])
 @pytest.mark.parametrize("system", ["two-level", "three-level"])
 def test_rk4_states_are_bit_identical_to_the_matrix_form(system, steps):
-    # the batch buffers are reused in place; every operation and its order
-    # is that of the formula above, so the states agree bit for bit
+    # each batch allocates its own arrays, and every operation of a batch and
+    # its order is that of the formula above, so the states agree bit for bit
     if system == "two-level":
         model, x0 = two_level_model(P), np.array([1.0, 0.0, 0.0, 0.0])
 
@@ -558,10 +560,11 @@ def test_rk4_blow_up_raises_instead_of_returning_nan():
 
 
 def test_rk4_transient_memory_is_bounded_by_a_batch():
-    # every batch reuses buffers of _BLOCK_STEPS steps, so what a call holds
-    # beyond its outputs is one stack of 9 x 9 step matrices, the batch's 81
-    # monomials per step and the stage times; one (steps, 9, 9) array of
-    # step matrices would be 2.6 MB at 4000 steps and 26 MB at 40 000
+    # each batch of _BLOCK_STEPS steps allocates its own arrays, freed as the
+    # next batch replaces them, so what a call holds beyond its outputs is the
+    # 9 x 9 step matrices and 81 monomials per step of at most two batches
+    # and the stage times: 2.5 MB at 4000 steps, 2.8 MB at 40 000; one
+    # (steps, 9, 9) array of step matrices would be 2.6 MB and 26 MB
     model, x0 = three_level_model(ThreeLevelParams()), np.eye(9)[0]
     control = np.array([0.5, -0.3])
     for steps in (4000, 40000):

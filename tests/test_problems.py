@@ -4,6 +4,8 @@ import pytest
 from cvqoc import cli, cvqnn, lindblad, optimize, pmp, problems, tfc
 from cvqoc.tfc import TimeMorph
 
+import oracles
+
 
 def small_bank(seed=28, n=4):
     return cvqnn.random_bank(n, 2, 10, np.random.default_rng(seed),
@@ -18,7 +20,7 @@ def ode_problem(seed=28):
 
 def dsigma_oracle(bank, tau, h=1e-3):
     """Richardson extrapolation of two central differences, error O(h^4)."""
-    return (4.0 * cvqnn.forward_dtau(bank, tau, h / 2) - cvqnn.forward_dtau(bank, tau, h)) / 3.0
+    return (4.0 * oracles.forward_dtau(bank, tau, h / 2) - oracles.forward_dtau(bank, tau, h)) / 3.0
 
 
 def qoc_problem(seed=7, n_nodes=8, t0=0.0):
@@ -64,7 +66,7 @@ def test_feature_cache_derivative_matches_forward_dtau():
     bank = small_bank()
     cache = problems.FeatureCache(bank)
     sig, dsig = cache.features(0.3)
-    assert np.allclose(sig, cvqnn.forward(bank, 0.3), atol=1e-12)
+    assert np.allclose(sig, oracles.forward(bank, 0.3), atol=1e-12)
     assert np.allclose(dsig, dsigma_oracle(bank, 0.3), rtol=0, atol=1e-10)
     values, none = cache.features(0.3, derivative=False)
     assert none is None
@@ -301,7 +303,7 @@ def test_feature_cache_batch_matches_scalar_oracles():
     cache = problems.FeatureCache(bank)
     sig, dsig = cache.features(taus)
     assert sig.shape == dsig.shape == (25, bank.n_features)
-    assert np.allclose(sig, [cvqnn.forward(bank, t) for t in taus], atol=1e-12)
+    assert np.allclose(sig, [oracles.forward(bank, t) for t in taus], atol=1e-12)
     assert np.allclose(dsig, [dsigma_oracle(bank, t) for t in taus], rtol=0, atol=1e-10)
     values, none = cache.features(taus, derivative=False)
     assert none is None
@@ -310,7 +312,7 @@ def test_feature_cache_batch_matches_scalar_oracles():
     table = problems.FeatureCache(bank, taus[:5])
     for t in taus[:5]:
         row, drow = table.features(t)
-        assert np.allclose(row, cvqnn.forward(bank, t), atol=1e-12)
+        assert np.allclose(row, oracles.forward(bank, t), atol=1e-12)
         assert np.allclose(drow, dsigma_oracle(bank, t), rtol=0, atol=1e-10)
     rows, drows = table.features(taus[:5])
     assert np.allclose(rows, sig[:5], rtol=0, atol=1e-14)
@@ -364,7 +366,7 @@ def test_weighted_kernel_matches_table_and_forward():
     sig, dsig = table.features(taus)
     # the table against the state-vector oracles, on a subsample
     sub = taus[::400]
-    assert np.allclose(sig[::400], [cvqnn.forward(bank, t) for t in sub], rtol=0, atol=1e-12)
+    assert np.allclose(sig[::400], [oracles.forward(bank, t) for t in sub], rtol=0, atol=1e-12)
     assert np.allclose(dsig[::400], [dsigma_oracle(bank, t) for t in sub], rtol=0, atol=1e-10)
     w = np.random.default_rng(6).normal(0.0, 1.0, (bank.n_features, 3))
     weighted = table.weighted(w)
@@ -590,7 +592,7 @@ def _check_theta_rows(bank, cache, taus):
     dsig, ddsig = cache.theta_features(taus)
     assert dsig.shape == ddsig.shape == (taus.size, bank.get_flat().size)
     for p, owner in enumerate(cache.theta_owner):
-        fd = _theta_richardson(bank, lambda t: cvqnn.forward(bank, t), taus, p, 1e-4)
+        fd = _theta_richardson(bank, lambda t: oracles.forward(bank, t), taus, p, 1e-4)
         assert np.allclose(dsig[:, p], fd[:, owner], rtol=0, atol=1e-9)
         fd = _theta_richardson(bank, lambda t: dsigma_oracle(bank, t), taus, p, 1e-3)
         assert np.allclose(ddsig[:, p], fd[:, owner], rtol=0, atol=1e-7)
